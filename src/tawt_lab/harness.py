@@ -370,6 +370,24 @@ def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
     return hash64(master_seed, "job", seed, target_size)
 
 
+def _job_key(payload: dict) -> str:
+    """SHA-256 of everything that decides a job's row: the merged TrainConfig,
+    the arm's source flips, the job seed, the target size and the family."""
+    arm = ArmConfig(**payload["arm"])
+    job_seed = _job_seed(payload["master_seed"], payload["seed"], payload["target_size"])
+    blob = json.dumps(
+        {
+            "train": asdict(_arm_train_config(payload["train"], arm, job_seed)),
+            "source_flips": arm.source_flips,
+            "job_seed": job_seed,
+            "target_size": payload["target_size"],
+            "manifest_key": payload["manifest_key"],
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def _execute_job_safe(payload: dict) -> dict:
     """_execute_job, with failures folded into an error-tagged summary row."""
     try:
@@ -436,7 +454,7 @@ def _execute_job(payload: dict) -> dict:
     }
     _atomic_write_text(
         job_dir / "row.json",
-        json.dumps({"manifest_key": payload["manifest_key"], "row": row}, indent=2),
+        json.dumps({"job_key": payload["job_key"], "row": row}, indent=2),
     )
     return row
 
@@ -449,9 +467,10 @@ def cmd_run(
 ) -> dict:
     """Execute every (arm x seed x target_size) job and write summary.csv.
 
-    Completed jobs (matching manifest) are skipped on rerun. A failing job
-    contributes an error-tagged row; the command only counts as failed when
-    every job fails.
+    A completed job is reused on rerun only if its stored job key (see
+    _job_key) still matches, so editing an arm or the train block reruns
+    it. A failing job contributes an error-tagged row; the command only
+    counts as failed when every job fails.
     """
     manifest = _verify_family(cfg, out_dir)
     manifest_key = manifest["config_key"]
@@ -475,6 +494,7 @@ def cmd_run(
                         "save_checkpoints": cfg.save_checkpoints,
                     }
                 )
+                payloads[-1]["job_key"] = _job_key(payloads[-1])
 
     rows: list[dict | None] = [None] * len(payloads)
     pending = []
@@ -491,7 +511,7 @@ def cmd_run(
                 stored = json.loads(row_path.read_text())
             except (OSError, json.JSONDecodeError):
                 stored = None
-            if stored and stored.get("manifest_key") == manifest_key:
+            if stored and stored.get("job_key") == payload["job_key"]:
                 rows[i] = dict(stored["row"])
                 n_skipped += 1
                 continue

@@ -293,6 +293,31 @@ def apply_update(
     return out
 
 
+def train_step(
+    model: SharedModel,
+    task_id: str,
+    X: np.ndarray,
+    Y: np.ndarray,
+    opt: OptimizerState,
+    loss_scale: float = 1.0,
+    row_weights: np.ndarray | None = None,
+) -> None:
+    """One minibatch step on the representation and one head, in place.
+
+    backward_arrays on the batch, one apply_update over the slots
+    rep.W1, rep.b1, head.<task_id>.W2 and head.<task_id>.b2, then the new
+    arrays are written back into the model.
+    """
+    grads = backward_arrays(model, task_id, X, Y, loss_scale=loss_scale, row_weights=row_weights)
+    head = model.head(task_id)
+    model.W1, model.b1, head.W2, head.b2 = apply_update(
+        [model.W1, model.b1, head.W2, head.b2],
+        list(grads),
+        opt,
+        ["rep.W1", "rep.b1", f"head.{task_id}.W2", f"head.{task_id}.b2"],
+    )
+
+
 _MAGIC = b"TWLM"
 _VERSION = 1
 

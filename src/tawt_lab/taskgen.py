@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    OptimizerState,
-    SharedModel,
-    apply_update,
-    backward_arrays,
-    init_model,
-    predictions,
-)
+from .model import OptimizerState, SharedModel, init_model, predictions, train_step
 from .numerics import DimensionError, Rng, float_repr17, hash64
 
 TEACHER_TASK_ID = "teacher"
@@ -155,15 +148,11 @@ def fit_teacher(data: Dataset, spec: TaskSpec, cfg) -> SharedModel:
     )
     shuffle = Rng(hash64(spec.seed, "teacher-shuffle"))
     opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
-    keys = ["W1", "b1", "W2", "b2"]
     for _ in range(cfg.epochs):
         order = shuffle.permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grads = backward_arrays(model, TEACHER_TASK_ID, data.features[idx], data.labels[idx])
-            head = model.head(TEACHER_TASK_ID)
-            new = apply_update([model.W1, model.b1, head.W2, head.b2], list(grads), opt, keys)
-            model.W1, model.b1, head.W2, head.b2 = new
+            train_step(model, TEACHER_TASK_ID, data.features[idx], data.labels[idx], opt)
         if teacher_accuracy(model, data) >= threshold:
             return model
     raise FitFailureError(
@@ -270,15 +259,21 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 def load_dataset_csv(path, task_id: str | None = None) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n, d, k = (int(x) for x in header)
+        n, d, k = (int(x) for x in next(reader))
         features = np.empty((n, d))
         labels = np.empty(n, dtype=np.int64)
-        for i, row in enumerate(reader):
-            if len(row) != d + 1:
-                raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {d + 1}")
-            features[i] = [float(x) for x in row[:d]]
-            labels[i] = int(row[d])
+        rows = 0
+        for row in reader:
+            if rows < n:  # rows past n are only counted, for the error below
+                if len(row) != d + 1:
+                    raise ValueError(
+                        f"{path}: row {rows + 2} has {len(row)} fields, expected {d + 1}"
+                    )
+                features[rows] = [float(x) for x in row[:d]]
+                labels[rows] = int(row[d])
+            rows += 1
+    if rows != n:
+        raise ValueError(f"{path}: header declares {n} rows, file has {rows}")
     if task_id is None:
         task_id = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(features, labels, k, task_id)

@@ -19,6 +19,17 @@ target's, and the weights take one mirror-descent step driven by that
 alignment signal. Weights can live on tasks (default) or on the samples of
 a single source task.
 
+All four entry points are thin wrappers over one driver, _train, which
+runs one phase loop (_train_weighted_phase), one epoch function
+(_weighted_epoch) and one estimator dispatch (_estimate_task_gradients)
+for every paradigm and both weight granularities. single is the joint
+objective with no sources; fixed-weight runs are the adaptive loop with
+the weight step switched off. Sample weights enter _weighted_epoch as
+per-row loss coefficients, task weights as per-batch loss scales. Every
+step on the representation is model.train_step; head-only steps (the
+pretrain head fit and the frozen fine-tune) keep their own gradient on
+the frozen hidden layer.
+
 Every run derives all of its randomness from cfg.seed through purpose-keyed
 child streams (model init, per-task shuffles, batch interleaving, subset
 draws, ...), so adding a task, holding a weight at zero, or turning the
@@ -44,6 +55,7 @@ from .model import (
     predictions,
     rep_gradient_flat,
     task_loss,
+    train_step,
 )
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
 from .taskgen import TARGET_TASK_ID, Dataset, round_half_up
@@ -275,45 +287,38 @@ class _Streams:
         return self._cache[tag]
 
 
-def _weighted_epoch(model, entries, w, cfg, opt, streams, update_rep=True):
+def _weighted_epoch(model, entries, w, cfg, opt, streams):
     """One epoch of minibatch steps on the weighted multi-task objective.
 
     Each participating task's examples are reshuffled from that task's own
     stream, split into batches, and the resulting steps are interleaved in a
-    random order. A task with weight exactly zero contributes no steps at
-    all, so its loss terms vanish from the run entirely.
+    random order. With one weight per task, a task with weight exactly zero
+    contributes no steps at all, so its loss terms vanish from the run
+    entirely. With one weight per example of a single task (sample
+    granularity), each batch B contributes (n/|B|) * sum_{i in B} w_i * loss_i,
+    so uniform weights reproduce the plain mean-batch objective exactly.
     """
+    # Per-row weights (sample granularity) cover the rows of a single entry;
+    # a one-row entry gets the coefficient 1 under either reading.
+    per_row = len(w) != len(entries)
     scale_mult = float(len(w)) if cfg.loss_scale_mode == "weight_times_T" else 1.0
     steps = []
     for pos, (task_id, data) in enumerate(entries):
-        wt = w[pos]
-        if wt == 0.0 or data.n == 0:
+        if data.n == 0 or (not per_row and w[pos] == 0.0):
             continue
         order = streams.get("shuffle", task_id).permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
-            steps.append((task_id, data, order[start : start + cfg.batch_size], wt * scale_mult))
+            idx = order[start : start + cfg.batch_size]
+            if per_row:
+                scale = {"row_weights": w.values[idx] * (data.n / idx.size)}
+            else:
+                scale = {"loss_scale": w[pos] * scale_mult}
+            steps.append((task_id, data, idx, scale))
     if not steps:
         return
     for si in streams.get("interleave").permutation(len(steps)):
         task_id, data, idx, scale = steps[si]
-        grads = backward_arrays(
-            model, task_id, data.features[idx], data.labels[idx], loss_scale=scale
-        )
-        head = model.head(task_id)
-        if update_rep:
-            model.W1, model.b1, head.W2, head.b2 = apply_update(
-                [model.W1, model.b1, head.W2, head.b2],
-                list(grads),
-                opt,
-                ["rep.W1", "rep.b1", f"head.{task_id}.W2", f"head.{task_id}.b2"],
-            )
-        else:
-            head.W2, head.b2 = apply_update(
-                [head.W2, head.b2],
-                list(grads[2:]),
-                opt,
-                [f"head.{task_id}.W2", f"head.{task_id}.b2"],
-            )
+        train_step(model, task_id, data.features[idx], data.labels[idx], opt, **scale)
 
 
 def _head_only_epochs(model, task_id, data, epochs, cfg, opt, rng):
@@ -342,13 +347,16 @@ def _head_only_epochs(model, task_id, data, epochs, cfg, opt, rng):
 
 
 def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np.ndarray:
-    """Weight gradient per objective task from subset gradient alignment.
+    """Weight gradient per objective task (or per source example) from alignment.
 
     One target subset is drawn per call and reused against every task; the
     target's own entry (joint paradigms) compares that subset with itself.
     Tasks held at weight zero get a zero gradient without consuming draws.
+    At sample granularity the single source's examples are each compared
+    with the target subset instead.
     """
-    if cfg.gradient_estimator == "exact_hessian":
+    sample = cfg.weight_granularity == "sample"
+    if cfg.gradient_estimator == "exact_hessian" and not sample:
         datasets = [data for _, data in entries]
         return hessian_task_gradient(
             model, datasets, w, target_data, rep_param_cap=cfg.exact_hessian_cap
@@ -356,6 +364,8 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
     g0 = rep_gradient_flat(
         model, TARGET_TASK_ID, target_data, cfg.subset_size, streams.get("subset", "__target__")
     )
+    if sample:
+        return _per_sample_gradients(model, entries[0][1], g0, w, cfg)
     g = np.zeros(len(entries))
     for pos, (task_id, data) in enumerate(entries):
         if w[pos] == 0.0 or data.n == 0:
@@ -366,11 +376,47 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
             gt = rep_gradient_flat(
                 model, task_id, data, cfg.subset_size, streams.get("subset", task_id)
             )
-        if cfg.gradient_estimator == "cosine":
-            g[pos] = cosine_task_gradient(g0, gt, cfg.c)
-        else:
-            g[pos] = identity_hessian_task_gradient(g0, gt, cfg.identity_hessian_scale)
+        g[pos] = _alignment(g0, gt, cfg)
     return g
+
+
+def _alignment(g0, gt, cfg) -> float:
+    if cfg.gradient_estimator == "cosine":
+        return cosine_task_gradient(g0, gt, cfg.c)
+    return identity_hessian_task_gradient(g0, gt, cfg.identity_hessian_scale)
+
+
+def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
+    """Weight gradient per source example against the target subset gradient."""
+    n = source.n
+    if cfg.gradient_estimator == "exact_hessian":
+        dim = model.rep_param_count()
+        if dim > cfg.exact_hessian_cap:
+            raise CapacityError(
+                f"representation has {dim} parameters, cap is {cfg.exact_hessian_cap}"
+            )
+        probe = model.copy()
+
+        def weighted_grad(phi):
+            probe.set_rep_flat(phi)
+            dW1, db1, _, _ = backward_arrays(
+                probe, source.task_id, source.features, source.labels, row_weights=w.values
+            )
+            return np.concatenate([dW1.ravel(), db1])
+
+        rhs = np.stack([_single_example_rep_grad(model, source, i) for i in range(n)])
+        return hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
+    g = np.zeros(n)
+    for i in range(n):
+        g[i] = _alignment(g0, _single_example_rep_grad(model, source, i), cfg)
+    return g
+
+
+def _single_example_rep_grad(model, source, i) -> np.ndarray:
+    dW1, db1, _, _ = backward_arrays(
+        model, source.task_id, source.features[i : i + 1], source.labels[i : i + 1]
+    )
+    return np.concatenate([dW1.ravel(), db1])
 
 
 def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):
@@ -395,7 +441,10 @@ def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):
 
 
 def _apply_floor(w, g, cfg, record, step):
+    """One mirror-descent step, then cfg.weight_floor; at eta = 0, w unchanged."""
     new = mirror_descent_step(w, g, cfg.eta)
+    if new is w:
+        return w
     if cfg.weight_floor > 0.0 and np.any(new.values < cfg.weight_floor):
         floored = np.maximum(new.values, cfg.weight_floor)
         new = SimplexWeights(floored / floored.sum())
@@ -433,7 +482,6 @@ def _train_weighted_phase(
                 g = _estimate_task_gradients(model, entries, w, estimator_target, cfg, streams)
                 w = _apply_floor(w, g, cfg, record, epoch + 1)
             record.add_weight_snapshot(epoch + 1, w)
-    return w
 
 
 def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
@@ -453,10 +501,6 @@ def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
             record, model, entries, eval_data, epoch_offset + epoch, "finetune",
             cfg, final=epoch == epochs - 1,
         )
-
-
-def _new_record(cfg, weight_task_ids):
-    return RunRecord(config=asdict(cfg), weight_task_ids=list(weight_task_ids))
 
 
 def _normalize_tasks(sources, target):
@@ -483,31 +527,65 @@ def _build_model(sources, target, cfg) -> SharedModel:
     return init_model(target.input_dim, cfg.hidden, head_dims, cfg.seed)
 
 
-def train_single_task(target: Dataset, cfg: TrainConfig, eval_data: Dataset | None = None):
-    """Train representation + one head on the target data alone."""
+def _train(sources, target, cfg, eval_data, w0, *, pretrain, adapt):
+    """The one driver behind every entry point.
+
+    pretrain puts only the sources in the weighted objective, adds one
+    head-only target step per epoch and ends with the fine-tune phase;
+    otherwise the target joins the objective at index 0. adapt turns on the
+    mirror-descent weight steps. w0 None picks the paradigm default: one
+    weight per objective task, or at sample granularity (adapt only) a
+    uniform weight per example of the single source.
+    """
     cfg.validate()
-    if target.n == 0:
-        raise EmptyBatchError("cannot train on an empty target dataset")
-    _, target = _normalize_tasks([], target)
+    if pretrain and not sources:
+        raise ValueError("pretraining needs at least one source task")
+    sources, target = _normalize_tasks(sources, target)
     started = time.perf_counter()
     eval_data = eval_data or target
-    model = _build_model([], target, cfg)
     streams = _Streams(cfg.seed)
-    record = _new_record(cfg, [TARGET_TASK_ID])
+    fit_target, tune_target = target, target
+    if adapt and cfg.sample_split is not None:
+        if not pretrain:
+            raise ValueError("sample_split applies to the pretrain paradigm only")
+        fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
+
+    entries = [(s.task_id, s) for s in sources]
+    if not pretrain:
+        entries.insert(0, (TARGET_TASK_ID, target))
+    if adapt and cfg.weight_granularity == "sample":
+        ((task_id, source),) = entries
+        weight_ids = [f"{task_id}[{i}]" for i in range(source.n)]
+        w0 = w0 or SimplexWeights(np.full(source.n, 1.0 / source.n))
+    else:
+        weight_ids = [task_id for task_id, _ in entries]
+        w0 = w0 or default_initial_weights(cfg, sources, target)
+    if len(w0) != len(weight_ids):
+        raise ValueError(f"{len(w0)} weights for {len(weight_ids)} objective tasks")
+
+    model = _build_model(sources, target, cfg)
+    record = RunRecord(config=asdict(cfg), weight_task_ids=weight_ids)
     _train_weighted_phase(
-        model,
-        [(TARGET_TASK_ID, target)],
-        SimplexWeights(np.ones(1)),
-        cfg,
-        streams,
-        record,
-        adapt=False,
-        head_fit_data=None,
-        estimator_target=None,
-        eval_data=eval_data,
+        model, entries, w0, cfg, streams, record,
+        adapt=adapt, head_fit_data=fit_target if pretrain else None,
+        estimator_target=fit_target, eval_data=eval_data,
     )
+    if pretrain:
+        _finetune_phase(model, tune_target, cfg, streams, record, eval_data, cfg.epochs)
     record.wall_clock = time.perf_counter() - started
     return model, record
+
+
+def train_single_task(target: Dataset, cfg: TrainConfig, eval_data: Dataset | None = None):
+    """Train representation + one head on the target data alone.
+
+    This is the joint objective with no sources and the target's weight at 1.
+    """
+    if target.n == 0:
+        raise EmptyBatchError("cannot train on an empty target dataset")
+    return _train(
+        [], target, cfg, eval_data, SimplexWeights(np.ones(1)), pretrain=False, adapt=False
+    )
 
 
 def pretrain_then_finetune(
@@ -524,25 +602,7 @@ def pretrain_then_finetune(
     trains the target on its own data; cfg.finetune_rep picks whether the
     representation moves with it or stays frozen.
     """
-    cfg.validate()
-    if not sources:
-        raise ValueError("pretraining needs at least one source task")
-    if len(weights) != len(sources):
-        raise ValueError(f"{len(weights)} weights for {len(sources)} sources")
-    sources, target = _normalize_tasks(sources, target)
-    started = time.perf_counter()
-    eval_data = eval_data or target
-    model = _build_model(sources, target, cfg)
-    streams = _Streams(cfg.seed)
-    record = _new_record(cfg, [s.task_id for s in sources])
-    entries = [(s.task_id, s) for s in sources]
-    _train_weighted_phase(
-        model, entries, weights, cfg, streams, record,
-        adapt=False, head_fit_data=target, estimator_target=None, eval_data=eval_data,
-    )
-    _finetune_phase(model, target, cfg, streams, record, eval_data, epoch_offset=cfg.epochs)
-    record.wall_clock = time.perf_counter() - started
-    return model, record
+    return _train(sources, target, cfg, eval_data, weights, pretrain=True, adapt=False)
 
 
 def joint_train(
@@ -558,24 +618,9 @@ def joint_train(
     paradigm differs from joint only in how default weights are initialized,
     so this function serves both.
     """
-    cfg.validate()
-    if len(weights_with_target) != len(sources) + 1:
-        raise ValueError(
-            f"{len(weights_with_target)} weights for target + {len(sources)} sources"
-        )
-    sources, target = _normalize_tasks(sources, target)
-    started = time.perf_counter()
-    eval_data = eval_data or target
-    model = _build_model(sources, target, cfg)
-    streams = _Streams(cfg.seed)
-    record = _new_record(cfg, [TARGET_TASK_ID] + [s.task_id for s in sources])
-    entries = [(TARGET_TASK_ID, target)] + [(s.task_id, s) for s in sources]
-    _train_weighted_phase(
-        model, entries, weights_with_target, cfg, streams, record,
-        adapt=False, head_fit_data=None, estimator_target=None, eval_data=eval_data,
+    return _train(
+        sources, target, cfg, eval_data, weights_with_target, pretrain=False, adapt=False
     )
-    record.wall_clock = time.perf_counter() - started
-    return model, record
 
 
 def tawt(
@@ -591,153 +636,29 @@ def tawt(
     plus the target for the joint paradigms); (ii) for pretrain, head-only
     SGD on the target; (iii) estimate each task's weight gradient from
     subset gradient alignment; (iv) one mirror-descent step. The full weight
-    trajectory lands in the RunRecord. With sample granularity the weights
-    live on the examples of a single source task instead.
+    trajectory lands in the RunRecord. With sample granularity (pretrain,
+    one source) the weights live on the examples of that source instead.
+    initial_weights replaces the default start (paradigm default per task,
+    uniform per example) and must have one entry per weight.
 
     With cfg.sample_split set (pretrain only), the target data is
     partitioned once: part one drives the head-fit and estimation steps,
     part two the final fine-tune.
     """
-    cfg.validate()
     if cfg.paradigm not in ("pretrain", "joint", "normalized_joint"):
         raise ValueError(f"adaptive weighting needs a multi-task paradigm, got {cfg.paradigm!r}")
     if not cfg.weighted:
         raise ValueError("cfg.weighted must be set for adaptive weighting")
     if not sources:
         raise ValueError("adaptive weighting needs at least one source task")
-    sources, target = _normalize_tasks(sources, target)
-    started = time.perf_counter()
-    eval_data = eval_data or target
-    streams = _Streams(cfg.seed)
-
-    fit_target, tune_target = target, target
-    if cfg.sample_split is not None:
-        if cfg.paradigm != "pretrain":
-            raise ValueError("sample_split applies to the pretrain paradigm only")
-        fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
-
     if cfg.weight_granularity == "sample":
-        model, record = _tawt_samples(
-            sources, target, fit_target, tune_target, cfg, streams, eval_data
-        )
-        record.wall_clock = time.perf_counter() - started
-        return model, record
-
-    model = _build_model(sources, target, cfg)
-    if cfg.paradigm == "pretrain":
-        entries = [(s.task_id, s) for s in sources]
-        head_fit_data = fit_target
-    else:
-        entries = [(TARGET_TASK_ID, target)] + [(s.task_id, s) for s in sources]
-        head_fit_data = None
-    w0 = initial_weights or default_initial_weights(cfg, sources, target)
-    if len(w0) != len(entries):
-        raise ValueError(f"{len(w0)} initial weights for {len(entries)} objective tasks")
-    record = _new_record(cfg, [task_id for task_id, _ in entries])
-    _train_weighted_phase(
-        model, entries, w0, cfg, streams, record,
-        adapt=True, head_fit_data=head_fit_data, estimator_target=fit_target,
-        eval_data=eval_data,
+        if cfg.paradigm != "pretrain":
+            raise ValueError("sample-granularity weighting supports the pretrain paradigm only")
+        if len(sources) != 1:
+            raise ValueError("sample-granularity weighting expects exactly one source task")
+        if sources[0].n == 0:
+            raise EmptyBatchError("cannot weight the samples of an empty source")
+    return _train(
+        sources, target, cfg, eval_data, initial_weights,
+        pretrain=cfg.paradigm == "pretrain", adapt=True,
     )
-    if cfg.paradigm == "pretrain":
-        _finetune_phase(model, tune_target, cfg, streams, record, eval_data, cfg.epochs)
-    record.wall_clock = time.perf_counter() - started
-    return model, record
-
-
-def _sample_weighted_epoch(model, source, w, cfg, opt, streams):
-    """One epoch over a single source with per-example loss coefficients.
-
-    Each batch contributes (n/|B|) * sum_{i in B} w_i * loss_i, so uniform
-    weights reproduce the plain mean-batch objective exactly.
-    """
-    n = source.n
-    order = streams.get("shuffle", source.task_id).permutation(n)
-    starts = list(range(0, n, cfg.batch_size))
-    for si in streams.get("interleave").permutation(len(starts)):
-        idx = order[starts[si] : starts[si] + cfg.batch_size]
-        coeff = w.values[idx] * (n / idx.size)
-        grads = backward_arrays(
-            model, source.task_id, source.features[idx], source.labels[idx], row_weights=coeff
-        )
-        head = model.head(source.task_id)
-        model.W1, model.b1, head.W2, head.b2 = apply_update(
-            [model.W1, model.b1, head.W2, head.b2],
-            list(grads),
-            opt,
-            ["rep.W1", "rep.b1", f"head.{source.task_id}.W2", f"head.{source.task_id}.b2"],
-        )
-
-
-def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
-    """Weight gradient per source example against the target subset gradient."""
-    n = source.n
-    g = np.zeros(n)
-    if cfg.gradient_estimator == "exact_hessian":
-        dim = model.rep_param_count()
-        if dim > cfg.exact_hessian_cap:
-            raise CapacityError(
-                f"representation has {dim} parameters, cap is {cfg.exact_hessian_cap}"
-            )
-        probe = model.copy()
-
-        def weighted_grad(phi):
-            probe.set_rep_flat(phi)
-            dW1, db1, _, _ = backward_arrays(
-                probe, source.task_id, source.features, source.labels, row_weights=w.values
-            )
-            return np.concatenate([dW1.ravel(), db1])
-
-        rhs = np.stack([_single_example_rep_grad(model, source, i) for i in range(n)])
-        return hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
-    for i in range(n):
-        gi = _single_example_rep_grad(model, source, i)
-        if cfg.gradient_estimator == "cosine":
-            g[i] = cosine_task_gradient(g0, gi, cfg.c)
-        else:
-            g[i] = identity_hessian_task_gradient(g0, gi, cfg.identity_hessian_scale)
-    return g
-
-
-def _single_example_rep_grad(model, source, i) -> np.ndarray:
-    dW1, db1, _, _ = backward_arrays(
-        model, source.task_id, source.features[i : i + 1], source.labels[i : i + 1]
-    )
-    return np.concatenate([dW1.ravel(), db1])
-
-
-def _tawt_samples(sources, target, fit_target, tune_target, cfg, streams, eval_data):
-    """Sample-granularity adaptive weighting over a single source task."""
-    if cfg.paradigm != "pretrain":
-        raise ValueError("sample-granularity weighting supports the pretrain paradigm only")
-    if len(sources) != 1:
-        raise ValueError("sample-granularity weighting expects exactly one source task")
-    source = sources[0]
-    if source.n == 0:
-        raise EmptyBatchError("cannot weight the samples of an empty source")
-    model = _build_model(sources, target, cfg)
-    record = _new_record(cfg, [f"{source.task_id}[{i}]" for i in range(source.n)])
-    opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
-    period = cfg.resolved_weight_update_period()
-    w = SimplexWeights(np.full(source.n, 1.0 / source.n))
-    record.add_weight_snapshot(0, w)
-    entries = [(source.task_id, source)]
-    for epoch in range(cfg.epochs):
-        _sample_weighted_epoch(model, source, w, cfg, opt, streams)
-        _head_only_epochs(
-            model, TARGET_TASK_ID, fit_target, 1, cfg, opt, streams.get("head-shuffle")
-        )
-        _record_epoch(
-            record, model, entries, eval_data, epoch, "rep",
-            cfg, final=epoch == cfg.epochs - 1,
-        )
-        if (epoch + 1) % period == 0:
-            g0 = rep_gradient_flat(
-                model, TARGET_TASK_ID, fit_target, cfg.subset_size,
-                streams.get("subset", "__target__"),
-            )
-            g = _per_sample_gradients(model, source, g0, w, cfg)
-            w = _apply_floor(w, g, cfg, record, epoch + 1)
-            record.add_weight_snapshot(epoch + 1, w)
-    _finetune_phase(model, tune_target, cfg, streams, record, eval_data, cfg.epochs)
-    return model, record

@@ -200,15 +200,11 @@ def hessian_task_gradient(
     )
 
 
-def mirror_descent_step(
-    w: SimplexWeights, g: np.ndarray, eta: float, floor: float = 0.0
-) -> SimplexWeights:
+def mirror_descent_step(w: SimplexWeights, g: np.ndarray, eta: float) -> SimplexWeights:
     """Multiplicative update w_t <- w_t exp(-eta g_t), renormalized.
 
     Computed with max-subtraction on -eta*g for overflow safety. eta == 0
-    returns w itself (exact identity, bit for bit). An optional floor is
-    applied after normalization (then renormalized) to stop weights from
-    collapsing irrecoverably in long runs.
+    returns w itself (exact identity, bit for bit).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (len(w),):
@@ -225,11 +221,7 @@ def mirror_descent_step(
         raise DegenerateWeightsError(
             "all weights vanished under the multiplicative update"
         )
-    scaled = scaled / total
-    if floor > 0.0:
-        scaled = np.maximum(scaled, floor)
-        scaled = scaled / scaled.sum()
-    return SimplexWeights(scaled)
+    return SimplexWeights(scaled / total)
 
 
 def matching_weights(source_risks, target_risk: float) -> SimplexWeights:

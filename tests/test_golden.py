@@ -1,0 +1,131 @@
+"""Golden digests: a tiny sweep must reproduce stored output bytes exactly.
+
+Runs cmd_generate + cmd_run on a small config covering the single,
+frozen-rep pretrain, adaptive joint and sample-weighted pretrain arms, and
+compares SHA-256 digests of summary.csv (timestamp column dropped) and of
+the two adaptive weights.csv files with values stored below. Float64
+results depend on the numpy and BLAS build, so the stored digests are keyed
+on that build; on another build the test skips and names it.
+
+After a change that is meant to move numbers, print the new digests with
+`python tests/test_golden.py` and replace GOLDEN.
+"""
+
+import ctypes
+import glob
+import hashlib
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tawt_lab.harness import cmd_generate, cmd_run, parse_config
+
+GOLDEN = {
+    "env": {
+        "numpy": "2.4.6",
+        "blas": "scipy-openblas 0.3.31.188.0",
+        "blas_core": "SkylakeX",
+    },
+    "digests": {
+        "summary.csv": "05a538a8a0475839d01ebf1e65e9e03a34d67011e9b5f822f6d3c5779cf281de",
+        "runs/joint-adaptive/seed0/n30/weights.csv":
+            "86ecbc783b4c8dcb1b2f053f66ec470d3720ea2375fc5be81d5670c29108f994",
+        "runs/pretrain-sample/seed0/n30/weights.csv":
+            "a00f1b35898f423a30824f1e621a3e23c22b3885aa6270deff4cee36f651df2c",
+    },
+}
+
+
+def golden_config(out_dir) -> dict:
+    return {
+        "schema_version": 1,
+        "master_seed": 5,
+        "seeds": [0],
+        "out_dir": str(out_dir),
+        "family": {
+            "base_n": 40, "input_dim": 6, "n_classes": 3,
+            "teacher_hidden": 48, "teacher_epochs": 400, "teacher_lr": 3e-3,
+            "teacher_batch": 20,
+            "flip_grid": [0.0, 1.0], "source_n": 90, "target_sizes": [30],
+            "eval_n": 120,
+        },
+        "train": {
+            "hidden": 16, "epochs": 4, "batch_size": 20, "lr": 1e-3,
+            "finetune_epochs": 3, "metrics_every": 0,
+        },
+        "arms": [
+            {"name": "single", "overrides": {"paradigm": "single"}},
+            {
+                "name": "pretrain-frozen",
+                "source_flips": [0.0],
+                "overrides": {"paradigm": "pretrain", "finetune_rep": "frozen"},
+            },
+            {
+                "name": "joint-adaptive",
+                "source_flips": [0.0, 1.0],
+                "overrides": {"paradigm": "joint", "weighted": True, "subset_size": 16},
+            },
+            {
+                "name": "pretrain-sample",
+                "source_flips": [1.0],
+                "overrides": {
+                    "paradigm": "pretrain", "weighted": True,
+                    "weight_granularity": "sample", "weight_update_period": 2,
+                    "subset_size": 16,
+                },
+            },
+        ],
+    }
+
+
+def _openblas_core() -> str:
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def build() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_core": _openblas_core(),
+    }
+
+
+def run_digests(out_dir: Path) -> dict:
+    cfg = parse_config(golden_config(out_dir))
+    cmd_generate(cfg, out_dir)
+    result = cmd_run(cfg, out_dir)
+    assert result["n_failed"] == 0
+    digests = {}
+    for relpath in GOLDEN["digests"]:
+        text = (out_dir / relpath).read_text()
+        if relpath == "summary.csv":
+            text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+        digests[relpath] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    here = build()
+    if here != GOLDEN["env"]:
+        pytest.skip(f"golden digests are stored for {GOLDEN['env']}, this build is {here}")
+    assert run_digests(tmp_path / "out") == GOLDEN["digests"]
+
+
+if __name__ == "__main__":
+    import json
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps({"env": build(), "digests": run_digests(Path(tmp) / "out")}, indent=4))

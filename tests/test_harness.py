@@ -181,6 +181,16 @@ class TestRun:
             == list(csv.DictReader(open(second["summary"])))
         )
 
+    def test_resume_reruns_job_after_override_change(self, tmp_path):
+        raw = tiny_config(tmp_path / "out", seeds=[0])
+        raw["arms"] = raw["arms"][:1]
+        cmd_run(parse_config(raw), Path(raw["out_dir"]))
+        raw["arms"][0]["overrides"]["epochs"] = 2
+        again = cmd_run(parse_config(raw), Path(raw["out_dir"]))
+        assert again["n_skipped"] == 0
+        job_dir = Path(raw["out_dir"]) / "runs" / "single" / "seed0" / "n40"
+        assert json.loads((job_dir / "record.json").read_text())["config"]["epochs"] == 2
+
     def test_tampered_cache_refuses_to_run(self, tmp_path, capsys):
         raw = tiny_config(tmp_path / "out")
         path = write_config(tmp_path, raw)

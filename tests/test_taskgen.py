@@ -264,3 +264,15 @@ class TestSerialization:
         path.write_text("2,2,3\n0.1,0.2,1\n0.3,2\n")
         with pytest.raises(ValueError):
             load_dataset_csv(path)
+
+    def test_short_file_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("3,2,3\n0.1,0.2,1\n0.3,0.4,2\n")
+        with pytest.raises(ValueError, match=r"short\.csv.*declares 3 rows, file has 2"):
+            load_dataset_csv(path)
+
+    def test_long_file_rejected(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("1,2,3\n0.1,0.2,1\n0.3,0.4,2\n")
+        with pytest.raises(ValueError, match=r"long\.csv.*declares 1 rows, file has 2"):
+            load_dataset_csv(path)

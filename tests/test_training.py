@@ -355,6 +355,37 @@ class TestTawt:
             tawt([tiny_family["copy"]], tiny_family["target"], cfg)
 
 
+class TestWeightFloor:
+    def test_floor_keeps_weights_alive(self, tiny_family):
+        sources = [tiny_family["copy"], tiny_family["distractor"]]
+        cfg = base_cfg(paradigm="joint", weighted=True, eta=1.0, c=1000.0, epochs=3)
+        _, bare = tawt(sources, tiny_family["target"], cfg)
+        assert np.min(bare.final_weights()) == 0.0  # |eta * g| ~ 1000 underflows a weight
+        cfg_floor = base_cfg(
+            paradigm="joint", weighted=True, eta=1.0, c=1000.0, epochs=3, weight_floor=0.01
+        )
+        _, record = tawt(sources, tiny_family["target"], cfg_floor)
+        for snap in record.weight_steps:
+            assert np.all(np.asarray(snap["weights"]) > 0.0)
+        assert "weight floor 0.01 applied at step 1" in record.notes
+
+    def test_eta_zero_ignores_floor_bitwise(self, tiny_family):
+        target = tiny_family["target"].take(30)
+        sources = [tiny_family["copy"], tiny_family["distractor"]]
+        cfg_fixed = base_cfg(paradigm="joint", epochs=3)
+        w0 = default_initial_weights(cfg_fixed, sources, target)
+        assert w0.values[0] < 0.1
+        m_fixed, _ = joint_train(sources, target, w0, cfg_fixed)
+        cfg_adapt = base_cfg(paradigm="joint", weighted=True, eta=0.0, weight_floor=0.1, epochs=3)
+        m_adapt, r_adapt = tawt(sources, target, cfg_adapt)
+        assert np.array_equal(m_fixed.W1, m_adapt.W1)
+        for tid in m_fixed.heads:
+            assert np.array_equal(m_fixed.heads[tid].W2, m_adapt.heads[tid].W2)
+        w_start = r_adapt.weight_steps[0]["weights"]
+        assert all(snap["weights"] == w_start for snap in r_adapt.weight_steps)
+        assert r_adapt.notes == []
+
+
 class TestSampleGranularity:
     def test_weights_live_on_samples(self, tiny_family):
         source = tiny_family["copy"]
@@ -392,6 +423,19 @@ class TestSampleGranularity:
         _, record = tawt([source], tiny_family["target"], cfg)
         first = np.asarray(record.weight_steps[0]["weights"])
         np.testing.assert_allclose(first, 1.0 / source.n)
+
+
+    def test_initial_weights_are_per_example(self, tiny_family):
+        source = tiny_family["copy"]
+        cfg = base_cfg(
+            paradigm="pretrain", weighted=True, weight_granularity="sample",
+            epochs=1, finetune_epochs=0, subset_size=16,
+        )
+        w0 = SimplexWeights(np.arange(1.0, source.n + 1.0))
+        _, record = tawt([source], tiny_family["target"], cfg, initial_weights=w0)
+        assert record.weight_steps[0]["weights"] == [float(x) for x in w0.values]
+        with pytest.raises(ValueError):
+            tawt([source], tiny_family["target"], cfg, initial_weights=SimplexWeights(np.ones(1)))
 
 
 class TestRunRecord:

@@ -136,11 +136,6 @@ class TestMirrorDescent:
         out = mirror_descent_step(w, np.array([-3.0, 0.0, 1.0]), eta=1.0)
         assert out.values[0] == 0.0
 
-    def test_floor_keeps_weights_alive(self):
-        w = SimplexWeights(np.array([0.5, 0.5]))
-        out = mirror_descent_step(w, np.array([-50.0, 50.0]), eta=1.0, floor=1e-6)
-        assert out.values[1] >= 1e-6 * 0.999
-
     def test_gradient_length_mismatch(self):
         with pytest.raises(DimensionError):
             mirror_descent_step(SimplexWeights(np.ones(2)), np.ones(3), 1.0)
