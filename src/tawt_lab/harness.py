@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .taskgen import (
 )
 from .training import (
     TrainConfig,
+    atomic_write_text,
     default_initial_weights,
     evaluate,
     joint_train,
@@ -228,12 +230,6 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _config_key(cfg: ExperimentConfig) -> str:
     payload = json.dumps(
         {"master_seed": cfg.master_seed, "seeds": cfg.seeds, "family": asdict(cfg.family)},
@@ -338,7 +334,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "files": files,
     }
     _family_dir(out_dir).mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(_manifest_path(out_dir), json.dumps(manifest, indent=2, sort_keys=True))
+    atomic_write_text(_manifest_path(out_dir), json.dumps(manifest, indent=2, sort_keys=True))
     return {"cache_hit": False, "manifest": manifest}
 
 
@@ -388,21 +384,53 @@ def _job_key(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _error_row(payload: dict, exc: BaseException) -> dict:
+    return {
+        "arm": payload["arm"]["name"],
+        "seed": str(payload["seed"]),
+        "target_size": str(payload["target_size"]),
+        "ratio": "",
+        "flip_rate": "+".join(f"{q:g}" for q in payload["arm"]["source_flips"]),
+        "final_target_acc": "",
+        "final_target_loss": "",
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
 def _execute_job_safe(payload: dict) -> dict:
     """_execute_job, with failures folded into an error-tagged summary row."""
     try:
         return _execute_job(payload)
     except Exception as exc:  # error rows keep the sweep going
-        return {
-            "arm": payload["arm"]["name"],
-            "seed": str(payload["seed"]),
-            "target_size": str(payload["target_size"]),
-            "ratio": "",
-            "flip_rate": "+".join(f"{q:g}" for q in payload["arm"]["source_flips"]),
-            "final_target_acc": "",
-            "final_target_loss": "",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return _error_row(payload, exc)
+
+
+def _run_in_pool(payloads: list[dict], jobs: int) -> list[dict]:
+    """_execute_job_safe over payloads in worker processes, one row each.
+
+    A worker that dies (killed, crashed interpreter) breaks the whole pool
+    and fails every job still in it. Those jobs are rerun one at a time,
+    each in a fresh single-worker pool, so only a job that kills its own
+    worker again is lost, as an error row.
+    """
+    rows: list = [None] * len(payloads)
+    broken = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_execute_job_safe, payload) for payload in payloads]
+        for i, future in enumerate(futures):
+            try:
+                rows[i] = future.result()
+            except BrokenProcessPool:
+                broken.append(i)
+            except Exception as exc:  # the payload or row failed to cross processes
+                rows[i] = _error_row(payloads[i], exc)
+    for i in broken:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                rows[i] = pool.submit(_execute_job_safe, payloads[i]).result()
+            except Exception as exc:
+                rows[i] = _error_row(payloads[i], exc)
+    return rows
 
 
 def _execute_job(payload: dict) -> dict:
@@ -439,7 +467,7 @@ def _execute_job(payload: dict) -> dict:
     if payload.get("save_checkpoints"):
         save_model(model, job_dir / "model.bin")
         record.checkpoint_path = str(job_dir / "model.bin")
-    _atomic_write_text(job_dir / "record.json", record.to_json())
+    atomic_write_text(job_dir / "record.json", record.to_json())
     record.write_metrics_csv(job_dir / "metrics.csv")
     record.write_weights_csv(job_dir / "weights.csv")
     row = {
@@ -452,7 +480,7 @@ def _execute_job(payload: dict) -> dict:
         "final_target_loss": float_repr17(final.mean_loss),
         "error": "",
     }
-    _atomic_write_text(
+    atomic_write_text(
         job_dir / "row.json",
         json.dumps({"job_key": payload["job_key"], "row": row}, indent=2),
     )
@@ -518,11 +546,8 @@ def cmd_run(
         pending.append(i)
 
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, row in zip(
-                pending, pool.map(_execute_job_safe, [payloads[i] for i in pending])
-            ):
-                rows[i] = row
+        for i, row in zip(pending, _run_in_pool([payloads[i] for i in pending], jobs)):
+            rows[i] = row
     else:
         for i in pending:
             rows[i] = _execute_job_safe(payloads[i])
@@ -534,7 +559,7 @@ def cmd_run(
         row = dict(row)
         row.setdefault("timestamp", timestamp)
         lines.append(",".join(row.get(col, "") for col in SUMMARY_COLUMNS))
-    _atomic_write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    atomic_write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
     n_failed = sum(1 for row in rows if row.get("error"))
     return {
         "summary": out_dir / "summary.csv",
@@ -624,7 +649,7 @@ def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
             f"{float_repr17(mean_loss)},{float_repr17(se_loss)}"
         )
     curves_path = report_dir / "curves.csv"
-    _atomic_write_text(curves_path, "\n".join(lines) + "\n")
+    atomic_write_text(curves_path, "\n".join(lines) + "\n")
 
     trajectory_paths = []
     runs_dir = results_dir / "runs"
@@ -649,7 +674,7 @@ def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
         for step, row in zip(steps, mean_traj):
             lines.append(str(step) + "," + ",".join(float_repr17(x) for x in row))
         path = report_dir / f"weights_{arm}.csv"
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
         trajectory_paths.append(path)
     return {"curves": curves_path, "trajectories": trajectory_paths}
 

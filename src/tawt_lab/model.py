@@ -4,13 +4,23 @@
 
 The body (W1, b1) is the shared representation; each task owns its last
 linear layer (W2, b2). Forward and backward passes are hand-derived;
-relu'(0) := 0. Two optimizers (SGD and bias-corrected Adam) operate on
-flat lists of parameter arrays keyed by name, so parameter groups can be
-updated independently and sparsely.
+relu'(0) := 0.
+
+Parameters live in flat groups: the model owns one float64 buffer for the
+representation, laid out as W1 (row-major) then b1, and each head owns one
+buffer laid out as W2 then b2. W1, b1, W2 and b2 are read-only views into
+those buffers, so they can be written in place (m.W1[:] = 0.0) but never
+rebound. Two optimizers (SGD and bias-corrected Adam) update named
+parameter arrays in place, so groups can be updated independently and
+sparsely. train_step, the minibatch step of every loop that trains the
+representation, is one backward pass into preallocated gradient and
+activation buffers plus one fused update of the representation group and
+one of the head group.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -23,32 +33,74 @@ class EmptyBatchError(ValueError):
     """An operation that needs at least one example received none."""
 
 
-@dataclass
+def _views(flat: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive views into flat, one per shape, in order."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _pack(*arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A fresh float64 buffer holding copies of arrays back to back, and its views."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.empty(sum(a.size for a in arrays))
+    views = _views(flat, *(a.shape for a in arrays))
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return flat, views
+
+
+def _copy_into(flat: np.ndarray, values, what: str) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    if values.size != flat.size:
+        raise DimensionError(f"expected {flat.size} {what} values, got {values.size}")
+    flat[:] = values.ravel()
+
+
 class Head:
-    W2: np.ndarray  # (k, hidden)
-    b2: np.ndarray  # (k,)
+    """One task's last layer: W2 (k, hidden) and b2 (k,) are views into params."""
+
+    __slots__ = ("_params", "_W2", "_b2")
+
+    def __init__(self, W2, b2):
+        self._params, (self._W2, self._b2) = _pack(W2, b2)
+
+    params = property(lambda self: self._params, doc="flat buffer: W2 row-major, then b2")
+    W2 = property(lambda self: self._W2)
+    b2 = property(lambda self: self._b2)
 
     @property
     def n_classes(self) -> int:
-        return self.W2.shape[0]
+        return self._W2.shape[0]
 
     def copy(self) -> "Head":
-        return Head(self.W2.copy(), self.b2.copy())
+        return Head(self._W2, self._b2)
 
 
-@dataclass
 class SharedModel:
-    W1: np.ndarray  # (hidden, d)
-    b1: np.ndarray  # (hidden,)
-    heads: dict[str, Head]
+    """Representation W1 (hidden, d), b1 (hidden,) as views into rep_params,
+    plus one Head per task id."""
+
+    __slots__ = ("_rep", "_W1", "_b1", "heads")
+
+    def __init__(self, W1, b1, heads: dict[str, Head]):
+        self._rep, (self._W1, self._b1) = _pack(W1, b1)
+        self.heads = heads
+
+    rep_params = property(lambda self: self._rep, doc="flat buffer: W1 row-major, then b1")
+    W1 = property(lambda self: self._W1)
+    b1 = property(lambda self: self._b1)
 
     @property
     def input_dim(self) -> int:
-        return self.W1.shape[1]
+        return self._W1.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W1.shape[0]
+        return self._W1.shape[0]
 
     def head(self, task_id: str) -> Head:
         try:
@@ -60,37 +112,23 @@ class SharedModel:
 
     def copy(self) -> "SharedModel":
         return SharedModel(
-            self.W1.copy(),
-            self.b1.copy(),
-            {tid: h.copy() for tid, h in self.heads.items()},
+            self._W1, self._b1, {tid: h.copy() for tid, h in self.heads.items()}
         )
 
     def rep_param_count(self) -> int:
-        return self.W1.size + self.b1.size
+        return self._rep.size
 
     def rep_flat(self) -> np.ndarray:
-        return np.concatenate([self.W1.ravel(), self.b1])
+        return self._rep.copy()
 
     def set_rep_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.rep_param_count():
-            raise DimensionError(
-                f"expected {self.rep_param_count()} representation values, got {flat.size}"
-            )
-        self.W1 = flat[: self.W1.size].reshape(self.W1.shape).copy()
-        self.b1 = flat[self.W1.size :].copy()
+        _copy_into(self._rep, flat, "representation")
 
     def head_flat(self, task_id: str) -> np.ndarray:
-        h = self.head(task_id)
-        return np.concatenate([h.W2.ravel(), h.b2])
+        return self.head(task_id).params.copy()
 
     def set_head_flat(self, task_id: str, flat: np.ndarray) -> None:
-        h = self.head(task_id)
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != h.W2.size + h.b2.size:
-            raise DimensionError("head parameter count mismatch")
-        h.W2 = flat[: h.W2.size].reshape(h.W2.shape).copy()
-        h.b2 = flat[h.W2.size :].copy()
+        _copy_into(self.head(task_id).params, flat, "head")
 
 
 @dataclass
@@ -125,6 +163,13 @@ def init_model(input_dim: int, hidden_dim: int, head_dims: dict[str, int], seed:
     return SharedModel(W1, b1, heads)
 
 
+def hidden_batch(model: SharedModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, hidden) activations relu(X @ W1.T + b1), built in one array (out if given)."""
+    H = np.matmul(X, model.W1.T, out=out)
+    H += model.b1
+    return np.maximum(H, 0.0, out=H)
+
+
 def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
     """(n, k) logits for a (n, d) feature matrix."""
     X = np.asarray(X, dtype=np.float64)
@@ -133,8 +178,9 @@ def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
             f"expected features of shape (n, {model.input_dim}), got {X.shape}"
         )
     head = model.head(task_id)
-    H = np.maximum(X @ model.W1.T + model.b1, 0.0)
-    return H @ head.W2.T + head.b2
+    Z = hidden_batch(model, X) @ head.W2.T
+    Z += head.b2
+    return Z
 
 
 def forward(model: SharedModel, task_id: str, x) -> np.ndarray:
@@ -159,6 +205,21 @@ def task_loss(model: SharedModel, task_id: str, data) -> float:
     return float(np.mean(-np.log(picked + LOG_EPS)))
 
 
+class _Workspace:
+    """Activation buffers of backward_arrays for one (batch, hidden, classes) shape.
+
+    HA holds the pre-activation A, then H = relu(A) in place, then dA.
+    """
+
+    __slots__ = ("HA", "mask", "Z", "rows")
+
+    def __init__(self, n: int, hidden: int, k: int):
+        self.HA = np.empty((n, hidden))
+        self.mask = np.empty((n, hidden), dtype=bool)
+        self.Z = np.empty((n, k))
+        self.rows = np.arange(n)
+
+
 def backward_arrays(
     model: SharedModel,
     task_id: str,
@@ -166,11 +227,17 @@ def backward_arrays(
     Y: np.ndarray,
     loss_scale: float = 1.0,
     row_weights: np.ndarray | None = None,
+    out: tuple | None = None,
 ):
     """Gradients (dW1, db1, dW2, db2) of the batch loss.
 
     The loss is loss_scale * mean_i CE_i by default, or sum_i row_weights[i] * CE_i
     when per-row coefficients are given (sample-weighted training).
+
+    out, used by train_step, is (rep grad buffer, head grad buffer, workspace):
+    the gradients are written into the two flat buffers (laid out like
+    rep_params and the head's params) and returned as views of them, and the
+    activations reuse the workspace. Without it every array is fresh.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y)
@@ -178,26 +245,39 @@ def backward_arrays(
     if n == 0:
         raise EmptyBatchError("backward over an empty batch")
     head = model.head(task_id)
-    A = X @ model.W1.T + model.b1
-    H = np.maximum(A, 0.0)
-    Z = H @ head.W2.T + head.b2
+    W1, W2 = model.W1, head.W2
+    if out is None:
+        dW1 = db1 = dW2 = db2 = HA = mask = Z = None
+        rows = np.arange(n)
+    else:
+        rep_grad, head_grad, work = out
+        dW1, db1 = _views(rep_grad, W1.shape, model.b1.shape)
+        dW2, db2 = _views(head_grad, W2.shape, head.b2.shape)
+        HA, mask, Z, rows = work.HA, work.mask, work.Z, work.rows
+
+    HA = hidden_batch(model, X, out=HA)
+    Z = np.matmul(HA, W2.T, out=Z)
+    Z += head.b2
     P = softmax_rows(Z)
-    rows = np.arange(n)
     picked = P[rows, Y]
     if row_weights is None:
-        coeff = np.full(n, loss_scale / n)
+        coeff = loss_scale / n
     else:
         coeff = np.asarray(row_weights, dtype=np.float64)
         if coeff.shape != (n,):
             raise DimensionError("row_weights must have one entry per example")
     # d/dz of -ln(p_y + eps) = (p_y / (p_y + eps)) * (p - onehot_y)
-    dZ = P * (coeff * picked / (picked + LOG_EPS))[:, None]
-    dZ[rows, Y] -= coeff * picked / (picked + LOG_EPS)
-    dW2 = dZ.T @ H
-    db2 = dZ.sum(axis=0)
-    dA = (dZ @ head.W2) * (A > 0.0)
-    dW1 = dA.T @ X
-    db1 = dA.sum(axis=0)
+    r = coeff * picked / (picked + LOG_EPS)
+    dZ = P
+    dZ *= r[:, None]
+    dZ[rows, Y] -= r
+    dW2 = np.matmul(dZ.T, HA, out=dW2)
+    db2 = np.sum(dZ, axis=0, out=db2)
+    mask = np.greater(HA, 0.0, out=mask)  # H > 0 exactly where A > 0
+    dA = np.matmul(dZ, W2, out=HA)
+    dA *= mask
+    dW1 = np.matmul(dA.T, X, out=dW1)
+    db1 = np.sum(dA, axis=0, out=db1)
     return dW1, db1, dW2, db2
 
 
@@ -240,7 +320,10 @@ class OptimizerState:
     """SGD or Adam over named parameter slots.
 
     Adam keeps per-slot moments and step counts, so a slot that receives no
-    gradient on some steps (an idle task head) is left untouched.
+    gradient on some steps (an idle task head) is left untouched. Each slot
+    also owns preallocated scratch and gradient buffers, and the state
+    keeps train_step's activation workspaces keyed by batch shape, so a
+    step allocates no parameter-sized or batch-sized arrays of its own.
     """
 
     kind: str = "adam"
@@ -251,10 +334,45 @@ class OptimizerState:
     _m: dict = field(default_factory=dict, repr=False)
     _v: dict = field(default_factory=dict, repr=False)
     _t: dict = field(default_factory=dict, repr=False)
+    _slots: dict = field(default_factory=dict, repr=False)
+    _work: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+
+    def _slot(self, key: str, p: np.ndarray) -> tuple:
+        """(grad, scratch, step, finite) buffers of slot key, created with the
+        Adam moments on first use."""
+        slot = self._slots.get(key)
+        if slot is None:
+            if self.kind == "adam":
+                self._m[key] = np.zeros_like(p)
+                self._v[key] = np.zeros_like(p)
+            slot = self._slots[key] = (
+                np.empty_like(p), np.empty_like(p), np.empty_like(p),
+                np.empty(p.shape, dtype=bool),
+            )
+        elif slot[0].shape != p.shape:
+            raise DimensionError(
+                f"slot {key} holds shape {slot[0].shape}, got parameters of {p.shape}"
+            )
+        return slot
+
+    def grad_buffer(self, key: str, params: np.ndarray) -> np.ndarray:
+        """Slot key's gradient buffer, shaped like params and reused every step.
+
+        Creating a slot allocates all of its long-lived buffers at once; do it
+        before any large temporary so they don't end up above it in the heap.
+        """
+        return self._slot(key, params)[0]
+
+    def workspace(self, n: int, hidden: int, k: int) -> _Workspace:
+        """train_step's activation buffers for a batch of n rows, shared by every slot."""
+        work = self._work.get((n, hidden, k))
+        if work is None:
+            work = self._work[(n, hidden, k)] = _Workspace(n, hidden, k)
+        return work
 
 
 def apply_update(
@@ -263,34 +381,43 @@ def apply_update(
     state: OptimizerState,
     keys: list[str] | None = None,
 ) -> list[np.ndarray]:
-    """One optimizer step; returns fresh arrays, mutates only the state."""
+    """One optimizer step on each params[i], in place; returns params.
+
+    The arithmetic, and its order, is the textbook step: SGD p - lr*g, and
+    Adam m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p - (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps), each evaluated into
+    the slot's scratch buffers. A slot whose parameters turn non-finite
+    raises NumericError (they keep the non-finite values).
+    """
     if len(params) != len(grads):
         raise DimensionError("params and grads must pair up")
     if keys is None:
         keys = [str(i) for i in range(len(params))]
-    out = []
     for key, p, g in zip(keys, params, grads):
         if p.shape != g.shape:
             raise DimensionError(f"shape mismatch for {key}: {p.shape} vs {g.shape}")
+        _, s, step, finite = state._slot(key, p)
         if state.kind == "sgd":
-            new = p - state.lr * g
+            np.multiply(g, state.lr, out=step)
         else:
             t = state._t.get(key, 0) + 1
-            m = state._m.get(key)
-            v = state._v.get(key)
-            if m is None:
-                m = np.zeros_like(p)
-                v = np.zeros_like(p)
-            m = state.beta1 * m + (1.0 - state.beta1) * g
-            v = state.beta2 * v + (1.0 - state.beta2) * g * g
-            state._m[key], state._v[key], state._t[key] = m, v, t
-            m_hat = m / (1.0 - state.beta1**t)
-            v_hat = v / (1.0 - state.beta2**t)
-            new = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if not np.all(np.isfinite(new)):
+            state._t[key] = t
+            m, v = state._m[key], state._v[key]
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=s)
+            v *= state.beta2
+            np.multiply(g, 1.0 - state.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, 1.0 - state.beta2**t, out=s)
+            np.sqrt(s, out=s)
+            s += state.eps
+            np.divide(m, 1.0 - state.beta1**t, out=step)
+            step *= state.lr
+            step /= s
+        p -= step
+        if not np.isfinite(p, out=finite).all():
             raise NumericError(f"parameters became non-finite in slot {key}")
-        out.append(new)
-    return out
+    return params
 
 
 def train_step(
@@ -304,18 +431,20 @@ def train_step(
 ) -> None:
     """One minibatch step on the representation and one head, in place.
 
-    backward_arrays on the batch, one apply_update over the slots
-    rep.W1, rep.b1, head.<task_id>.W2 and head.<task_id>.b2, then the new
-    arrays are written back into the model.
+    backward_arrays on the batch into opt's gradient buffers and workspace,
+    then one apply_update over the two flat groups, slots "rep" and
+    "head.<task_id>".
     """
-    grads = backward_arrays(model, task_id, X, Y, loss_scale=loss_scale, row_weights=row_weights)
     head = model.head(task_id)
-    model.W1, model.b1, head.W2, head.b2 = apply_update(
-        [model.W1, model.b1, head.W2, head.b2],
-        list(grads),
-        opt,
-        ["rep.W1", "rep.b1", f"head.{task_id}.W2", f"head.{task_id}.b2"],
+    head_key = f"head.{task_id}"
+    rep_grad = opt.grad_buffer("rep", model.rep_params)
+    head_grad = opt.grad_buffer(head_key, head.params)
+    work = opt.workspace(len(Y), model.hidden_dim, head.n_classes)
+    backward_arrays(
+        model, task_id, X, Y, loss_scale=loss_scale, row_weights=row_weights,
+        out=(rep_grad, head_grad, work),
     )
+    apply_update([model.rep_params, head.params], [rep_grad, head_grad], opt, ["rep", head_key])
 
 
 _MAGIC = b"TWLM"
@@ -328,15 +457,13 @@ def save_model(model: SharedModel, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, model.input_dim, model.hidden_dim))
         fh.write(struct.pack("<I", len(model.heads)))
-        fh.write(model.W1.astype("<f8").tobytes())
-        fh.write(model.b1.astype("<f8").tobytes())
+        fh.write(model.rep_params.astype("<f8").tobytes())
         for task_id, head in model.heads.items():
             raw = task_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<I", head.n_classes))
-            fh.write(head.W2.astype("<f8").tobytes())
-            fh.write(head.b2.astype("<f8").tobytes())
+            fh.write(head.params.astype("<f8").tobytes())
 
 
 def load_model(path) -> SharedModel:
@@ -347,14 +474,14 @@ def load_model(path) -> SharedModel:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (n_heads,) = struct.unpack("<I", fh.read(4))
-        W1 = np.frombuffer(fh.read(8 * hidden * d), dtype="<f8").reshape(hidden, d).copy()
-        b1 = np.frombuffer(fh.read(8 * hidden), dtype="<f8").copy()
+        W1 = np.frombuffer(fh.read(8 * hidden * d), dtype="<f8").reshape(hidden, d)
+        b1 = np.frombuffer(fh.read(8 * hidden), dtype="<f8")
         heads = {}
         for _ in range(n_heads):
             (name_len,) = struct.unpack("<I", fh.read(4))
             task_id = fh.read(name_len).decode("utf-8")
             (k,) = struct.unpack("<I", fh.read(4))
-            W2 = np.frombuffer(fh.read(8 * k * hidden), dtype="<f8").reshape(k, hidden).copy()
-            b2 = np.frombuffer(fh.read(8 * k), dtype="<f8").copy()
+            W2 = np.frombuffer(fh.read(8 * k * hidden), dtype="<f8").reshape(k, hidden)
+            b2 = np.frombuffer(fh.read(8 * k), dtype="<f8")
             heads[task_id] = Head(W2, b2)
         return SharedModel(W1, b1, heads)

@@ -15,15 +15,15 @@ parallel) without perturbing one another.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import OptimizerState, SharedModel, init_model, predictions, train_step
-from .numerics import DimensionError, Rng, float_repr17, hash64
+from .numerics import DimensionError, Rng, hash64
 
 TEACHER_TASK_ID = "teacher"
 TARGET_TASK_ID = "target"
@@ -248,32 +248,35 @@ def make_task_family(
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Flat CSV layout: header row (n, d, k), then d feature columns + label."""
+    """Flat CSV layout: header row (n, d, k), then d feature columns + label.
+
+    Features are written as 17-significant-digit decimals (float_repr17) and
+    every line ends in CRLF: byte for byte what csv.writer emits.
+    """
+    line = ",".join(["%.17g"] * dataset.input_dim + ["%d"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([dataset.n, dataset.input_dim, dataset.n_classes])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([float_repr17(x) for x in row] + [int(label)])
+        fh.write(f"{dataset.n},{dataset.input_dim},{dataset.n_classes}\r\n")
+        fh.writelines(
+            line % (*row.tolist(), label)
+            for row, label in zip(dataset.features, dataset.labels.tolist())
+        )
 
 
 def load_dataset_csv(path, task_id: str | None = None) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        n, d, k = (int(x) for x in next(reader))
-        features = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
-        rows = 0
-        for row in reader:
-            if rows < n:  # rows past n are only counted, for the error below
-                if len(row) != d + 1:
-                    raise ValueError(
-                        f"{path}: row {rows + 2} has {len(row)} fields, expected {d + 1}"
-                    )
-                features[rows] = [float(x) for x in row[:d]]
-                labels[rows] = int(row[d])
-            rows += 1
-    if rows != n:
-        raise ValueError(f"{path}: header declares {n} rows, file has {rows}")
+    """Read a save_dataset_csv file; the row count must match the header's n."""
+    with open(path, "rb") as fh:  # numpy parses raw bytes faster than decoded text
+        n, d, k = (int(x) for x in fh.readline().split(b","))
+        try:
+            with warnings.catch_warnings():  # a header-only file is a valid n = 0 set
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, delimiter=",", dtype=[("x", "f8", (d,)), ("y", "i8")],
+                    comments=None, ndmin=1,
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if table.shape[0] != n:
+        raise ValueError(f"{path}: header declares {n} rows, file has {table.shape[0]}")
     if task_id is None:
         task_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(features, labels, k, task_id)
+    return Dataset(np.ascontiguousarray(table["x"]), table["y"], k, task_id)

@@ -40,6 +40,7 @@ Two runs with the same config are bitwise identical.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -51,6 +52,7 @@ from .model import (
     SharedModel,
     apply_update,
     backward_arrays,
+    hidden_batch,
     init_model,
     predictions,
     rep_gradient_flat,
@@ -203,26 +205,27 @@ class RunRecord:
         )
 
     def write_metrics_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("epoch,task,loss,target_acc\n")
-            for entry in self.epoch_metrics:
-                for task, loss in entry["losses"].items():
-                    fh.write(
-                        f"{entry['epoch']},{task},{float_repr17(loss)},"
-                        f"{float_repr17(entry['target_accuracy'])}\n"
-                    )
+        lines = ["epoch,task,loss,target_acc"]
+        for entry in self.epoch_metrics:
+            acc = float_repr17(entry["target_accuracy"])
+            for task, loss in entry["losses"].items():
+                lines.append(f"{entry['epoch']},{task},{float_repr17(loss)},{acc}")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
     def write_weights_csv(self, path) -> None:
-        width = len(self.weight_task_ids)
-        with open(path, "w", newline="") as fh:
-            fh.write("step," + ",".join(f"w_{i}" for i in range(width)) + "\n")
-            for snap in self.weight_steps:
-                fh.write(
-                    str(snap["step"])
-                    + ","
-                    + ",".join(float_repr17(x) for x in snap["weights"])
-                    + "\n"
-                )
+        lines = ["step," + ",".join(f"w_{i}" for i in range(len(self.weight_task_ids)))]
+        for snap in self.weight_steps:
+            lines.append(f"{snap['step']}," + ",".join(float_repr17(x) for x in snap["weights"]))
+        atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path through a sibling temp file and os.replace, so a
+    reader sees the old file or the whole new one, never a partial write."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
@@ -326,8 +329,10 @@ def _head_only_epochs(model, task_id, data, epochs, cfg, opt, rng):
     if data.n == 0 or epochs == 0:
         return
     head = model.head(task_id)
-    H = np.maximum(data.features @ model.W1.T + model.b1, 0.0)
-    keys = [f"head.{task_id}.W2", f"head.{task_id}.b2"]
+    key = f"head.{task_id}"
+    grad = opt.grad_buffer(key, head.params)  # before H: see OptimizerState.grad_buffer
+    H = hidden_batch(model, data.features)
+    dW2, db2 = grad[: head.W2.size].reshape(head.W2.shape), grad[head.W2.size :]
     for _ in range(epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
@@ -341,9 +346,9 @@ def _head_only_epochs(model, task_id, data, epochs, cfg, opt, rng):
             coeff = picked / (picked + LOG_EPS) / len(idx)
             dZ = P * coeff[:, None]
             dZ[rows, Y] -= coeff
-            head.W2, head.b2 = apply_update(
-                [head.W2, head.b2], [dZ.T @ Hb, dZ.sum(axis=0)], opt, keys
-            )
+            np.matmul(dZ.T, Hb, out=dW2)
+            np.sum(dZ, axis=0, out=db2)
+            apply_update([head.params], [grad], opt, [key])
 
 
 def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np.ndarray:
@@ -535,7 +540,9 @@ def _train(sources, target, cfg, eval_data, w0, *, pretrain, adapt):
     otherwise the target joins the objective at index 0. adapt turns on the
     mirror-descent weight steps. w0 None picks the paradigm default: one
     weight per objective task, or at sample granularity (adapt only) a
-    uniform weight per example of the single source.
+    uniform weight per example of the single source. cfg.sample_split
+    partitions the target for pretrain, adaptive or not, so eta = 0 stays
+    bitwise the fixed-weight run.
     """
     cfg.validate()
     if pretrain and not sources:
@@ -545,10 +552,11 @@ def _train(sources, target, cfg, eval_data, w0, *, pretrain, adapt):
     eval_data = eval_data or target
     streams = _Streams(cfg.seed)
     fit_target, tune_target = target, target
-    if adapt and cfg.sample_split is not None:
-        if not pretrain:
+    if cfg.sample_split is not None:
+        if pretrain:
+            fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
+        elif adapt:
             raise ValueError("sample_split applies to the pretrain paradigm only")
-        fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
 
     entries = [(s.task_id, s) for s in sources]
     if not pretrain:
@@ -600,7 +608,9 @@ def pretrain_then_finetune(
     Phase 1 minimizes the weighted source objective over the representation
     and source heads, with one head-only target step per round. Phase 2
     trains the target on its own data; cfg.finetune_rep picks whether the
-    representation moves with it or stays frozen.
+    representation moves with it or stays frozen. With cfg.sample_split set,
+    the target is partitioned as in tawt: part one for the head-only steps,
+    part two for the fine-tune.
     """
     return _train(sources, target, cfg, eval_data, weights, pretrain=True, adapt=False)
 

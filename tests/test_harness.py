@@ -1,9 +1,12 @@
 import csv
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
+from tawt_lab import harness
 from tawt_lab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -237,6 +240,29 @@ class TestRun:
             ]
 
         assert strip_timestamp(run_serial["summary"]) == strip_timestamp(run_pool["summary"])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing stand-in reaches the workers only through fork",
+    )
+    def test_crashed_worker_loses_only_its_own_row(self, tmp_path, monkeypatch):
+        run_job = harness._execute_job
+
+        def crash_one(payload):
+            if payload["arm"]["name"] == "adaptive" and payload["seed"] == 0:
+                os._exit(1)
+            return run_job(payload)
+
+        monkeypatch.setattr(harness, "_execute_job", crash_one)
+        raw = tiny_config(tmp_path / "out")
+        result = cmd_run(parse_config(raw), Path(raw["out_dir"]), jobs=2)
+        rows = list(csv.DictReader(open(result["summary"])))
+        assert len(rows) == 6 and result["n_failed"] == 1
+        for row in rows:
+            crashed = row["arm"] == "adaptive" and row["seed"] == "0"
+            assert bool(row["error"]) == crashed
+            assert bool(row["final_target_acc"]) != crashed
+        assert "BrokenProcessPool" in next(r["error"] for r in rows if r["error"])
 
     def test_checkpoints_saved_when_requested(self, tmp_path):
         from tawt_lab.model import load_model

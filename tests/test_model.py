@@ -17,9 +17,13 @@ from tawt_lab.model import (
     rep_gradient_flat,
     save_model,
     task_loss,
+    train_step,
 )
-from tawt_lab.numerics import DimensionError, NumericError, Rng, finite_diff_gradient, hash64
+from tawt_lab.numerics import (
+    LOG_EPS, DimensionError, NumericError, Rng, finite_diff_gradient, hash64, softmax_rows,
+)
 from tawt_lab.taskgen import Dataset
+from tawt_lab.training import TrainConfig, _head_only_epochs
 
 from conftest import random_dataset
 
@@ -281,3 +285,150 @@ def test_predictions_break_ties_to_lowest_index():
     m.heads["target"].b2[:] = 0.0
     preds = predictions(m, "target", np.zeros((4, 3)))
     assert np.all(preds == 0)
+
+
+def _ref_backward(W1, b1, W2, b2, X, Y, loss_scale=1.0, row_weights=None):
+    """The allocate-and-return backward pass the step kernel must reproduce."""
+    n = X.shape[0]
+    A = X @ W1.T + b1
+    H = np.maximum(A, 0.0)
+    P = softmax_rows(H @ W2.T + b2)
+    rows = np.arange(n)
+    picked = P[rows, Y]
+    coeff = np.full(n, loss_scale / n) if row_weights is None else row_weights
+    dZ = P * (coeff * picked / (picked + LOG_EPS))[:, None]
+    dZ[rows, Y] -= coeff * picked / (picked + LOG_EPS)
+    dA = (dZ @ W2) * (A > 0.0)
+    return [dA.T @ X, dA.sum(axis=0), dZ.T @ H, dZ.sum(axis=0)]
+
+
+def _ref_update(params, grads, keys, state, kind, lr):
+    """The allocate-and-return SGD / Adam step, one slot per array."""
+    out = []
+    for key, p, g in zip(keys, params, grads):
+        if kind == "sgd":
+            out.append(p - lr * g)
+            continue
+        t = state["t"].get(key, 0) + 1
+        m = state["m"].get(key, np.zeros_like(p))
+        v = state["v"].get(key, np.zeros_like(p))
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        state["m"][key], state["v"][key], state["t"][key] = m, v, t
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+    return out
+
+
+def _ref_head_only_epoch(ref, task_id, X, Y, order, batch, state, kind, lr):
+    """The frozen-representation head step of training._head_only_epochs."""
+    W2, b2 = ref[task_id]
+    H = np.maximum(X @ ref["W1"].T + ref["b1"], 0.0)
+    for start in range(0, len(Y), batch):
+        idx = order[start : start + batch]
+        Hb, Yb = H[idx], Y[idx]
+        P = softmax_rows(Hb @ W2.T + b2)
+        rows = np.arange(len(idx))
+        picked = P[rows, Yb]
+        coeff = picked / (picked + LOG_EPS) / len(idx)
+        dZ = P * coeff[:, None]
+        dZ[rows, Yb] -= coeff
+        W2, b2 = _ref_update(
+            [W2, b2], [dZ.T @ Hb, dZ.sum(axis=0)],
+            [f"head.{task_id}.W2", f"head.{task_id}.b2"], state, kind, lr,
+        )
+    ref[task_id] = (W2, b2)
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_matches_allocating_reference_bitwise(self, kind):
+        lr = 3e-2
+        m = init_model(6, 16, {"a": 3, "b": 5}, seed=17)
+        ref = {"W1": m.W1.copy(), "b1": m.b1.copy()}
+        for tid, h in m.heads.items():
+            ref[tid] = (h.W2.copy(), h.b2.copy())
+        state = {"m": {}, "v": {}, "t": {}}
+        opt = OptimizerState(kind=kind, lr=lr)
+        data = {
+            tid: random_dataset(23, 6, h.n_classes, hash64(5, tid)) for tid, h in m.heads.items()
+        }
+        rng = Rng(3)
+        # (task, batch rows, loss scale or None for row weights); 3-row batches are partial
+        plan = [("a", 10, 0.7), ("b", 10, None), ("a", 3, 1.0), "head-only",
+                ("b", 3, 0.25), ("a", 10, None), ("b", 10, 1.0)]
+        for entry in plan:
+            if entry == "head-only":
+                order = Rng(9).permutation(23)
+                _ref_head_only_epoch(ref, "a", data["a"].features, data["a"].labels,
+                                     order, 10, state, kind, lr)
+                _head_only_epochs(m, "a", data["a"], 1, TrainConfig(batch_size=10), opt, Rng(9))
+            else:
+                tid, rows, scale = entry
+                idx = rng.permutation(23)[:rows]
+                X, Y = data[tid].features[idx], data[tid].labels[idx]
+                kw = ({"row_weights": rng.uniform(0.0, 2.0, size=rows)} if scale is None
+                      else {"loss_scale": scale})
+                grads = _ref_backward(ref["W1"], ref["b1"], *ref[tid], X, Y, **kw)
+                ref["W1"], ref["b1"], W2, b2 = _ref_update(
+                    [ref["W1"], ref["b1"], *ref[tid]], grads,
+                    ["rep.W1", "rep.b1", f"head.{tid}.W2", f"head.{tid}.b2"], state, kind, lr,
+                )
+                ref[tid] = (W2, b2)
+                train_step(m, tid, X, Y, opt, **kw)
+            assert np.array_equal(m.W1, ref["W1"]) and np.array_equal(m.b1, ref["b1"])
+            for tid, h in m.heads.items():
+                assert np.array_equal(h.W2, ref[tid][0]) and np.array_equal(h.b2, ref[tid][1])
+
+    def test_apply_update_is_in_place(self):
+        p = [np.array([1.0, 2.0])]
+        keep = p[0]
+        out = apply_update(p, [np.array([1.0, -1.0])], OptimizerState(kind="sgd", lr=0.5))
+        assert out is p and out[0] is keep
+        np.testing.assert_array_equal(keep, [0.5, 2.5])
+
+
+def _assert_flat_views(m):
+    assert np.shares_memory(m.W1, m.rep_params) and np.shares_memory(m.b1, m.rep_params)
+    assert np.array_equal(m.rep_params, np.concatenate([m.W1.ravel(), m.b1]))
+    for h in m.heads.values():
+        assert np.shares_memory(h.W2, h.params) and np.shares_memory(h.b2, h.params)
+        assert np.array_equal(h.params, np.concatenate([h.W2.ravel(), h.b2]))
+    m.rep_params[-1] = 5.0
+    assert m.b1[-1] == 5.0
+
+
+class TestFlatParameterGroups:
+    def test_views_survive_every_way_of_setting_parameters(self, tmp_path):
+        m = tiny_model(tasks=("target", "other"))
+        _assert_flat_views(m)
+        m.set_rep_flat(np.arange(m.rep_param_count(), dtype=float))
+        m.set_head_flat("other", np.ones(m.heads["other"].params.size))
+        _assert_flat_views(m)
+        _assert_flat_views(m.copy())
+        save_model(m, tmp_path / "m.bin")
+        _assert_flat_views(load_model(tmp_path / "m.bin"))
+        data = random_dataset(9, 3, 3, seed=2)
+        train_step(m, "target", data.features, data.labels, OptimizerState(lr=1e-2))
+        _assert_flat_views(m)
+
+    def test_copy_and_flat_accessors_do_not_alias(self):
+        m = tiny_model()
+        c = m.copy()
+        flat = m.rep_flat()
+        c.W1[:] = 7.0
+        flat[:] = 9.0
+        assert not np.any(m.W1 == 7.0) and not np.any(m.rep_params == 9.0)
+
+    def test_views_cannot_be_rebound(self):
+        m = tiny_model()
+        with pytest.raises(AttributeError):
+            m.W1 = np.zeros_like(m.W1)
+        with pytest.raises(AttributeError):
+            m.heads["target"].b2 = np.zeros(3)
+
+    def test_set_rep_flat_checks_size(self):
+        m = tiny_model()
+        with pytest.raises(DimensionError):
+            m.set_rep_flat(np.zeros(m.rep_param_count() + 1))

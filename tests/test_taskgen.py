@@ -1,3 +1,7 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,4 +279,37 @@ class TestSerialization:
         path = tmp_path / "long.csv"
         path.write_text("1,2,3\n0.1,0.2,1\n0.3,0.4,2\n")
         with pytest.raises(ValueError, match=r"long\.csv.*declares 1 rows, file has 2"):
+            load_dataset_csv(path)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        data = generate_base_dataset(40, 7, 5, Rng(42))
+        data.features[0, :3] = [0.0, -0.0, 1e-300]
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow([data.n, data.input_dim, data.n_classes])
+        for row, label in zip(data.features, data.labels):
+            writer.writerow([format(float(x), ".17g") for x in row] + [int(label)])
+        path = tmp_path / "data.csv"
+        save_dataset_csv(data, path)
+        assert path.read_bytes() == reference.getvalue().encode()
+
+    def test_loaded_features_are_c_contiguous_float64(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(generate_base_dataset(5, 3, 2, Rng(43)), path)
+        loaded = load_dataset_csv(path)
+        assert loaded.features.dtype == np.float64 and loaded.features.flags.c_contiguous
+
+    def test_header_only_file_loads_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        save_dataset_csv(Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2, "e"), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_dataset_csv(path)
+        assert loaded.features.shape == (0, 3) and loaded.n_classes == 2
+
+    @pytest.mark.parametrize("row", ["0.1,0.2,1.5", "0.1,0.2,x", "0.1,1", "0.1,0.2,0.3,1"])
+    def test_bad_row_rejected_naming_path(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"2,2,3\n0.1,0.2,1\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv"):
             load_dataset_csv(path)

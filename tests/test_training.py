@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tawt_lab.model import init_model
 from tawt_lab.numerics import Rng
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import (
+    RunRecord,
     TrainConfig,
     default_initial_weights,
     evaluate,
@@ -349,6 +352,16 @@ class TestTawt:
         model, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg)
         assert record.config["sample_split"] == 0.5
 
+    def test_sample_split_eta_zero_coincides_with_pretrain_bitwise(self, tiny_family):
+        target, copy = tiny_family["target"], tiny_family["copy"]
+        kw = dict(paradigm="pretrain", epochs=3, finetune_epochs=2, sample_split=0.5)
+        cfg_fixed = base_cfg(**kw)
+        w0 = default_initial_weights(cfg_fixed, [copy], target)
+        m_fixed, _ = pretrain_then_finetune([copy], target, w0, cfg_fixed)
+        m_adapt, _ = tawt([copy], target, base_cfg(weighted=True, eta=0.0, **kw))
+        assert np.array_equal(m_fixed.W1, m_adapt.W1)
+        assert np.array_equal(m_fixed.heads["target"].W2, m_adapt.heads["target"].W2)
+
     def test_sample_split_rejected_for_joint(self, tiny_family):
         cfg = base_cfg(paradigm="joint", weighted=True, epochs=2, sample_split=0.5)
         with pytest.raises(ValueError):
@@ -468,3 +481,24 @@ class TestRunRecord:
         _, record = train_single_task(tiny_family["target"], cfg)
         assert len(record.epoch_metrics) == 1
         assert record.epoch_metrics[0]["epoch"] == 4
+
+    def test_csv_files_are_replaced_whole(self, tmp_path, monkeypatch):
+        record = RunRecord(config={}, weight_task_ids=["a", "b"])
+        record.add_weight_snapshot(0, SimplexWeights(np.array([0.25, 0.75])))
+        record.epoch_metrics.append(
+            {"epoch": 0, "losses": {"a": 0.5, "b": 2.0}, "target_accuracy": 1.0}
+        )
+        metrics, weights = tmp_path / "metrics.csv", tmp_path / "weights.csv"
+        record.write_metrics_csv(metrics)
+        record.write_weights_csv(weights)
+        assert metrics.read_bytes() == b"epoch,task,loss,target_acc\n0,a,0.5,1\n0,b,2,1\n"
+        assert weights.read_bytes() == b"step,w_0,w_1\n0,0.25,0.75\n"
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        record.add_weight_snapshot(1, SimplexWeights(np.array([0.5, 0.5])))
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            record.write_weights_csv(weights)
+        assert weights.read_bytes() == b"step,w_0,w_1\n0,0.25,0.75\n"
