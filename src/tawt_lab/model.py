@@ -15,7 +15,9 @@ parameter arrays in place, so groups can be updated independently and
 sparsely. train_step, the minibatch step of every loop that trains the
 representation, is one backward pass into preallocated gradient and
 activation buffers plus one fused update of the representation group and
-one of the head group.
+one of the head group. example_rep_grads gives the representation
+gradient of every example's own loss, for the sample-granularity
+estimators.
 """
 
 from __future__ import annotations
@@ -200,8 +202,13 @@ def task_loss(model: SharedModel, task_id: str, data) -> float:
     """Mean cross-entropy of the model's softmax outputs over a dataset."""
     if len(data.labels) == 0:
         raise EmptyBatchError(f"task_loss over an empty dataset for {task_id!r}")
-    P = softmax_rows(logits_batch(model, task_id, data.features))
-    picked = P[np.arange(len(data.labels)), data.labels]
+    return mean_loss_of_logits(logits_batch(model, task_id, data.features), data.labels)
+
+
+def mean_loss_of_logits(Z: np.ndarray, Y: np.ndarray) -> float:
+    """Mean cross-entropy -ln(softmax(z)_y + eps) over the rows of a (n, k) logit matrix."""
+    P = softmax_rows(Z)
+    picked = P[np.arange(len(Y)), Y]
     return float(np.mean(-np.log(picked + LOG_EPS)))
 
 
@@ -313,6 +320,61 @@ def rep_gradient_flat(
         X, Y = data.features[idx], data.labels[idx]
     dW1, db1, _, _ = backward_arrays(model, task_id, X, Y)
     return np.concatenate([dW1.ravel(), db1])
+
+
+# Rows per block of example_rep_grads; its (block, hidden) buffer is 256 KB
+# at hidden 256.
+EXAMPLE_BLOCK = 128
+
+
+def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.ndarray):
+    """Yield the representation gradient of each row's own loss, rows in order.
+
+    Row i's gradient, flat like rep_params, is bitwise the rep gradient of
+    backward_arrays on the one-row batch X[i:i+1]. The elementwise work
+    (+b1, ReLU, +b2, softmax, the loss residual, dZ and the ReLU mask) runs
+    on blocks of EXAMPLE_BLOCK rows. The products stay per row: a one-row
+    product is a BLAS gemv and a block product a gemm, and the two round
+    differently. Every row is yielded in the same reused buffer, which
+    holds that row's gradient until the next one is drawn.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y)
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyBatchError("per-example gradients over an empty batch")
+    head = model.head(task_id)
+    W1T, W2, W2T, b1 = model.W1.T, head.W2, head.W2.T, model.b1
+    block = min(n, EXAMPLE_BLOCK)
+    HA = np.empty((block, model.hidden_dim))  # A, then relu(A), then dA, as in backward_arrays
+    mask = np.empty(HA.shape, dtype=bool)
+    Z = np.empty((block, head.n_classes))
+    grad = np.empty(model.rep_param_count())
+    dW1, db1 = _views(grad, model.W1.shape, b1.shape)
+    for start in range(0, n, block):
+        Xb, Yb = X[start : start + block], Y[start : start + block]
+        m = len(Yb)
+        A, Zb, Mb, rows = HA[:m], Z[:m], mask[:m], np.arange(m)
+        for j in range(m):
+            np.matmul(Xb[j : j + 1], W1T, out=A[j : j + 1])
+        A += b1
+        np.maximum(A, 0.0, out=A)
+        for j in range(m):
+            np.matmul(A[j : j + 1], W2T, out=Zb[j : j + 1])
+        Zb += head.b2
+        dZ = softmax_rows(Zb)
+        picked = dZ[rows, Yb]
+        r = picked / (picked + LOG_EPS)  # a one-row batch has loss scale 1
+        dZ *= r[:, None]
+        dZ[rows, Yb] -= r
+        np.greater(A, 0.0, out=Mb)
+        for j in range(m):
+            np.matmul(dZ[j : j + 1], W2, out=A[j : j + 1])
+        A *= Mb
+        for j in range(m):
+            np.matmul(A[j : j + 1].T, Xb[j : j + 1], out=dW1)
+            np.add(A[j], 0.0, out=db1)  # a sum over one row: 0 + dA, so -0.0 -> +0.0
+            yield grad
 
 
 @dataclass

@@ -76,11 +76,15 @@ def cosine_similarity(u, v) -> float:
     b = _vector(v, "v")
     if a.size != b.size:
         raise DimensionError(f"length mismatch: {a.size} vs {b.size}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+    return float(cosine_from_products(a @ b, np.linalg.norm(a), np.linalg.norm(b)))
+
+
+def cosine_from_products(dot, norm_u, norm_v) -> np.ndarray:
+    """dot / (norm_u * norm_v) clipped to [-1, 1], elementwise; 0 where either
+    norm is below ZERO_NORM_EPS. The result has dot's shape."""
+    live = ~((norm_u < ZERO_NORM_EPS) | (norm_v < ZERO_NORM_EPS))
+    cos = np.divide(dot, norm_u * norm_v, out=np.zeros(np.shape(dot)), where=live)
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def finite_diff_gradient(

@@ -52,9 +52,11 @@ from .model import (
     SharedModel,
     apply_update,
     backward_arrays,
+    example_rep_grads,
     hidden_batch,
     init_model,
-    predictions,
+    logits_batch,
+    mean_loss_of_logits,
     rep_gradient_flat,
     task_loss,
     train_step,
@@ -64,6 +66,7 @@ from .taskgen import TARGET_TASK_ID, Dataset, round_half_up
 from .weighting import (
     CapacityError,
     SimplexWeights,
+    cosine_example_gradients,
     cosine_task_gradient,
     hessian_solve_task_gradients,
     hessian_task_gradient,
@@ -232,10 +235,10 @@ def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
     """Accuracy (argmax, ties to lowest class) and mean loss on a dataset."""
     if data.n == 0:
         raise EmptyBatchError("evaluate over an empty dataset")
-    preds = predictions(model, task_id, data.features)
+    Z = logits_batch(model, task_id, data.features)
     return EvalResult(
-        accuracy=float(np.mean(preds == data.labels)),
-        mean_loss=task_loss(model, task_id, data),
+        accuracy=float(np.mean(np.argmax(Z, axis=1) == data.labels)),
+        mean_loss=mean_loss_of_logits(Z, data.labels),
     )
 
 
@@ -324,31 +327,38 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
         train_step(model, task_id, data.features[idx], data.labels[idx], opt, **scale)
 
 
-def _head_only_epochs(model, task_id, data, epochs, cfg, opt, rng):
-    """Minibatch steps on one head with the representation frozen."""
-    if data.n == 0 or epochs == 0:
+def _frozen_hidden(model, task_id, data, opt):
+    """data's hidden matrix for head-only steps on task_id's head.
+
+    The head's optimizer slot is created first: see OptimizerState.grad_buffer.
+    """
+    opt.grad_buffer(f"head.{task_id}", model.head(task_id).params)
+    return hidden_batch(model, data.features)
+
+
+def _head_only_epoch(model, task_id, data, H, cfg, opt, rng):
+    """One epoch of minibatch steps on one head over data's frozen hidden matrix H."""
+    if data.n == 0:
         return
     head = model.head(task_id)
     key = f"head.{task_id}"
-    grad = opt.grad_buffer(key, head.params)  # before H: see OptimizerState.grad_buffer
-    H = hidden_batch(model, data.features)
+    grad = opt.grad_buffer(key, head.params)
     dW2, db2 = grad[: head.W2.size].reshape(head.W2.shape), grad[head.W2.size :]
-    for _ in range(epochs):
-        order = rng.permutation(data.n)
-        for start in range(0, data.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            Hb = H[idx]
-            Y = data.labels[idx]
-            Z = Hb @ head.W2.T + head.b2
-            P = softmax_rows(Z)
-            rows = np.arange(len(idx))
-            picked = P[rows, Y]
-            coeff = picked / (picked + LOG_EPS) / len(idx)
-            dZ = P * coeff[:, None]
-            dZ[rows, Y] -= coeff
-            np.matmul(dZ.T, Hb, out=dW2)
-            np.sum(dZ, axis=0, out=db2)
-            apply_update([head.params], [grad], opt, [key])
+    order = rng.permutation(data.n)
+    for start in range(0, data.n, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        Hb = H[idx]
+        Y = data.labels[idx]
+        Z = Hb @ head.W2.T + head.b2
+        P = softmax_rows(Z)
+        rows = np.arange(len(idx))
+        picked = P[rows, Y]
+        coeff = picked / (picked + LOG_EPS) / len(idx)
+        dZ = P * coeff[:, None]
+        dZ[rows, Y] -= coeff
+        np.matmul(dZ.T, Hb, out=dW2)
+        np.sum(dZ, axis=0, out=db2)
+        apply_update([head.params], [grad], opt, [key])
 
 
 def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np.ndarray:
@@ -392,8 +402,16 @@ def _alignment(g0, gt, cfg) -> float:
 
 
 def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
-    """Weight gradient per source example against the target subset gradient."""
+    """Weight gradient per source example against the target subset gradient.
+
+    Every estimator reads the per-example gradients of model.example_rep_grads
+    once, in row order: the exact Hessian solve stacks them, the identity
+    Hessian takes <g0, g_i>, and the cosine also |g_i|. Each row product is
+    one BLAS ddot on the flat gradient, the same call as the task-level
+    estimators make, so the weights match a per-example loop bit for bit.
+    """
     n = source.n
+    rows = example_rep_grads(model, source.task_id, source.features, source.labels)
     if cfg.gradient_estimator == "exact_hessian":
         dim = model.rep_param_count()
         if dim > cfg.exact_hessian_cap:
@@ -409,19 +427,17 @@ def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
             )
             return np.concatenate([dW1.ravel(), db1])
 
-        rhs = np.stack([_single_example_rep_grad(model, source, i) for i in range(n)])
+        rhs = np.stack([g_i.copy() for g_i in rows])
         return hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
-    g = np.zeros(n)
-    for i in range(n):
-        g[i] = _alignment(g0, _single_example_rep_grad(model, source, i), cfg)
-    return g
-
-
-def _single_example_rep_grad(model, source, i) -> np.ndarray:
-    dW1, db1, _, _ = backward_arrays(
-        model, source.task_id, source.features[i : i + 1], source.labels[i : i + 1]
-    )
-    return np.concatenate([dW1.ravel(), db1])
+    cosine = cfg.gradient_estimator == "cosine"
+    dots, sq_norms = np.empty(n), np.empty(n)
+    for i, g_i in enumerate(rows):
+        dots[i] = g0 @ g_i
+        if cosine:
+            sq_norms[i] = g_i @ g_i
+    if cosine:
+        return cosine_example_gradients(dots, np.linalg.norm(g0), np.sqrt(sq_norms), cfg.c)
+    return -cfg.identity_hessian_scale * dots
 
 
 def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):
@@ -475,8 +491,10 @@ def _train_weighted_phase(
     for epoch in range(cfg.epochs):
         _weighted_epoch(model, entries, w, cfg, opt, streams)
         if head_fit_data is not None:
-            _head_only_epochs(
-                model, TARGET_TASK_ID, head_fit_data, 1, cfg, opt, streams.get("head-shuffle")
+            _head_only_epoch(
+                model, TARGET_TASK_ID, head_fit_data,
+                _frozen_hidden(model, TARGET_TASK_ID, head_fit_data, opt),
+                cfg, opt, streams.get("head-shuffle"),
             )
         _record_epoch(
             record, model, entries, eval_data, epoch, "rep",
@@ -495,10 +513,13 @@ def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
     opt = OptimizerState(kind=cfg.optimizer, lr=cfg.finetune_lr or cfg.lr)
     entries = [(TARGET_TASK_ID, data)]
     w_one = SimplexWeights(np.ones(1))
+    # A frozen representation gives the same hidden matrix every epoch.
+    frozen = cfg.finetune_rep == "frozen" and epochs > 0
+    H = _frozen_hidden(model, TARGET_TASK_ID, data, opt) if frozen else None
     for epoch in range(epochs):
-        if cfg.finetune_rep == "frozen":
-            _head_only_epochs(
-                model, TARGET_TASK_ID, data, 1, cfg, opt, streams.get("finetune-shuffle")
+        if frozen:
+            _head_only_epoch(
+                model, TARGET_TASK_ID, data, H, cfg, opt, streams.get("finetune-shuffle")
             )
         else:
             _weighted_epoch(model, entries, w_one, cfg, opt, streams)

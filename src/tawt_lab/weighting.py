@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SharedModel, backward
-from .numerics import DimensionError, cosine_similarity
+from .numerics import DimensionError, cosine_from_products, cosine_similarity
 
 DEFAULT_IDENTITY_HESSIAN_SCALE = 5.0
 DEFAULT_HESSIAN_FD_STEP = 1e-4
@@ -96,6 +96,17 @@ def cosine_task_gradient(g0: np.ndarray, gt: np.ndarray, c: float) -> float:
     if c <= 0:
         raise ValueError(f"scale c must be positive, got {c}")
     return -c * cosine_similarity(g0, gt)
+
+
+def cosine_example_gradients(dots, norm0, norms, c: float) -> np.ndarray:
+    """cosine_task_gradient of g0 against many g_i, from <g0, g_i>, |g0| and |g_i|.
+
+    Both take the cosine from numerics.cosine_from_products (clipped to
+    [-1, 1]; 0 when either gradient vanishes, so the result is -0.0).
+    """
+    if c <= 0:
+        raise ValueError(f"scale c must be positive, got {c}")
+    return -c * cosine_from_products(dots, norm0, norms)
 
 
 def identity_hessian_task_gradient(

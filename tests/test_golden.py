@@ -3,7 +3,9 @@
 Runs cmd_generate + cmd_run on a small config covering the single,
 frozen-rep pretrain, adaptive joint and sample-weighted pretrain arms, and
 compares SHA-256 digests of summary.csv (timestamp column dropped) and of
-the two adaptive weights.csv files with values stored below. Float64
+the two adaptive weights.csv files with values stored below. A second,
+one-arm run pins the identity-Hessian estimator at sample granularity, the
+other alignment path of the per-example kernel, with its own digests. Float64
 results depend on the numpy and BLAS build, so the stored digests are keyed
 on that build; on another build the test skips and names it.
 
@@ -34,6 +36,21 @@ GOLDEN = {
             "86ecbc783b4c8dcb1b2f053f66ec470d3720ea2375fc5be81d5670c29108f994",
         "runs/pretrain-sample/seed0/n30/weights.csv":
             "a00f1b35898f423a30824f1e621a3e23c22b3885aa6270deff4cee36f651df2c",
+    },
+    "identity_digests": {
+        "summary.csv": "ca66759b7ef1ca9c354a76265b920912e616b08531d0b804eb4f5622daa9746c",
+        "runs/pretrain-sample-identity/seed0/n30/weights.csv":
+            "e98a52e03ed9525d45ffaca920af4205832a9d8d92b9df9ed6cf6c0994244dd6",
+    },
+}
+
+IDENTITY_ARM = {
+    "name": "pretrain-sample-identity",
+    "source_flips": [1.0],
+    "overrides": {
+        "paradigm": "pretrain", "weighted": True,
+        "weight_granularity": "sample", "weight_update_period": 2,
+        "gradient_estimator": "identity_hessian", "subset_size": 16,
     },
 }
 
@@ -102,13 +119,16 @@ def build() -> dict:
     }
 
 
-def run_digests(out_dir: Path) -> dict:
-    cfg = parse_config(golden_config(out_dir))
+def run_digests(out_dir: Path, key: str = "digests") -> dict:
+    raw = golden_config(out_dir)
+    if key == "identity_digests":
+        raw["arms"] = [IDENTITY_ARM]
+    cfg = parse_config(raw)
     cmd_generate(cfg, out_dir)
     result = cmd_run(cfg, out_dir)
     assert result["n_failed"] == 0
     digests = {}
-    for relpath in GOLDEN["digests"]:
+    for relpath in GOLDEN[key]:
         text = (out_dir / relpath).read_text()
         if relpath == "summary.csv":
             text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
@@ -116,16 +136,27 @@ def run_digests(out_dir: Path) -> dict:
     return digests
 
 
-def test_outputs_match_golden_digests(tmp_path):
+def _check(out_dir: Path, key: str) -> None:
     here = build()
     if here != GOLDEN["env"]:
         pytest.skip(f"golden digests are stored for {GOLDEN['env']}, this build is {here}")
-    assert run_digests(tmp_path / "out") == GOLDEN["digests"]
+    assert run_digests(out_dir, key) == GOLDEN[key]
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    _check(tmp_path / "out", "digests")
+
+
+def test_identity_hessian_sample_arm_matches_golden_digests(tmp_path):
+    _check(tmp_path / "out", "identity_digests")
 
 
 if __name__ == "__main__":
     import json
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps({"env": build(), "digests": run_digests(Path(tmp) / "out")}, indent=4))
+    out = {"env": build()}
+    for key in ("digests", "identity_digests"):
+        with tempfile.TemporaryDirectory() as tmp:
+            out[key] = run_digests(Path(tmp) / "out", key)
+    print(json.dumps(out, indent=4))

@@ -23,7 +23,7 @@ from tawt_lab.numerics import (
     LOG_EPS, DimensionError, NumericError, Rng, finite_diff_gradient, hash64, softmax_rows,
 )
 from tawt_lab.taskgen import Dataset
-from tawt_lab.training import TrainConfig, _head_only_epochs
+from tawt_lab.training import TrainConfig, _frozen_hidden, _head_only_epoch
 
 from conftest import random_dataset
 
@@ -322,7 +322,7 @@ def _ref_update(params, grads, keys, state, kind, lr):
 
 
 def _ref_head_only_epoch(ref, task_id, X, Y, order, batch, state, kind, lr):
-    """The frozen-representation head step of training._head_only_epochs."""
+    """The frozen-representation head step of training._head_only_epoch."""
     W2, b2 = ref[task_id]
     H = np.maximum(X @ ref["W1"].T + ref["b1"], 0.0)
     for start in range(0, len(Y), batch):
@@ -363,7 +363,8 @@ class TestTrainStep:
                 order = Rng(9).permutation(23)
                 _ref_head_only_epoch(ref, "a", data["a"].features, data["a"].labels,
                                      order, 10, state, kind, lr)
-                _head_only_epochs(m, "a", data["a"], 1, TrainConfig(batch_size=10), opt, Rng(9))
+                H = _frozen_hidden(m, "a", data["a"], opt)
+                _head_only_epoch(m, "a", data["a"], H, TrainConfig(batch_size=10), opt, Rng(9))
             else:
                 tid, rows, scale = entry
                 idx = rng.permutation(23)[:rows]

@@ -3,12 +3,22 @@ import os
 import numpy as np
 import pytest
 
-from tawt_lab.model import init_model
+import tawt_lab.training as training
+from tawt_lab.model import (
+    EXAMPLE_BLOCK,
+    backward_arrays,
+    example_rep_grads,
+    init_model,
+    predictions,
+    rep_gradient_flat,
+    task_loss,
+)
 from tawt_lab.numerics import Rng
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import (
     RunRecord,
     TrainConfig,
+    _per_sample_gradients,
     default_initial_weights,
     evaluate,
     joint_train,
@@ -17,7 +27,13 @@ from tawt_lab.training import (
     tawt,
     train_single_task,
 )
-from tawt_lab.weighting import CapacityError, SimplexWeights
+from tawt_lab.weighting import (
+    CapacityError,
+    SimplexWeights,
+    cosine_task_gradient,
+    hessian_solve_task_gradients,
+    identity_hessian_task_gradient,
+)
 
 from conftest import random_dataset
 
@@ -113,6 +129,14 @@ class TestEvaluate:
         assert 0.0 <= res.accuracy <= 1.0
         assert res.mean_loss >= 0.0
 
+    def test_one_pass_matches_predictions_and_task_loss_bitwise(self):
+        model = init_model(5, 32, {"target": 6}, seed=14)
+        data = random_dataset(257, 5, 6, seed=15)
+        res = evaluate(model, "target", data)
+        preds = predictions(model, "target", data.features)
+        assert res.accuracy == float(np.mean(preds == data.labels))
+        assert res.mean_loss == task_loss(model, "target", data)
+
 
 class TestSingleTask:
     def test_zero_lr_keeps_initialization(self, tiny_family):
@@ -177,6 +201,20 @@ class TestPretrain:
         assert not np.array_equal(
             model.heads["target"].W2, before.heads["target"].W2
         )
+
+    def test_frozen_finetune_builds_hidden_matrix_once(self, tiny_family, monkeypatch):
+        calls, original = [], training.hidden_batch
+
+        def counting(model, X, out=None):
+            calls.append(len(X))
+            return original(model, X, out=out)
+
+        monkeypatch.setattr(training, "hidden_batch", counting)
+        target, copy = tiny_family["target"], tiny_family["copy"]
+        cfg = base_cfg(paradigm="pretrain", epochs=2, finetune_epochs=5, finetune_rep="frozen")
+        pretrain_then_finetune([copy], target, SimplexWeights(np.ones(1)), cfg)
+        # one head fit per rep epoch, then one matrix for the whole fine-tune
+        assert calls == [target.n] * 3
 
     def test_weight_count_mismatch(self, tiny_family):
         with pytest.raises(ValueError):
@@ -449,6 +487,77 @@ class TestSampleGranularity:
         assert record.weight_steps[0]["weights"] == [float(x) for x in w0.values]
         with pytest.raises(ValueError):
             tawt([source], tiny_family["target"], cfg, initial_weights=SimplexWeights(np.ones(1)))
+
+
+def _ref_example_grads(model, source):
+    """Per-example rep gradients, one backward_arrays call per row."""
+    rows = []
+    for i in range(source.n):
+        dW1, db1, _, _ = backward_arrays(
+            model, source.task_id, source.features[i : i + 1], source.labels[i : i + 1]
+        )
+        rows.append(np.concatenate([dW1.ravel(), db1]))
+    return rows
+
+
+def _estimator_setup(hidden, n, seed):
+    """A model with negative biases, a source of n rows whose row 3 is all zero
+    (every unit dead, so its gradient vanishes) and a target subset gradient."""
+    model = init_model(20, hidden, {"src": 10, "target": 10}, seed=seed)
+    model.b1[:] = -Rng(seed + 1).uniform(0.01, 0.1, size=hidden)
+    raw = random_dataset(n, 20, 10, seed=seed + 2, task_id="src")
+    features = raw.features.copy()
+    features[3] = 0.0
+    source = Dataset(features, raw.labels, 10, "src")
+    target = random_dataset(100, 20, 10, seed=seed + 3)
+    g0 = rep_gradient_flat(model, "target", target, 64, Rng(seed + 4))
+    return model, source, g0
+
+
+class TestPerExampleEstimator:
+    """example_rep_grads and the sample-granularity estimators against a
+    per-example backward_arrays loop, compared byte for byte."""
+
+    def test_matches_per_example_loop_at_full_width(self):
+        n = 2 * EXAMPLE_BLOCK + 37
+        model, source, g0 = _estimator_setup(256, n, seed=21)
+        ref_rows = _ref_example_grads(model, source)
+        rows = [g.copy() for g in example_rep_grads(model, "src", source.features, source.labels)]
+        assert len(rows) == n
+        assert all(r.tobytes() == ref.tobytes() for r, ref in zip(rows, ref_rows))
+        assert not ref_rows[3].any()
+
+        w = SimplexWeights(np.full(n, 1.0 / n))
+        cos_cfg = TrainConfig(c=2.0)
+        got = _per_sample_gradients(model, source, g0, w, cos_cfg)
+        ref = np.array([cosine_task_gradient(g0, gi, 2.0) for gi in ref_rows])
+        assert got.tobytes() == ref.tobytes()
+        assert got[3] == 0.0 and np.signbit(got[3])  # zero-norm rule: -c * 0
+
+        id_cfg = TrainConfig(gradient_estimator="identity_hessian")
+        got = _per_sample_gradients(model, source, g0, w, id_cfg)
+        ref = np.array([identity_hessian_task_gradient(g0, gi, 5.0) for gi in ref_rows])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_exact_hessian_rhs_matches_per_example_loop(self):
+        n = EXAMPLE_BLOCK + 5
+        model, source, g0 = _estimator_setup(8, n, seed=31)
+        assert model.rep_param_count() <= TrainConfig().exact_hessian_cap
+        w = SimplexWeights(Rng(32).uniform(0.5, 1.5, size=n))
+        probe = model.copy()
+
+        def weighted_grad(phi):
+            probe.set_rep_flat(phi)
+            dW1, db1, _, _ = backward_arrays(
+                probe, "src", source.features, source.labels, row_weights=w.values
+            )
+            return np.concatenate([dW1.ravel(), db1])
+
+        rhs = np.stack(_ref_example_grads(model, source))
+        ref = hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
+        cfg = TrainConfig(gradient_estimator="exact_hessian")
+        got = _per_sample_gradients(model, source, g0, w, cfg)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestRunRecord:
