@@ -7,7 +7,8 @@ and report emission, behind a four-subcommand CLI.
     tawt-lab report   --config cfg.json    aggregate results -> figure-ready CSVs
 
 Configs are versioned JSON (see `example_config`). Exit codes: 0 success,
-1 config error, 2 all jobs failed, 3 IO/integrity error. The --jobs flag
+1 config error (a teacher that misses its accuracy threshold included),
+2 all jobs failed, 3 IO/integrity error. The --jobs flag
 (or the TAWT_LAB_JOBS environment variable) sets how many jobs may run
 concurrently; results are identical either way because every job derives
 its own seed stream from the master seed.
@@ -34,12 +35,13 @@ from .model import save_model
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import (
     TARGET_TASK_ID,
+    FitFailureError,
     TaskSpec,
     fit_flip_teachers,
     generate_base_dataset,
-    load_dataset_csv,
+    load_dataset,
     sample_task_data,
-    save_dataset_csv,
+    save_dataset,
 )
 from .training import (
     TrainConfig,
@@ -250,10 +252,13 @@ def _source_name(q: float) -> str:
     return f"source_q{q:g}"
 
 
+def _dataset_file(name: str) -> str:
+    return f"{name}.npz"
+
+
 def _family_files(cfg: ExperimentConfig, seed: int) -> list[str]:
-    names = ["target_train.csv", "target_eval.csv"]
-    names += [f"{_source_name(q)}.csv" for q in cfg.family.flip_grid]
-    return [f"seed{seed}/{name}" for name in names]
+    names = ["target_train", "target_eval"] + [_source_name(q) for q in cfg.family.flip_grid]
+    return [f"seed{seed}/{_dataset_file(name)}" for name in names]
 
 
 def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> None:
@@ -279,17 +284,17 @@ def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> No
         teachers[0.0], max(fam.target_sizes), fam.input_dim,
         rng.spawn("target-draw"), TARGET_TASK_ID,
     )
-    save_dataset_csv(target_full, seed_dir / "target_train.csv")
+    save_dataset(target_full, seed_dir / _dataset_file("target_train"))
     target_eval = sample_task_data(
         teachers[0.0], fam.eval_n, fam.input_dim, rng.spawn("eval-draw"), TARGET_TASK_ID
     )
-    save_dataset_csv(target_eval, seed_dir / "target_eval.csv")
+    save_dataset(target_eval, seed_dir / _dataset_file("target_eval"))
     for q in fam.flip_grid:
         source = sample_task_data(
             teachers[q], fam.source_n, fam.input_dim,
             rng.spawn("source-draw", round(q * 10000)), _source_name(q),
         )
-        save_dataset_csv(source, seed_dir / f"{_source_name(q)}.csv")
+        save_dataset(source, seed_dir / _dataset_file(_source_name(q)))
 
 
 def _manifest_path(out_dir: Path) -> Path:
@@ -306,6 +311,15 @@ def _load_manifest(out_dir: Path) -> dict | None:
         return None
 
 
+def _manifest_current(manifest: dict | None, cfg: ExperimentConfig) -> bool:
+    """The manifest was written for this config and lists exactly the files
+    _family_files names, so a family in an earlier layout is regenerated."""
+    if not manifest or manifest.get("config_key") != _config_key(cfg):
+        return False
+    expected = {relpath for seed in cfg.seeds for relpath in _family_files(cfg, seed)}
+    return set(manifest.get("files", {})) == expected
+
+
 def _hashes_match(manifest: dict, out_dir: Path) -> bool:
     for relpath, digest in manifest.get("files", {}).items():
         path = _family_dir(out_dir) / relpath
@@ -316,9 +330,8 @@ def _hashes_match(manifest: dict, out_dir: Path) -> bool:
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Cache the task family on disk; reuses an intact matching cache."""
-    key = _config_key(cfg)
     manifest = _load_manifest(out_dir)
-    if manifest and manifest.get("config_key") == key and _hashes_match(manifest, out_dir):
+    if _manifest_current(manifest, cfg) and _hashes_match(manifest, out_dir):
         return {"cache_hit": True, "manifest": manifest}
     files = {}
     for seed in cfg.seeds:
@@ -327,7 +340,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
             files[relpath] = _sha256_file(_family_dir(out_dir) / relpath)
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config_key": key,
+        "config_key": _config_key(cfg),
         "master_seed": cfg.master_seed,
         "seeds": cfg.seeds,
         "family": asdict(cfg.family),
@@ -344,9 +357,8 @@ class IntegrityError(RuntimeError):
 
 def _verify_family(cfg: ExperimentConfig, out_dir: Path) -> dict:
     manifest = _load_manifest(out_dir)
-    if manifest is None or manifest.get("config_key") != _config_key(cfg):
-        result = cmd_generate(cfg, out_dir)
-        return result["manifest"]
+    if not _manifest_current(manifest, cfg):
+        return cmd_generate(cfg, out_dir)["manifest"]
     for relpath, digest in manifest["files"].items():
         path = _family_dir(out_dir) / relpath
         if not path.exists():
@@ -443,10 +455,11 @@ def _execute_job(payload: dict) -> dict:
         payload["train"], arm, _job_seed(payload["master_seed"], seed, target_size)
     )
     seed_dir = _seed_dir(out_dir, seed)
-    target = load_dataset_csv(seed_dir / "target_train.csv", TARGET_TASK_ID).take(target_size)
-    eval_data = load_dataset_csv(seed_dir / "target_eval.csv", TARGET_TASK_ID)
+    train_path = seed_dir / _dataset_file("target_train")
+    target = load_dataset(train_path, TARGET_TASK_ID).take(target_size)
+    eval_data = load_dataset(seed_dir / _dataset_file("target_eval"), TARGET_TASK_ID)
     sources = [
-        load_dataset_csv(seed_dir / f"{_source_name(q)}.csv", _source_name(q))
+        load_dataset(seed_dir / _dataset_file(_source_name(q)), _source_name(q))
         for q in arm.source_flips
     ]
 
@@ -783,7 +796,7 @@ def main(argv=None) -> int:
             path = cmd_distance(cfg, out_dir)
             print(f"wrote {path}")
             return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, FitFailureError) as exc:  # a teacher that misses needs more epochs
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrityError as exc:

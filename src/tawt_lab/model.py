@@ -372,7 +372,8 @@ def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.nda
             np.matmul(dZ[j : j + 1], W2, out=A[j : j + 1])
         A *= Mb
         for j in range(m):
-            np.matmul(A[j : j + 1].T, Xb[j : j + 1], out=dW1)
+            np.multiply(A[j][:, None], Xb[j], out=dW1)
+            dW1 += 0.0  # matmul's one-term sum is 0 + a*x, which turns -0.0 into +0.0
             np.add(A[j], 0.0, out=db1)  # a sum over one row: 0 + dA, so -0.0 -> +0.0
             yield grad
 

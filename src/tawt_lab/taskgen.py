@@ -247,11 +247,40 @@ def make_task_family(
     return target, sources
 
 
+def save_dataset(dataset: Dataset, path) -> None:
+    """Uncompressed np.savez archive of features (n, d) float64, labels (n,)
+    int64 and n_classes, written to path as given.
+
+    The arrays are stored as raw float64/int64, so load_dataset gives back
+    the same bits, -0.0 and subnormals included. The zip members carry
+    zipfile's fixed default timestamp, so equal datasets give equal bytes.
+    """
+    with open(path, "wb") as fh:  # a path np.savez would suffix with .npz
+        np.savez(
+            fh, features=dataset.features, labels=dataset.labels,
+            n_classes=np.int64(dataset.n_classes),
+        )
+
+
+def load_dataset(path, task_id: str | None = None) -> Dataset:
+    """Read a save_dataset file (np.load, pickled objects refused)."""
+    with np.load(path, allow_pickle=False) as arrays:
+        try:
+            features, labels = arrays["features"], arrays["labels"]
+            n_classes = int(arrays["n_classes"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from None
+    if task_id is None:
+        task_id = os.path.splitext(os.path.basename(str(path)))[0]
+    return Dataset(features, labels, n_classes, task_id)
+
+
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Flat CSV layout: header row (n, d, k), then d feature columns + label.
 
     Features are written as 17-significant-digit decimals (float_repr17) and
-    every line ends in CRLF: byte for byte what csv.writer emits.
+    every line ends in CRLF: byte for byte what csv.writer emits. An export
+    format; the harness caches task families with save_dataset.
     """
     line = ",".join(["%.17g"] * dataset.input_dim + ["%d"]) + "\r\n"
     with open(path, "w", newline="") as fh:

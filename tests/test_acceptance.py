@@ -6,7 +6,8 @@ criteria (5-8) drive the CLI harness end to end on the reference configs
 under scripts/configs/, writing into a session-scoped temporary directory.
 
 Expect roughly 15 minutes total on one laptop core; criteria 1-4 and 9
-finish in under a minute combined.
+finish in under a minute combined. The criteria that run whole sweeps
+(5-9) are marked `slow`, so `pytest -m "not slow"` is a quick inner loop.
 """
 
 import csv
@@ -217,6 +218,7 @@ def flip_sweep(tmp_path_factory):
     return result
 
 
+@pytest.mark.slow
 def test_criterion_5_flip_rate_reproduction(flip_sweep):
     started = time.perf_counter() - flip_sweep["elapsed"]
     rows = summary_rows(flip_sweep)
@@ -252,6 +254,7 @@ def weight_identification(tmp_path_factory):
     return result
 
 
+@pytest.mark.slow
 def test_criterion_6_weight_identification(weight_identification):
     started = time.perf_counter() - weight_identification["elapsed"]
     rows = summary_rows(weight_identification)
@@ -272,6 +275,7 @@ def test_criterion_6_weight_identification(weight_identification):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_task_distance():
     from tawt_lab.distance import DistanceConfig, distance_curve
 
@@ -294,6 +298,7 @@ def test_criterion_7_task_distance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_determinism(tmp_path_factory):
     started = time.perf_counter()
     texts = []
@@ -308,6 +313,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_paradigm_coincidence(tmp_path_factory):
     started = time.perf_counter()
     out = tmp_path_factory.mktemp("coincidence")

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from tawt_lab.harness import (
     main,
     parse_config,
 )
+from tawt_lab.taskgen import load_dataset, save_dataset_csv
 
 
 def tiny_config(out_dir, **kw):
@@ -112,6 +115,15 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "run", "distance"])
+    def test_cli_reports_teacher_fit_failure(self, tmp_path, capsys, command):
+        raw = tiny_config(tmp_path / "out")
+        raw["family"]["teacher_epochs"] = 1
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "accuracy after 1 epochs" in err
+
 
 class TestGenerate:
     def test_generate_then_cache_hit(self, tmp_path):
@@ -127,7 +139,7 @@ class TestGenerate:
     def test_creates_missing_directories(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "deep" / "nested" / "out"))
         cmd_generate(cfg, Path(cfg.out_dir))
-        assert (Path(cfg.out_dir) / "family" / "seed0" / "target_train.csv").exists()
+        assert (Path(cfg.out_dir) / "family" / "seed0" / "target_train.npz").exists()
 
     def test_manifest_lists_all_files_with_hashes(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "out"))
@@ -135,6 +147,46 @@ class TestGenerate:
         files = result["manifest"]["files"]
         assert len(files) == 2 * (2 + 2)  # 2 seeds x (2 target files + 2 sources)
         assert all(len(digest) == 64 for digest in files.values())
+
+    def test_family_bytes_are_reproducible(self, tmp_path, monkeypatch):
+        def family_bytes(out):
+            family = out / "family"
+            return {
+                p.relative_to(family): p.read_bytes() for p in family.rglob("*") if p.is_file()
+            }
+
+        first = parse_config(tiny_config(tmp_path / "a"))
+        cmd_generate(first, Path(first.out_dir))
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 86400.0)  # another day
+        second = parse_config(tiny_config(tmp_path / "b"))
+        cmd_generate(second, Path(second.out_dir))
+        a, b = family_bytes(tmp_path / "a"), family_bytes(tmp_path / "b")
+        assert len(a) == 1 + 2 * 4 and a == b
+
+    def test_family_in_csv_layout_is_regenerated(self, tmp_path):
+        """A family cached as CSVs, under a manifest with the same config key,
+        is regenerated to the same datasets instead of failing every job."""
+        cfg = parse_config(tiny_config(tmp_path / "out"))
+        out = Path(cfg.out_dir)
+        family = out / "family"
+        manifest = cmd_generate(cfg, out)["manifest"]
+        binary = {relpath: (family / relpath).read_bytes() for relpath in manifest["files"]}
+        csv_files = {}
+        for relpath in binary:
+            csv_path = (family / relpath).with_suffix(".csv")
+            save_dataset_csv(load_dataset(family / relpath), csv_path)
+            (family / relpath).unlink()
+            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            csv_files[str(csv_path.relative_to(family))] = digest
+        manifest["files"] = csv_files
+        (family / "manifest.json").write_text(json.dumps(manifest))
+
+        result = cmd_run(cfg, out)
+        assert result["n_jobs"] == 6 and result["n_failed"] == 0
+        regenerated = json.loads((family / "manifest.json").read_text())["files"]
+        assert sorted(regenerated) == sorted(binary)
+        assert all((family / relpath).read_bytes() == data for relpath, data in binary.items())
 
 
 class TestRun:
@@ -198,8 +250,10 @@ class TestRun:
         raw = tiny_config(tmp_path / "out")
         path = write_config(tmp_path, raw)
         assert main(["generate", "--config", str(path)]) == 0
-        victim = tmp_path / "out" / "family" / "seed0" / "target_train.csv"
-        victim.write_text(victim.read_text().replace("0.", "1.", 1))
+        victim = tmp_path / "out" / "family" / "seed0" / "target_train.npz"
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        victim.write_bytes(bytes(data))
         assert main(["run", "--config", str(path)]) == EXIT_IO
         assert "manifest" in capsys.readouterr().err
 

@@ -16,10 +16,12 @@ from tawt_lab.taskgen import (
     fit_teacher,
     flip_labels,
     generate_base_dataset,
+    load_dataset,
     load_dataset_csv,
     make_task_family,
     round_half_up,
     sample_task_data,
+    save_dataset,
     save_dataset_csv,
     teacher_accuracy,
 )
@@ -244,6 +246,29 @@ class TestMakeTaskFamily:
         specs = [TaskSpec(0.0, 60, 10, 4, 96, seed=1), TaskSpec(0.5, 60, 8, 4, 96, seed=1)]
         with pytest.raises(ValueError):
             make_task_family(specs, 10, 20, Rng(0), TEACHER_CFG)
+
+
+class TestBinarySerialization:
+    @pytest.mark.parametrize("n", [40, 0])
+    def test_round_trip_is_bitwise(self, tmp_path, n):
+        data = generate_base_dataset(40, 7, 5, Rng(44)).take(n)
+        if n:
+            data.features[0, :4] = [0.0, -0.0, 1e-300, 5e-324]
+        path = tmp_path / "data.npz"
+        save_dataset(data, path)
+        loaded = load_dataset(path)
+        assert loaded.features.shape == (n, 7) and loaded.labels.shape == (n,)
+        assert loaded.features.tobytes() == data.features.tobytes()
+        assert loaded.labels.tobytes() == data.labels.tobytes()
+        assert loaded.features.dtype == np.float64 and loaded.features.flags.c_contiguous
+        assert loaded.labels.dtype == np.int64
+        assert loaded.n_classes == 5 and loaded.task_id == "data"
+
+    def test_missing_array_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        np.savez(path, features=np.zeros((2, 3)), labels=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"partial\.npz.*n_classes"):
+            load_dataset(path)
 
 
 class TestSerialization:
