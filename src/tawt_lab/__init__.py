@@ -11,7 +11,7 @@ representation-based distance between tasks.
 from .distance import DistanceConfig, TaskDistanceEstimate, distance_curve
 from .model import GradSnapshot, Head, OptimizerState, SharedModel, init_model
 from .numerics import Rng, hash64
-from .taskgen import Dataset, TaskSpec, generate_base_dataset, make_task_family
+from .taskgen import Dataset, TaskSpec, generate_base_dataset
 from .training import (
     EvalResult,
     RunRecord,
@@ -49,7 +49,6 @@ __all__ = [
     "Dataset",
     "TaskSpec",
     "generate_base_dataset",
-    "make_task_family",
     "EvalResult",
     "RunRecord",
     "TrainConfig",

@@ -26,14 +26,7 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .numerics import Rng, float_repr17, hash64
-from .taskgen import (
-    TARGET_TASK_ID,
-    Dataset,
-    TaskSpec,
-    fit_flip_teachers,
-    generate_base_dataset,
-    sample_task_data,
-)
+from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, sample_task_data
 from .training import TrainConfig, evaluate, pretrain_then_finetune, train_single_task
 from .weighting import SimplexWeights, init_weights
 
@@ -141,32 +134,19 @@ def distance_curve(flip_grid, weights_mode: str, cfg: DistanceConfig) -> list[Ta
     flip_grid = list(flip_grid)
     if any(not 0.0 <= q <= 1.0 for q in flip_grid):
         raise ValueError("flip rates must lie in [0, 1]")
+    teacher_cfg = TrainConfig(
+        optimizer=cfg.optimizer, lr=cfg.teacher_lr, batch_size=cfg.batch_size,
+        epochs=cfg.teacher_epochs,
+    )
+    d = cfg.input_dim
     estimates = []
     for seed in cfg.seeds:
         family_rng = Rng(hash64(cfg.master_seed, "distance-family", seed))
-        specs = [
-            TaskSpec(
-                flip_rate=q,
-                n_examples=cfg.base_n,
-                input_dim=cfg.input_dim,
-                n_classes=cfg.n_classes,
-                teacher_hidden_width=cfg.teacher_hidden,
-                seed=hash64(cfg.master_seed, "distance-teacher", seed),
-            )
-            for q in sorted(set(flip_grid) | {0.0})
-        ]
-        base = generate_base_dataset(
-            cfg.base_n, cfg.input_dim, cfg.n_classes, family_rng.spawn("base")
+        teachers = fit_family_teachers(
+            flip_grid, cfg.base_n, d, cfg.n_classes, cfg.teacher_hidden,
+            hash64(cfg.master_seed, "distance-teacher", seed), family_rng, teacher_cfg,
         )
-        teacher_cfg = TrainConfig(
-            optimizer=cfg.optimizer,
-            lr=cfg.teacher_lr,
-            batch_size=cfg.batch_size,
-            epochs=cfg.teacher_epochs,
-        )
-        teachers = fit_flip_teachers(specs, base, teacher_cfg)
         target_teacher = teachers[0.0]
-        d = cfg.input_dim
         target_train = sample_task_data(
             target_teacher, cfg.head_fit_n, d, family_rng.spawn("head-fit-draw"), TARGET_TASK_ID
         )

@@ -36,9 +36,7 @@ from .numerics import Rng, float_repr17, hash64
 from .taskgen import (
     TARGET_TASK_ID,
     FitFailureError,
-    TaskSpec,
-    fit_flip_teachers,
-    generate_base_dataset,
+    fit_family_teachers,
     load_dataset,
     sample_task_data,
     save_dataset,
@@ -265,19 +263,10 @@ def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> No
     fam = cfg.family
     family_seed = hash64(cfg.master_seed, "family", seed)
     rng = Rng(family_seed)
-    specs = [
-        TaskSpec(
-            flip_rate=q,
-            n_examples=fam.base_n,
-            input_dim=fam.input_dim,
-            n_classes=fam.n_classes,
-            teacher_hidden_width=fam.teacher_hidden,
-            seed=family_seed,
-        )
-        for q in sorted(set(fam.flip_grid) | {0.0})
-    ]
-    base = generate_base_dataset(fam.base_n, fam.input_dim, fam.n_classes, rng.spawn("base"))
-    teachers = fit_flip_teachers(specs, base, fam.teacher_train_config())
+    teachers = fit_family_teachers(
+        fam.flip_grid, fam.base_n, fam.input_dim, fam.n_classes, fam.teacher_hidden,
+        family_seed, rng, fam.teacher_train_config(),
+    )
     seed_dir = _seed_dir(out_dir, seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
     target_full = sample_task_data(
@@ -336,7 +325,11 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     files = {}
     for seed in cfg.seeds:
         _generate_family_seed(cfg, seed, out_dir)
-        for relpath in _family_files(cfg, seed):
+        named = _family_files(cfg, seed)
+        for path in _seed_dir(out_dir, seed).iterdir():  # files of an earlier layout
+            if path.is_file() and f"seed{seed}/{path.name}" not in named:
+                path.unlink()
+        for relpath in named:
             files[relpath] = _sha256_file(_family_dir(out_dir) / relpath)
     manifest = {
         "schema_version": SCHEMA_VERSION,

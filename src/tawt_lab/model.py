@@ -185,14 +185,6 @@ def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
     return Z
 
 
-def forward(model: SharedModel, task_id: str, x) -> np.ndarray:
-    """Logit vector for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"expected a single input vector, got shape {x.shape}")
-    return logits_batch(model, task_id, x[None, :])[0]
-
-
 def predictions(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties broken toward the lowest class index."""
     return np.argmax(logits_batch(model, task_id, X), axis=1)

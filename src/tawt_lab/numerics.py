@@ -1,6 +1,6 @@
 """Dense float64 numeric primitives shared by every other module.
 
-Stable softmax / cross-entropy kernels, cosine similarity with an explicit
+A stable row-wise softmax, cosine similarity with an explicit
 zero-vector convention, a central-difference gradient oracle used to audit
 hand-derived backprop, and seeded, platform-stable random streams with a
 64-bit mixing function for deriving independent child streams.
@@ -39,17 +39,6 @@ def _vector(x, name: str = "input") -> np.ndarray:
     return v
 
 
-def softmax(logits) -> np.ndarray:
-    """Probability vector exp(z - max z) / sum, stable for large logits."""
-    z = _vector(logits, "logits")
-    if z.size == 0:
-        raise DimensionError("softmax of an empty vector")
-    if not np.all(np.isfinite(z)):
-        raise NumericError("softmax input contains non-finite entries")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a (n, k) logit matrix."""
     z = np.asarray(logits, dtype=np.float64)
@@ -57,17 +46,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected a (n, k) logit matrix, got shape {z.shape}")
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(probs, label: int) -> float:
-    """-ln(probs[label] + eps) for a probability vector; always >= 0."""
-    p = _vector(probs, "probs")
-    if p.size == 0:
-        raise DimensionError("cross_entropy of an empty probability vector")
-    idx = int(label)
-    if idx < 0 or idx >= p.size:
-        raise IndexError(f"label {label} out of range for {p.size} classes")
-    return float(-np.log(p[idx] + LOG_EPS))
 
 
 def cosine_similarity(u, v) -> float:

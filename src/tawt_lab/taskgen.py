@@ -174,77 +174,24 @@ def sample_task_data(teacher: SharedModel, n: int, d: int, rng: Rng, task_id: st
     return Dataset(features, labels, k, task_id)
 
 
-def fit_flip_teachers(
-    specs: list[TaskSpec], base: Dataset, cfg
+def fit_family_teachers(
+    flip_grid, base_n: int, d: int, k: int, width: int, teacher_seed: int, rng: Rng, cfg
 ) -> dict[float, SharedModel]:
-    """One interpolating teacher per distinct flip rate, all from one base."""
-    teachers: dict[float, SharedModel] = {}
-    for spec in specs:
-        q = spec.flip_rate
-        if q in teachers:
-            continue
-        child = Rng(hash64(spec.seed, round(q * 10000)))
-        flipped = flip_labels(base, q, child.spawn("flip"))
-        q_spec = TaskSpec(
-            flip_rate=q,
-            n_examples=spec.n_examples,
-            input_dim=spec.input_dim,
-            n_classes=spec.n_classes,
-            teacher_hidden_width=spec.teacher_hidden_width,
-            seed=hash64(spec.seed, round(q * 10000)),
-        )
-        teachers[q] = fit_teacher(flipped, q_spec, cfg)
-    return teachers
+    """One interpolating teacher per flip rate in flip_grid, plus q = 0.
 
-
-def make_task_family(
-    specs: list[TaskSpec],
-    target_size: int,
-    source_sizes,
-    rng: Rng,
-    cfg,
-) -> tuple[Dataset, list[Dataset]]:
-    """Target task plus one source task per spec.
-
-    All teachers are fit on flips of the same base dataset. The target is
-    drawn from the q = 0 teacher; each source from its own flipped-then-refit
-    teacher. A q = 0 source is therefore a fresh draw from the target's own
-    label function.
+    Every teacher is fit on a flip of one base dataset drawn from
+    rng.spawn("base"). The teacher for q is seeded from
+    hash64(teacher_seed, round(q * 10000)) alone, so it is the same whatever
+    else the grid holds. Callers draw task data from the teachers under their
+    own stream keys.
     """
-    if not specs:
-        raise ValueError("need at least one source spec")
-    d = specs[0].input_dim
-    k = specs[0].n_classes
-    if any(s.input_dim != d or s.n_classes != k for s in specs):
-        raise ValueError("all specs must share input_dim and n_classes")
-    if isinstance(source_sizes, int):
-        source_sizes = [source_sizes] * len(specs)
-    if len(source_sizes) != len(specs):
-        raise ValueError("one source size per spec required")
-
-    base = generate_base_dataset(specs[0].n_examples, d, k, rng.spawn("base"))
-    all_specs = list(specs)
-    if not any(s.flip_rate == 0.0 for s in specs):
-        all_specs.append(
-            TaskSpec(0.0, specs[0].n_examples, d, k, specs[0].teacher_hidden_width, specs[0].seed)
-        )
-    teachers = fit_flip_teachers(all_specs, base, cfg)
-
-    target = sample_task_data(
-        teachers[0.0], target_size, d, rng.spawn("target-draw"), TARGET_TASK_ID
-    )
-    sources = []
-    for i, (spec, size) in enumerate(zip(specs, source_sizes)):
-        sources.append(
-            sample_task_data(
-                teachers[spec.flip_rate],
-                size,
-                d,
-                rng.spawn("source-draw", i),
-                f"source{i}_q{spec.flip_rate:g}",
-            )
-        )
-    return target, sources
+    base = generate_base_dataset(base_n, d, k, rng.spawn("base"))
+    teachers: dict[float, SharedModel] = {}
+    for q in sorted(set(flip_grid) | {0.0}):
+        seed = hash64(teacher_seed, round(q * 10000))
+        flipped = flip_labels(base, q, Rng(seed).spawn("flip"))
+        teachers[q] = fit_teacher(flipped, TaskSpec(q, base_n, d, k, width, seed), cfg)
+    return teachers
 
 
 def save_dataset(dataset: Dataset, path) -> None:

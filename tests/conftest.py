@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, settings
 
 from tawt_lab import TrainConfig
 from tawt_lab.numerics import Rng, hash64
-from tawt_lab.taskgen import Dataset, TaskSpec, fit_flip_teachers, generate_base_dataset, sample_task_data
+from tawt_lab.taskgen import Dataset, fit_family_teachers, sample_task_data
 
 settings.register_profile(
     "lab", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -27,9 +27,7 @@ def tiny_family():
     """
     fseed = hash64(314, 0)
     rng = Rng(fseed)
-    specs = [TaskSpec(q, 80, 10, 4, 128, seed=fseed) for q in (0.0, 1.0)]
-    base = generate_base_dataset(80, 10, 4, rng.spawn("base"))
-    teachers = fit_flip_teachers(specs, base, TEACHER_CFG)
+    teachers = fit_family_teachers([0.0, 1.0], 80, 10, 4, 128, fseed, rng, TEACHER_CFG)
     return {
         "target": sample_task_data(teachers[0.0], 60, 10, rng.spawn("t"), "target"),
         "eval": sample_task_data(teachers[0.0], 400, 10, rng.spawn("e"), "target"),

@@ -69,21 +69,15 @@ class TestRiskEstimators:
         generalize to ~0.86-0.88 here (measured over seeds and budgets), not
         higher. The bound below freezes that measured level.
         """
-        from tawt_lab.numerics import hash64
-        from tawt_lab.taskgen import (
-            TaskSpec, fit_flip_teachers, generate_base_dataset, sample_task_data,
-        )
-        from tawt_lab.numerics import Rng
+        from tawt_lab.numerics import Rng, hash64
+        from tawt_lab.taskgen import fit_family_teachers, sample_task_data
 
         teacher_cfg = TrainConfig(epochs=400, batch_size=100, lr=3e-3)
         accs = []
         for seed in range(3):
             fseed = hash64(909, seed)
             rng = Rng(fseed)
-            base = generate_base_dataset(200, 20, 10, rng.spawn("base"))
-            teachers = fit_flip_teachers(
-                [TaskSpec(0.0, 200, 20, 10, 256, seed=fseed)], base, teacher_cfg
-            )
+            teachers = fit_family_teachers([0.0], 200, 20, 10, 256, fseed, rng, teacher_cfg)
             train = sample_task_data(teachers[0.0], 10000, 20, rng.spawn("t"), "target")
             ev = sample_task_data(teachers[0.0], 2000, 20, rng.spawn("e"), "target")
             cfg = TrainConfig(

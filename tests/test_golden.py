@@ -5,7 +5,8 @@ frozen-rep pretrain, adaptive joint and sample-weighted pretrain arms, and
 compares SHA-256 digests of summary.csv (timestamp column dropped) and of
 the two adaptive weights.csv files with values stored below. A second,
 one-arm run pins the identity-Hessian estimator at sample granularity, the
-other alignment path of the per-example kernel, with its own digests. Float64
+other alignment path of the per-example kernel, with its own digests. A
+third, cmd_distance on a three-point flip grid, pins distance.csv. Float64
 results depend on the numpy and BLAS build, so the stored digests are keyed
 on that build; on another build the test skips and names it.
 
@@ -22,7 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tawt_lab.harness import cmd_generate, cmd_run, parse_config
+from tawt_lab.harness import cmd_distance, cmd_generate, cmd_run, parse_config
+
+from test_harness import tiny_config
 
 GOLDEN = {
     "env": {
@@ -41,6 +44,9 @@ GOLDEN = {
         "summary.csv": "ca66759b7ef1ca9c354a76265b920912e616b08531d0b804eb4f5622daa9746c",
         "runs/pretrain-sample-identity/seed0/n30/weights.csv":
             "e98a52e03ed9525d45ffaca920af4205832a9d8d92b9df9ed6cf6c0994244dd6",
+    },
+    "distance_digests": {
+        "distance.csv": "abe703801bb6742cf004ebfaf2793a936bf052ad9ead09aa0f43e5deea0d04b6",
     },
 }
 
@@ -97,6 +103,16 @@ def golden_config(out_dir) -> dict:
     }
 
 
+def distance_config(out_dir) -> dict:
+    raw = tiny_config(out_dir, seeds=[0])
+    raw["distance"] = {
+        "flip_grid": [0.0, 0.5, 1.0], "source_n": 300, "head_fit_n": 150,
+        "eval_n": 150, "oracle_n": 300, "rep_epochs": 10,
+        "head_fit_epochs": 15, "oracle_epochs": 10,
+    }
+    return raw
+
+
 def _openblas_core() -> str:
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
@@ -120,13 +136,16 @@ def build() -> dict:
 
 
 def run_digests(out_dir: Path, key: str = "digests") -> dict:
-    raw = golden_config(out_dir)
-    if key == "identity_digests":
-        raw["arms"] = [IDENTITY_ARM]
-    cfg = parse_config(raw)
-    cmd_generate(cfg, out_dir)
-    result = cmd_run(cfg, out_dir)
-    assert result["n_failed"] == 0
+    if key == "distance_digests":
+        cmd_distance(parse_config(distance_config(out_dir)), out_dir)
+    else:
+        raw = golden_config(out_dir)
+        if key == "identity_digests":
+            raw["arms"] = [IDENTITY_ARM]
+        cfg = parse_config(raw)
+        cmd_generate(cfg, out_dir)
+        result = cmd_run(cfg, out_dir)
+        assert result["n_failed"] == 0
     digests = {}
     for relpath in GOLDEN[key]:
         text = (out_dir / relpath).read_text()
@@ -151,12 +170,16 @@ def test_identity_hessian_sample_arm_matches_golden_digests(tmp_path):
     _check(tmp_path / "out", "identity_digests")
 
 
+def test_distance_curve_matches_golden_digests(tmp_path):
+    _check(tmp_path / "out", "distance_digests")
+
+
 if __name__ == "__main__":
     import json
     import tempfile
 
     out = {"env": build()}
-    for key in ("digests", "identity_digests"):
+    for key in ("digests", "identity_digests", "distance_digests"):
         with tempfile.TemporaryDirectory() as tmp:
             out[key] = run_digests(Path(tmp) / "out", key)
     print(json.dumps(out, indent=4))

@@ -166,7 +166,8 @@ class TestGenerate:
 
     def test_family_in_csv_layout_is_regenerated(self, tmp_path):
         """A family cached as CSVs, under a manifest with the same config key,
-        is regenerated to the same datasets instead of failing every job."""
+        is regenerated to the same datasets instead of failing every job, and
+        the CSVs are removed."""
         cfg = parse_config(tiny_config(tmp_path / "out"))
         out = Path(cfg.out_dir)
         family = out / "family"
@@ -187,6 +188,11 @@ class TestGenerate:
         regenerated = json.loads((family / "manifest.json").read_text())["files"]
         assert sorted(regenerated) == sorted(binary)
         assert all((family / relpath).read_bytes() == data for relpath, data in binary.items())
+        on_disk = {
+            str(path.relative_to(family)) for seed in cfg.seeds
+            for path in (family / f"seed{seed}").iterdir()
+        }
+        assert on_disk == set(regenerated)  # the CSVs of the old layout are gone
 
 
 class TestRun:

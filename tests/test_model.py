@@ -10,9 +10,9 @@ from tawt_lab.model import (
     SharedModel,
     apply_update,
     backward,
-    forward,
     init_model,
     load_model,
+    logits_batch,
     predictions,
     rep_gradient_flat,
     save_model,
@@ -30,6 +30,11 @@ from conftest import random_dataset
 
 def tiny_model(d=3, hidden=4, k=3, seed=0, tasks=("target",)):
     return init_model(d, hidden, {t: k for t in tasks}, seed)
+
+
+def forward(model, task_id, x):
+    """Logit vector of one input, through the batch kernel training runs."""
+    return logits_batch(model, task_id, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 def identity_model(d):

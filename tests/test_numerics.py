@@ -5,83 +5,96 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tawt_lab.model import mean_loss_of_logits
 from tawt_lab.numerics import (
     DimensionError,
     NumericError,
     Rng,
     cosine_similarity,
-    cross_entropy,
     finite_diff_gradient,
     float_repr17,
     hash64,
-    softmax,
+    softmax_rows,
 )
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
 
+def softmax1(logits) -> np.ndarray:
+    """softmax_rows on a one-row matrix, as the training kernels call it."""
+    return softmax_rows(np.asarray([logits], dtype=np.float64))[0]
+
+
+def loss1(logits, label: int) -> float:
+    """mean_loss_of_logits of a one-row batch: -ln(softmax(z)_y + eps)."""
+    return mean_loss_of_logits(np.asarray([logits], dtype=np.float64), np.array([label]))
+
+
 class TestSoftmax:
+    """softmax_rows, the softmax every training and evaluation path runs."""
+
     def test_two_equal_logits(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax1([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
     def test_shift_invariance_constant(self):
         for c in (-5.0, 0.0, 3.25):
-            np.testing.assert_allclose(softmax([c, c, c]), [1 / 3] * 3, atol=1e-12)
+            np.testing.assert_allclose(softmax1([c, c, c]), [1 / 3] * 3, atol=1e-12)
 
     def test_hand_log_values(self):
-        out = softmax(np.log([1.0, 2.0, 3.0]))
+        out = softmax1(np.log([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
     def test_large_logits_stable(self):
-        out = softmax([1000.0, 1000.0])
+        out = softmax1([1000.0, 1000.0])
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+
+    def test_rows_are_independent(self):
+        out = softmax_rows(np.array([[0.0, 0.0], [1000.0, 1000.0], [0.0, np.log(3.0)]]))
+        np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]], atol=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(DimensionError):
-            softmax([])
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(NumericError):
-            softmax([0.0, np.inf])
+            softmax_rows(np.empty((1, 0)))
+        with pytest.raises(DimensionError):
+            softmax_rows(np.zeros(3))
 
     @given(st.lists(finite_floats, min_size=1, max_size=8))
     def test_sums_to_one_and_positive(self, logits):
-        out = softmax(logits)
+        out = softmax1(logits)
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out > 0.0) and np.all(out < 1.0 + 1e-12)
 
     @given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
     def test_shift_invariance(self, logits, c):
-        base = softmax(logits)
-        shifted = softmax(np.asarray(logits) + c)
+        base = softmax1(logits)
+        shifted = softmax1(np.asarray(logits) + c)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
 class TestCrossEntropy:
+    """mean_loss_of_logits, the loss every evaluation path reports."""
+
     def test_uniform_gives_log_k(self):
         for k in (2, 5, 10):
-            assert abs(cross_entropy(np.full(k, 1 / k), 0) - math.log(k)) < 1e-9
+            assert abs(loss1(np.zeros(k), 0) - math.log(k)) < 1e-9
 
     def test_one_hot_near_zero(self):
-        probs = np.zeros(4)
-        probs[2] = 1.0
-        assert cross_entropy(probs, 2) <= 1e-11
+        # p_y rounds to 1, so the loss is -ln(1 + eps): within eps of zero
+        assert abs(loss1([0.0, 0.0, 50.0, 0.0], 2)) <= 1e-11
 
     def test_hand_value(self):
         # -ln(0.75), up to the 1e-12 shift from the epsilon inside the log
-        assert abs(cross_entropy([0.25, 0.75], 1) - 0.28768207245178085) < 1e-9
+        assert abs(loss1(np.log([0.25, 0.75]), 1) - 0.28768207245178085) < 1e-9
 
-    def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            cross_entropy([0.5, 0.5], 2)
-        with pytest.raises(IndexError):
-            cross_entropy([0.5, 0.5], -1)
+    def test_mean_over_rows(self):
+        Z = np.array([[0.0, 0.0], [0.0, np.log(3.0)]])
+        expected = (math.log(2.0) - math.log(0.75)) / 2
+        assert abs(mean_loss_of_logits(Z, np.array([0, 1])) - expected) < 1e-9
 
-    @given(st.integers(2, 6), st.integers(0, 5), st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+    @given(st.integers(2, 6), st.integers(0, 5), st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
     def test_nonnegative(self, k, label, raw):
-        probs = np.asarray(raw[:k])
-        probs = probs / probs.sum()
-        assert cross_entropy(probs, label % k) >= 0.0
+        # |z| <= 10 keeps p_y below 1 - 2e-9, where the eps shift cannot push the loss below 0
+        assert loss1(raw[:k], label % k) >= 0.0
 
 
 class TestCosineSimilarity:

@@ -13,12 +13,12 @@ from tawt_lab.taskgen import (
     Dataset,
     FitFailureError,
     TaskSpec,
+    fit_family_teachers,
     fit_teacher,
     flip_labels,
     generate_base_dataset,
     load_dataset,
     load_dataset_csv,
-    make_task_family,
     round_half_up,
     sample_task_data,
     save_dataset,
@@ -203,16 +203,12 @@ class TestSampleTaskData:
 class TestTaskDissimilarityTrend:
     def test_disagreement_monotone_in_flip_rate(self):
         """Mean label disagreement with the q=0 teacher grows with q."""
-        from tawt_lab.taskgen import fit_flip_teachers
-
         grid = [0.0, 0.3, 0.6, 1.0]
         disagreements = {q: [] for q in grid[1:]}
         for seed in range(5):
             fseed = hash64(600, seed)
             rng = Rng(fseed)
-            specs = [TaskSpec(q, 80, 10, 4, 128, seed=fseed) for q in grid]
-            base = generate_base_dataset(80, 10, 4, rng.spawn("base"))
-            teachers = fit_flip_teachers(specs, base, TEACHER_CFG)
+            teachers = fit_family_teachers(grid, 80, 10, 4, 128, fseed, rng, TEACHER_CFG)
             probe = rng.uniform(-0.5, 0.5, size=(600, 10))
             ref = predictions(teachers[0.0], TEACHER_TASK_ID, probe)
             for q in grid[1:]:
@@ -224,28 +220,32 @@ class TestTaskDissimilarityTrend:
         assert means[-1] > means[0]
 
 
-class TestMakeTaskFamily:
+def same_teacher(a, b) -> bool:
+    return np.array_equal(a.rep_params, b.rep_params) and np.array_equal(
+        a.heads[TEACHER_TASK_ID].params, b.heads[TEACHER_TASK_ID].params
+    )
+
+
+class TestFitFamilyTeachers:
     def test_counts(self):
-        specs = [TaskSpec(q, 80, 10, 4, 128, seed=31) for q in (0.0, 0.2, 0.5, 1.0)]
-        target, sources = make_task_family(specs, 30, 60, Rng(32), TEACHER_CFG)
-        assert target.n == 30
-        assert len(sources) == 4
-        assert [s.n for s in sources] == [60] * 4
+        """One teacher per distinct flip rate, plus the q = 0 target teacher."""
+        grid = [1.0, 0.2, 0.5, 0.2]
+        teachers = fit_family_teachers(grid, 80, 10, 4, 128, 31, Rng(32), TEACHER_CFG)
+        assert list(teachers) == [0.0, 0.2, 0.5, 1.0]
+        for teacher in teachers.values():
+            assert teacher.input_dim == 10 and teacher.hidden_dim == 128
+            assert teacher.head(TEACHER_TASK_ID).n_classes == 4
 
     def test_bitwise_deterministic(self):
-        specs = [TaskSpec(q, 60, 10, 4, 96, seed=33) for q in (0.0, 1.0)]
-        t1, s1 = make_task_family(specs, 20, 40, Rng(34), TEACHER_CFG)
-        t2, s2 = make_task_family(specs, 20, 40, Rng(34), TEACHER_CFG)
-        assert np.array_equal(t1.features, t2.features)
-        assert np.array_equal(t1.labels, t2.labels)
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.labels, b.labels)
+        a = fit_family_teachers([0.0, 1.0], 60, 10, 4, 96, 33, Rng(34), TEACHER_CFG)
+        b = fit_family_teachers([0.0, 1.0], 60, 10, 4, 96, 33, Rng(34), TEACHER_CFG)
+        assert all(same_teacher(a[q], b[q]) for q in (0.0, 1.0))
 
-    def test_requires_matching_dims(self):
-        specs = [TaskSpec(0.0, 60, 10, 4, 96, seed=1), TaskSpec(0.5, 60, 8, 4, 96, seed=1)]
-        with pytest.raises(ValueError):
-            make_task_family(specs, 10, 20, Rng(0), TEACHER_CFG)
+    def test_teacher_does_not_depend_on_the_rest_of_the_grid(self):
+        alone = fit_family_teachers([0.5], 60, 10, 4, 96, 35, Rng(36), TEACHER_CFG)
+        full = fit_family_teachers([0.0, 0.5, 1.0], 60, 10, 4, 96, 35, Rng(36), TEACHER_CFG)
+        assert same_teacher(alone[0.5], full[0.5])
+        assert same_teacher(alone[0.0], full[0.0])
 
 
 class TestBinarySerialization:
