@@ -9,7 +9,7 @@ representation-based distance between tasks.
 """
 
 from .distance import DistanceConfig, TaskDistanceEstimate, distance_curve
-from .model import GradSnapshot, Head, OptimizerState, SharedModel, init_model
+from .model import Head, OptimizerState, SharedModel, init_model
 from .numerics import Rng, hash64
 from .taskgen import Dataset, TaskSpec, generate_base_dataset
 from .training import (
@@ -26,7 +26,6 @@ from .training import (
 from .weighting import (
     SimplexWeights,
     cosine_task_gradient,
-    hessian_task_gradient,
     identity_hessian_task_gradient,
     init_weights,
     matching_weights,
@@ -39,7 +38,6 @@ __all__ = [
     "DistanceConfig",
     "TaskDistanceEstimate",
     "distance_curve",
-    "GradSnapshot",
     "Head",
     "OptimizerState",
     "SharedModel",
@@ -60,7 +58,6 @@ __all__ = [
     "train_single_task",
     "SimplexWeights",
     "cosine_task_gradient",
-    "hessian_task_gradient",
     "identity_hessian_task_gradient",
     "init_weights",
     "matching_weights",

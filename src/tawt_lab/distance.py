@@ -23,11 +23,14 @@ value, and nothing here symmetrizes it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, sample_task_data
-from .training import TrainConfig, evaluate, pretrain_then_finetune, train_single_task
+from .training import (
+    TrainConfig, atomic_write_text, evaluate, pretrain_then_finetune, train_single_task,
+)
 from .weighting import SimplexWeights, init_weights
 
 
@@ -201,26 +204,17 @@ def distance_curve(flip_grid, weights_mode: str, cfg: DistanceConfig) -> list[Ta
 
 
 def write_distance_csv(estimates, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "flip_rate",
-                "seed",
-                "source_risk_estimate",
-                "oracle_risk_estimate",
-                "distance",
-                "aux_accuracy",
-            ]
-        )
-        for est in estimates:
-            writer.writerow(
-                [
-                    float_repr17(est.flip_rate),
-                    est.seed,
-                    float_repr17(est.weighted_source_target_risk),
-                    float_repr17(est.oracle_target_risk),
-                    float_repr17(est.distance),
-                    float_repr17(est.aux_accuracy),
-                ]
-            )
+    """distance.csv in csv.writer's CRLF dialect, replaced whole (atomic_write_text)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([
+        "flip_rate", "seed", "source_risk_estimate", "oracle_risk_estimate", "distance",
+        "aux_accuracy",
+    ])
+    for est in estimates:
+        writer.writerow([
+            float_repr17(est.flip_rate), est.seed, float_repr17(est.weighted_source_target_risk),
+            float_repr17(est.oracle_target_risk), float_repr17(est.distance),
+            float_repr17(est.aux_accuracy),
+        ])
+    atomic_write_text(path, buf.getvalue())

@@ -17,7 +17,8 @@ representation, is one backward pass into preallocated gradient and
 activation buffers plus one fused update of the representation group and
 one of the head group. example_rep_grads gives the representation
 gradient of every example's own loss, for the sample-granularity
-estimators.
+estimators, and RepHessian the exact representation Hessian of a weighted
+loss as products H v, for the exact_hessian estimator.
 """
 
 from __future__ import annotations
@@ -131,13 +132,6 @@ class SharedModel:
 
     def set_head_flat(self, task_id: str, flat: np.ndarray) -> None:
         _copy_into(self.head(task_id).params, flat, "head")
-
-
-@dataclass
-class GradSnapshot:
-    rep_grad: np.ndarray   # flattened over (W1, b1)
-    head_grad: np.ndarray  # flattened over (W2, b2)
-    task_id: str
 
 
 def _glorot(rng: Rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -280,25 +274,14 @@ def backward_arrays(
     return dW1, db1, dW2, db2
 
 
-def backward(model: SharedModel, task_id: str, data) -> GradSnapshot:
-    """Exact gradient of task_loss over the full dataset."""
-    if len(data.labels) == 0:
-        raise EmptyBatchError(f"backward over an empty dataset for {task_id!r}")
-    dW1, db1, dW2, db2 = backward_arrays(model, task_id, data.features, data.labels)
-    return GradSnapshot(
-        rep_grad=np.concatenate([dW1.ravel(), db1]),
-        head_grad=np.concatenate([dW2.ravel(), db2]),
-        task_id=task_id,
-    )
-
-
 def rep_gradient_flat(
     model: SharedModel, task_id: str, data, subset_size: int, rng: Rng
 ) -> np.ndarray:
     """Representation gradient on a uniform subset of the dataset.
 
     Uses the whole dataset (in order, no draw consumed) when subset_size
-    covers it, so the result then equals backward(...).rep_grad exactly.
+    covers it, so the result then is the full-data rep gradient of
+    backward_arrays exactly.
     """
     n = len(data.labels)
     if n == 0:
@@ -368,6 +351,80 @@ def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.nda
             dW1 += 0.0  # matmul's one-term sum is 0 + a*x, which turns -0.0 into +0.0
             np.add(A[j], 0.0, out=db1)  # a sum over one row: 0 + dA, so -0.0 -> +0.0
             yield grad
+
+
+class RepHessian:
+    """Exact Hessian of sum_i coeff_i * CE_i over the representation, heads frozen.
+
+    parts holds (task_id, X, Y, coeff) blocks; coeff is one loss coefficient
+    for every row of the block or one per row. With the heads fixed the
+    logits are piecewise linear in (W1, b1), so away from ReLU kinks the
+    Hessian is exactly J^T M J: J the Jacobian of the logits, M the logit
+    Hessian of the loss as implemented, -ln(p_y + eps),
+
+        M = r (diag p - p p^T) - r s (p - e_y)(p - e_y)^T,
+        r = p_y / (p_y + eps),  s = eps / (p_y + eps).
+
+    The activations are computed once, at the parameters of construction.
+    matvec is then one R-op forward and one backward pass (Pearlmutter 1994)
+    and trace is closed-form, so no dense Hessian is ever built. Both take
+    the bias as one more input column: rows [x, 1] against [W1 | b1].
+    """
+
+    def __init__(self, model: SharedModel, parts):
+        self.dim = model.rep_param_count()
+        self._hidden, self._d = model.W1.shape
+        self._parts = []
+        for task_id, X, Y, coeff in parts:
+            X = np.asarray(X, dtype=np.float64)
+            Y = np.asarray(Y)
+            if X.shape[0] == 0:
+                raise EmptyBatchError(f"Hessian over an empty batch of {task_id!r}")
+            head = model.head(task_id)
+            act = hidden_batch(model, X)
+            P = softmax_rows(act @ head.W2.T + head.b2)
+            rows = np.arange(len(Y))
+            picked = P[rows, Y]
+            r = coeff * picked / (picked + LOG_EPS)
+            D = P.copy()
+            D[rows, Y] -= 1.0
+            X1 = np.hstack([X, np.ones((len(Y), 1))])
+            self._parts.append((
+                X1, act > 0.0, head.W2.copy(), P, D, r[:, None],
+                (r * LOG_EPS / (picked + LOG_EPS))[:, None],
+                act,  # reused as matvec's (n, hidden) buffer
+            ))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v for v laid out like rep_params."""
+        v = np.asarray(v, dtype=np.float64).ravel()
+        if v.size != self.dim:
+            raise DimensionError(f"expected {self.dim} representation values, got {v.size}")
+        h, d = self._hidden, self._d
+        V = np.concatenate([v[: h * d].reshape(h, d), v[h * d :, None]], axis=1)
+        G = np.zeros((h, d + 1))
+        for X1, mask, W2, P, D, r, rs, dA in self._parts:
+            np.matmul(X1, V.T, out=dA)
+            dA *= mask
+            dZ = dA @ W2.T  # J v
+            U = dZ - np.sum(P * dZ, axis=1, keepdims=True)
+            U *= P
+            U *= r
+            U -= D * (rs * np.sum(D * dZ, axis=1, keepdims=True))  # M J v
+            np.matmul(U, W2, out=dA)
+            dA *= mask
+            G += dA.T @ X1
+        return np.concatenate([G[:, :d].ravel(), G[:, d]])
+
+    def trace(self) -> float:
+        """tr H: per row, |[x, 1]|^2 times the sum over live units h of W2[:, h]^T M W2[:, h]."""
+        total = 0.0
+        for X1, mask, W2, P, D, r, rs, _ in self._parts:
+            PW = P @ W2
+            unit = r * (P @ (W2 * W2) - PW * PW) - rs * (D @ W2) ** 2
+            unit *= mask
+            total += float(unit.sum(axis=1) @ np.einsum("ij,ij->i", X1, X1))
+        return total
 
 
 @dataclass

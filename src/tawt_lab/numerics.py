@@ -1,16 +1,13 @@
 """Dense float64 numeric primitives shared by every other module.
 
 A stable row-wise softmax, cosine similarity with an explicit
-zero-vector convention, a central-difference gradient oracle used to audit
-hand-derived backprop, and seeded, platform-stable random streams with a
+zero-vector convention, and seeded, platform-stable random streams with a
 64-bit mixing function for deriving independent child streams.
 
 All computation is plain float64; there is no mixed precision anywhere.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
@@ -19,7 +16,6 @@ LOG_EPS = 1e-12
 # Norms below this count as zero: cosine similarity with a vanished gradient
 # is defined as 0, so it carries no alignment signal downstream.
 ZERO_NORM_EPS = 1e-12
-DEFAULT_FD_STEP = 1e-5
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,31 +59,6 @@ def cosine_from_products(dot, norm_u, norm_v) -> np.ndarray:
     live = ~((norm_u < ZERO_NORM_EPS) | (norm_v < ZERO_NORM_EPS))
     cos = np.divide(dot, norm_u * norm_v, out=np.zeros(np.shape(dot)), where=live)
     return np.clip(cos, -1.0, 1.0, out=cos)
-
-
-def finite_diff_gradient(
-    f: Callable[[np.ndarray], float], params, h: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Central-difference gradient (f(p + h e_i) - f(p - h e_i)) / 2h.
-
-    Independent oracle for checking analytic gradients; never used inside a
-    training loop.
-    """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    p = _vector(params, "params").copy()
-    grad = np.empty_like(p)
-    for i in range(p.size):
-        orig = p[i]
-        p[i] = orig + h
-        up = float(f(p))
-        p[i] = orig - h
-        down = float(f(p))
-        p[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError(f"objective non-finite near coordinate {i}")
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
 
 
 def _mix64(h: int) -> int:

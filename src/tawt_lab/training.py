@@ -16,8 +16,11 @@ The weighted ("adaptive") variants interleave multiplicative weight updates
 with the SGD epochs: every weight_update_period epochs, each task's
 representation gradient on a small random subset is compared against the
 target's, and the weights take one mirror-descent step driven by that
-alignment signal. Weights can live on tasks (default) or on the samples of
-a single source task.
+alignment signal: the cosine, the inner product under an identity Hessian,
+or (exact_hessian) <H_w^{-1} g0, g_t> under the exact representation
+Hessian of the weighted objective, one conjugate-gradient solve per round.
+Weights can live on tasks (default) or on the samples of a single source
+task.
 
 All four entry points are thin wrappers over one driver, _train, which
 runs one phase loop (_train_weighted_phase), one epoch function
@@ -49,9 +52,9 @@ import numpy as np
 from .model import (
     EmptyBatchError,
     OptimizerState,
+    RepHessian,
     SharedModel,
     apply_update,
-    backward_arrays,
     example_rep_grads,
     hidden_batch,
     init_model,
@@ -64,12 +67,10 @@ from .model import (
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
 from .taskgen import TARGET_TASK_ID, Dataset, round_half_up
 from .weighting import (
-    CapacityError,
     SimplexWeights,
     cosine_example_gradients,
     cosine_task_gradient,
-    hessian_solve_task_gradients,
-    hessian_task_gradient,
+    hessian_cg_solve,
     identity_hessian_task_gradient,
     init_weights,
     mirror_descent_step,
@@ -109,7 +110,6 @@ class TrainConfig:
     seed: int = 0
     sample_split: float | None = None  # B1 fraction; pretrain only
     teacher_accuracy_threshold: float = 1.0
-    exact_hessian_cap: int = 200
     metrics_every: int = 1  # 0 -> record only the final epoch of each phase
 
     def validate(self) -> None:
@@ -368,19 +368,17 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
     target's own entry (joint paradigms) compares that subset with itself.
     Tasks held at weight zero get a zero gradient without consuming draws.
     At sample granularity the single source's examples are each compared
-    with the target subset instead.
+    with the target subset instead. exact_hessian is the identity-Hessian
+    inner product taken against s = H_w^{-1} g0 in place of scale * g0.
     """
-    sample = cfg.weight_granularity == "sample"
-    if cfg.gradient_estimator == "exact_hessian" and not sample:
-        datasets = [data for _, data in entries]
-        return hessian_task_gradient(
-            model, datasets, w, target_data, rep_param_cap=cfg.exact_hessian_cap
-        )
     g0 = rep_gradient_flat(
         model, TARGET_TASK_ID, target_data, cfg.subset_size, streams.get("subset", "__target__")
     )
-    if sample:
-        return _per_sample_gradients(model, entries[0][1], g0, w, cfg)
+    s = g0
+    if cfg.gradient_estimator == "exact_hessian":
+        s = _inverse_hessian_product(model, entries, w, g0)
+    if cfg.weight_granularity == "sample":
+        return _per_sample_gradients(model, entries[0][1], s, cfg)
     g = np.zeros(len(entries))
     for pos, (task_id, data) in enumerate(entries):
         if w[pos] == 0.0 or data.n == 0:
@@ -391,44 +389,47 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
             gt = rep_gradient_flat(
                 model, task_id, data, cfg.subset_size, streams.get("subset", task_id)
             )
-        g[pos] = _alignment(g0, gt, cfg)
+        if cfg.gradient_estimator == "cosine":
+            g[pos] = cosine_task_gradient(s, gt, cfg.c)
+        else:
+            g[pos] = identity_hessian_task_gradient(s, gt, _inner_product_scale(cfg))
     return g
 
 
-def _alignment(g0, gt, cfg) -> float:
-    if cfg.gradient_estimator == "cosine":
-        return cosine_task_gradient(g0, gt, cfg.c)
-    return identity_hessian_task_gradient(g0, gt, cfg.identity_hessian_scale)
+def _inner_product_scale(cfg) -> float:
+    """1 for exact_hessian, whose g0 is already s = H_w^{-1} g0."""
+    return 1.0 if cfg.gradient_estimator == "exact_hessian" else cfg.identity_hessian_scale
 
 
-def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
+def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
+    """s = H_w^{-1} g0 by one CG solve, H_w the exact representation Hessian of
+    the weighted objective: coefficient w_t / n_t on each row of task t, or at
+    sample granularity w_i on row i of the single source."""
+    if len(w) != len(entries):
+        ((task_id, data),) = entries
+        parts = [(task_id, data.features, data.labels, w.values)]
+    else:
+        parts = [
+            (task_id, data.features, data.labels, w_t / data.n)
+            for (task_id, data), w_t in zip(entries, w.values)
+            if w_t != 0.0 and data.n
+        ]
+    H = RepHessian(model, parts)
+    return hessian_cg_solve(H.matvec, g0, H.trace(), ridge)
+
+
+def _per_sample_gradients(model, source, g0, cfg) -> np.ndarray:
     """Weight gradient per source example against the target subset gradient.
 
     Every estimator reads the per-example gradients of model.example_rep_grads
-    once, in row order: the exact Hessian solve stacks them, the identity
-    Hessian takes <g0, g_i>, and the cosine also |g_i|. Each row product is
-    one BLAS ddot on the flat gradient, the same call as the task-level
-    estimators make, so the weights match a per-example loop bit for bit.
+    once, in row order: the identity and exact Hessians take <g0, g_i> (g0
+    already s = H_w^{-1} g0 for the exact one), and the cosine also |g_i|.
+    Each row product is one BLAS ddot on the flat gradient, the same call as
+    the task-level estimators make, so the weights match a per-example loop
+    bit for bit.
     """
     n = source.n
     rows = example_rep_grads(model, source.task_id, source.features, source.labels)
-    if cfg.gradient_estimator == "exact_hessian":
-        dim = model.rep_param_count()
-        if dim > cfg.exact_hessian_cap:
-            raise CapacityError(
-                f"representation has {dim} parameters, cap is {cfg.exact_hessian_cap}"
-            )
-        probe = model.copy()
-
-        def weighted_grad(phi):
-            probe.set_rep_flat(phi)
-            dW1, db1, _, _ = backward_arrays(
-                probe, source.task_id, source.features, source.labels, row_weights=w.values
-            )
-            return np.concatenate([dW1.ravel(), db1])
-
-        rhs = np.stack([g_i.copy() for g_i in rows])
-        return hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
     cosine = cfg.gradient_estimator == "cosine"
     dots, sq_norms = np.empty(n), np.empty(n)
     for i, g_i in enumerate(rows):
@@ -437,7 +438,7 @@ def _per_sample_gradients(model, source, g0, w, cfg) -> np.ndarray:
             sq_norms[i] = g_i @ g_i
     if cosine:
         return cosine_example_gradients(dots, np.linalg.norm(g0), np.sqrt(sq_norms), cfg.c)
-    return -cfg.identity_hessian_scale * dots
+    return -_inner_product_scale(cfg) * dots
 
 
 def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):

@@ -1,10 +1,11 @@
 """Simplex weight vectors and everything that moves them.
 
 Holds the immutable simplex representation, the two initialization schemes
-(uniform, proportional-to-sample-size), three estimators of the per-task
-weight gradient (cosine alignment, inverse-Hessian solve, identity-Hessian
-inner product), the multiplicative mirror-descent step, and the closed-form
-two-task matching construction for bracketing risk profiles.
+(uniform, proportional-to-sample-size), the per-task weight gradients of
+the cosine and identity-Hessian estimators, the conjugate-gradient solve
+s = H^{-1} g0 that turns the identity-Hessian inner product into the exact
+one, the multiplicative mirror-descent step, and the closed-form two-task
+matching construction for bracketing risk profiles.
 
 The weight gradient g_t is negative when source task t's training signal
 aligns with the target's, so a mirror-descent step grows that weight.
@@ -17,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SharedModel, backward
 from .numerics import DimensionError, cosine_from_products, cosine_similarity
 
 DEFAULT_IDENTITY_HESSIAN_SCALE = 5.0
-DEFAULT_HESSIAN_FD_STEP = 1e-4
-DEFAULT_REP_PARAM_CAP = 200
 SIMPLEX_TOL = 1e-9
+# hessian_cg_solve: the ridge starts at RIDGE_FRACTION * |tr H| / dim (at
+# least MIN_RIDGE) and grows tenfold after each failed attempt, at most
+# RIDGE_ESCALATIONS times.
+RIDGE_FRACTION = 1e-6
+MIN_RIDGE = 1e-12
+RIDGE_ESCALATIONS = 4
+CG_RTOL = 1e-10
+CG_MAX_ITER_PER_DIM = 10
 
 
 class DegenerateWeightsError(ArithmeticError):
@@ -32,10 +38,6 @@ class DegenerateWeightsError(ArithmeticError):
 
 class BracketingViolationError(ValueError):
     """No pair of source risks brackets the target risk."""
-
-
-class CapacityError(ValueError):
-    """The dense Hessian estimator was asked for more parameters than its cap."""
 
 
 class SingularSystemError(ArithmeticError):
@@ -120,95 +122,58 @@ def identity_hessian_task_gradient(
     return float(-const_scale * (g0 @ gt))
 
 
-def hessian_solve_task_gradients(
-    phi0: np.ndarray,
-    weighted_grad_fn: Callable[[np.ndarray], np.ndarray],
-    rhs_grads: np.ndarray,
-    target_grad: np.ndarray,
-    fd_step: float = DEFAULT_HESSIAN_FD_STEP,
+def hessian_cg_solve(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    trace: float,
     ridge: float | None = None,
-    max_escalations: int = 4,
 ) -> np.ndarray:
-    """g_t = -<target_grad, H^{-1} rhs_grads[t]> with H assembled numerically.
+    """s = (H + ridge I)^{-1} b by conjugate gradients, H symmetric and given as matvec.
 
-    H is the Jacobian of the weighted objective's gradient at phi0, built by
-    central differences of weighted_grad_fn. Solves are regularized with a
-    ridge that starts at 1e-6 * trace(H)/dim and escalates tenfold on
-    failure, up to max_escalations times.
+    ridge None starts at max(RIDGE_FRACTION * |trace| / dim, MIN_RIDGE). An
+    attempt fails on a non-finite value, on non-positive curvature or on no
+    convergence (|residual| <= CG_RTOL * |b|) within CG_MAX_ITER_PER_DIM * dim
+    steps; the ridge then grows tenfold, up to RIDGE_ESCALATIONS times, before
+    SingularSystemError.
     """
-    phi0 = np.asarray(phi0, dtype=np.float64).copy()
-    dim = phi0.size
-    rhs = np.atleast_2d(np.asarray(rhs_grads, dtype=np.float64))
-    target_grad = np.asarray(target_grad, dtype=np.float64)
-    if rhs.shape[1] != dim or target_grad.size != dim:
-        raise DimensionError("gradient lengths must match the parameter count")
-
-    H = np.empty((dim, dim))
-    for j in range(dim):
-        orig = phi0[j]
-        phi0[j] = orig + fd_step
-        up = weighted_grad_fn(phi0)
-        phi0[j] = orig - fd_step
-        down = weighted_grad_fn(phi0)
-        phi0[j] = orig
-        H[:, j] = (up - down) / (2.0 * fd_step)
-
+    b = np.asarray(b, dtype=np.float64)
+    dim = b.size
     if ridge is None:
-        trace = float(np.trace(H))
-        ridge = max(1e-6 * abs(trace) / dim, 1e-12)
-    for _ in range(max_escalations + 1):
-        try:
-            solution = np.linalg.solve(H + ridge * np.eye(dim), rhs.T)
-        except np.linalg.LinAlgError:
-            ridge *= 10.0
-            continue
-        if np.all(np.isfinite(solution)):
-            return -(target_grad @ solution)
+        ridge = max(RIDGE_FRACTION * abs(trace) / dim, MIN_RIDGE)
+    for _ in range(RIDGE_ESCALATIONS + 1):
+        s = _conjugate_gradient(lambda v: matvec(v) + ridge * v, b)
+        if s is not None:
+            return s
         ridge *= 10.0
     raise SingularSystemError(
-        f"weighted Hessian solve failed after {max_escalations} ridge escalations"
+        f"weighted Hessian solve failed after {RIDGE_ESCALATIONS} ridge escalations"
     )
 
 
-def hessian_task_gradient(
-    model: SharedModel,
-    tasks,
-    weights: SimplexWeights,
-    target,
-    ridge: float | None = None,
-    fd_step: float = DEFAULT_HESSIAN_FD_STEP,
-    rep_param_cap: int = DEFAULT_REP_PARAM_CAP,
-) -> np.ndarray:
-    """Weight gradient per task via a dense solve against the weighted Hessian.
-
-    Small-scale oracle: the representation is perturbed coordinate by
-    coordinate, so the parameter count is capped. Heads stay frozen while
-    the representation varies.
-    """
-    if len(weights) != len(tasks):
-        raise DimensionError(f"{len(weights)} weights for {len(tasks)} tasks")
-    dim = model.rep_param_count()
-    if dim > rep_param_cap:
-        raise CapacityError(
-            f"representation has {dim} parameters, cap is {rep_param_cap}"
-        )
-    probe = model.copy()
-
-    def weighted_grad(phi: np.ndarray) -> np.ndarray:
-        probe.set_rep_flat(phi)
-        total = np.zeros(dim)
-        for w, task in zip(weights.values, tasks):
-            if w == 0.0:
-                continue
-            total += w * backward(probe, task.task_id, task).rep_grad
-        return total
-
-    phi0 = model.rep_flat()
-    rhs = np.stack([backward(model, task.task_id, task).rep_grad for task in tasks])
-    target_grad = backward(model, target.task_id, target).rep_grad
-    return hessian_solve_task_gradients(
-        phi0, weighted_grad, rhs, target_grad, fd_step=fd_step, ridge=ridge
-    )
+def _conjugate_gradient(matvec, b: np.ndarray) -> np.ndarray | None:
+    """Plain CG from s = 0; None on a non-finite value, curvature <= 0 or no convergence."""
+    s = np.zeros(b.size)
+    res = b.copy()
+    rr = float(res @ res)
+    stop = (CG_RTOL * CG_RTOL) * rr
+    p = res.copy()
+    for _ in range(CG_MAX_ITER_PER_DIM * b.size):
+        if rr <= stop:
+            return s
+        Ap = matvec(p)
+        curvature = float(p @ Ap)
+        if not np.isfinite(curvature) or curvature <= 0.0:
+            return None
+        alpha = rr / curvature
+        s += alpha * p
+        res -= alpha * Ap
+        rr_next = float(res @ res)
+        if not np.isfinite(rr_next):
+            return None
+        p *= rr_next / rr
+        p += res
+        rr = rr_next
+    return s if rr <= stop else None
 
 
 def mirror_descent_step(w: SimplexWeights, g: np.ndarray, eta: float) -> SimplexWeights:

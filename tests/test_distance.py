@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from tawt_lab.distance import (
     DistanceConfig,
+    TaskDistanceEstimate,
     distance_curve,
     estimate_oracle_target_risk,
     estimate_weighted_source_target_risk,
@@ -156,3 +159,27 @@ class TestDistanceCurve:
             "flip_rate,seed,source_risk_estimate,oracle_risk_estimate,distance,aux_accuracy"
         )
         assert len(lines) == 2
+
+    def test_csv_is_replaced_whole(self, tmp_path, monkeypatch):
+        def estimate(flip_rate, distance):
+            return TaskDistanceEstimate(
+                flip_rate=flip_rate, seed=0, weighted_source_target_risk=0.5 + distance,
+                oracle_target_risk=0.5, distance=distance, aux_accuracy=0.75,
+                oracle_accuracy=0.8, weights=[1.0], negative=distance < 0,
+            )
+
+        path = tmp_path / "distance.csv"
+        write_distance_csv([estimate(0.0, 0.25)], path)
+        written = (
+            b"flip_rate,seed,source_risk_estimate,oracle_risk_estimate,distance,aux_accuracy\r\n"
+            b"0,0,0.75,0.5,0.25,0.75\r\n"
+        )
+        assert path.read_bytes() == written
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_distance_csv([estimate(0.0, 0.25), estimate(1.0, -0.125)], path)
+        assert path.read_bytes() == written

@@ -9,7 +9,6 @@ from tawt_lab.model import (
     OptimizerState,
     SharedModel,
     apply_update,
-    backward,
     init_model,
     load_model,
     logits_batch,
@@ -20,12 +19,13 @@ from tawt_lab.model import (
     train_step,
 )
 from tawt_lab.numerics import (
-    LOG_EPS, DimensionError, NumericError, Rng, finite_diff_gradient, hash64, softmax_rows,
+    LOG_EPS, DimensionError, NumericError, Rng, hash64, softmax_rows,
 )
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import TrainConfig, _frozen_hidden, _head_only_epoch
 
 from conftest import random_dataset
+from oracles import backward, finite_diff_gradient
 
 
 def tiny_model(d=3, hidden=4, k=3, seed=0, tasks=("target",)):

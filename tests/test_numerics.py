@@ -11,11 +11,12 @@ from tawt_lab.numerics import (
     NumericError,
     Rng,
     cosine_similarity,
-    finite_diff_gradient,
     float_repr17,
     hash64,
     softmax_rows,
 )
+
+from oracles import finite_diff_gradient
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 

@@ -28,10 +28,8 @@ from tawt_lab.training import (
     train_single_task,
 )
 from tawt_lab.weighting import (
-    CapacityError,
     SimplexWeights,
     cosine_task_gradient,
-    hessian_solve_task_gradients,
     identity_hessian_task_gradient,
 )
 
@@ -357,13 +355,19 @@ class TestTawt:
             w = np.asarray(snap["weights"])
             assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9
 
-    def test_exact_hessian_capacity_error_on_large_rep(self, tiny_family):
+    def test_exact_hessian_runs_past_old_cap(self, tiny_family):
+        # 352 rep params; the dense finite-difference solve this estimator
+        # replaced refused anything over 200
         cfg = base_cfg(
-            paradigm="joint", weighted=True, epochs=1, hidden=64,
+            paradigm="joint", weighted=True, epochs=2, hidden=32,
             gradient_estimator="exact_hessian",
         )
-        with pytest.raises(CapacityError):
-            tawt([tiny_family["copy"]], tiny_family["target"], cfg)
+        model, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg)
+        assert model.rep_param_count() == 352
+        assert len(record.weight_steps) == 3
+        final = np.asarray(record.final_weights())
+        assert np.isfinite(final).all() and abs(final.sum() - 1.0) <= 1e-9
+        assert not np.array_equal(final, record.weight_steps[0]["weights"])
 
     def test_exact_hessian_runs_on_tiny_rep(self, tiny_family):
         cfg = base_cfg(
@@ -527,36 +531,28 @@ class TestPerExampleEstimator:
         assert all(r.tobytes() == ref.tobytes() for r, ref in zip(rows, ref_rows))
         assert not ref_rows[3].any()
 
-        w = SimplexWeights(np.full(n, 1.0 / n))
         cos_cfg = TrainConfig(c=2.0)
-        got = _per_sample_gradients(model, source, g0, w, cos_cfg)
+        got = _per_sample_gradients(model, source, g0, cos_cfg)
         ref = np.array([cosine_task_gradient(g0, gi, 2.0) for gi in ref_rows])
         assert got.tobytes() == ref.tobytes()
         assert got[3] == 0.0 and np.signbit(got[3])  # zero-norm rule: -c * 0
 
         id_cfg = TrainConfig(gradient_estimator="identity_hessian")
-        got = _per_sample_gradients(model, source, g0, w, id_cfg)
+        got = _per_sample_gradients(model, source, g0, id_cfg)
         ref = np.array([identity_hessian_task_gradient(g0, gi, 5.0) for gi in ref_rows])
         assert got.tobytes() == ref.tobytes()
 
     def test_exact_hessian_rhs_matches_per_example_loop(self):
+        # exact_hessian takes -<s, g_i>, s = H_w^{-1} g0 as handed in by the
+        # estimator, through the identity-Hessian product at scale 1
         n = EXAMPLE_BLOCK + 5
         model, source, g0 = _estimator_setup(8, n, seed=31)
-        assert model.rep_param_count() <= TrainConfig().exact_hessian_cap
-        w = SimplexWeights(Rng(32).uniform(0.5, 1.5, size=n))
-        probe = model.copy()
-
-        def weighted_grad(phi):
-            probe.set_rep_flat(phi)
-            dW1, db1, _, _ = backward_arrays(
-                probe, "src", source.features, source.labels, row_weights=w.values
-            )
-            return np.concatenate([dW1.ravel(), db1])
-
-        rhs = np.stack(_ref_example_grads(model, source))
-        ref = hessian_solve_task_gradients(model.rep_flat(), weighted_grad, rhs, g0)
+        s = Rng(32).uniform(-1.0, 1.0, size=g0.size)
         cfg = TrainConfig(gradient_estimator="exact_hessian")
-        got = _per_sample_gradients(model, source, g0, w, cfg)
+        got = _per_sample_gradients(model, source, s, cfg)
+        ref = np.array([
+            identity_hessian_task_gradient(s, gi, 1.0) for gi in _ref_example_grads(model, source)
+        ])
         assert got.tobytes() == ref.tobytes()
 
 

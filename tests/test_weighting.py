@@ -5,17 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tawt_lab.model import init_model
+from tawt_lab.model import RepHessian, init_model
 from tawt_lab.numerics import DimensionError
 from tawt_lab.weighting import (
     BracketingViolationError,
-    CapacityError,
     DegenerateWeightsError,
     SimplexWeights,
     SingularSystemError,
     cosine_task_gradient,
-    hessian_solve_task_gradients,
-    hessian_task_gradient,
+    hessian_cg_solve,
     identity_hessian_task_gradient,
     init_weights,
     matching_weights,
@@ -23,6 +21,7 @@ from tawt_lab.weighting import (
 )
 
 from conftest import random_dataset
+from oracles import backward
 
 weight_lists = st.lists(st.floats(0.01, 10.0), min_size=2, max_size=6)
 gradient_lists = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=6)
@@ -207,17 +206,13 @@ class TestMatchingWeights:
 
 
 class TestHessianTaskGradient:
+    """g_t = -<s, g_t> with s = hessian_cg_solve(H, g0), against closed forms."""
+
     def test_one_dimensional_quadratic_oracle(self):
         # source loss (phi - 0)^2 has curvature 2; target loss (phi - 3)^2/2
         # at phi = 1: target grad -2, source grad 2 -> g = -(-2) * (1/2) * 2 = 2
-        g = hessian_solve_task_gradients(
-            phi0=np.array([1.0]),
-            weighted_grad_fn=lambda p: 2.0 * p,
-            rhs_grads=np.array([[2.0]]),
-            target_grad=np.array([-2.0]),
-            ridge=0.0,
-        )
-        assert g[0] == pytest.approx(2.0, rel=1e-4)
+        s = hessian_cg_solve(lambda v: 2.0 * v, np.array([-2.0]), trace=2.0, ridge=0.0)
+        assert -(s @ np.array([2.0])) == pytest.approx(2.0, rel=1e-12)
 
     def test_separable_quadratic_closed_form(self):
         # two sources with diagonal curvatures; weights (0.25, 0.75)
@@ -225,48 +220,35 @@ class TestHessianTaskGradient:
         w = np.array([0.25, 0.75])
         phi0 = np.array([0.5, -1.0])
         mins = [np.array([1.0, -2.0]), np.array([-3.0, 0.5])]
-
-        def weighted_grad(p):
-            return sum(wi * ci * (p - mi) for wi, ci, mi in zip(w, curv, mins))
-
         rhs = np.stack([c * (phi0 - m) for c, m in zip(curv, mins)])
         target_grad = np.array([1.5, -0.25])
         H = np.diag(w[0] * curv[0] + w[1] * curv[1])
         expected = -(target_grad @ np.linalg.solve(H, rhs.T))
-        got = hessian_solve_task_gradients(
-            phi0, weighted_grad, rhs, target_grad, ridge=0.0
-        )
-        np.testing.assert_allclose(got, expected, rtol=1e-4)
+        s = hessian_cg_solve(lambda v: H @ v, target_grad, np.trace(H), ridge=0.0)
+        np.testing.assert_allclose(-(rhs @ s), expected, rtol=1e-12)
 
     def test_zero_target_gradient_gives_zeros(self):
-        got = hessian_solve_task_gradients(
-            np.array([1.0, 2.0]),
-            lambda p: 3.0 * p,
-            np.array([[1.0, 1.0], [2.0, -1.0]]),
-            np.zeros(2),
-        )
-        np.testing.assert_allclose(got, 0.0, atol=1e-12)
+        s = hessian_cg_solve(lambda v: 3.0 * v, np.zeros(2), trace=6.0)
+        assert np.array_equal(s, np.zeros(2))
 
     def test_nan_gradients_raise_singular(self):
         with pytest.raises(SingularSystemError):
-            hessian_solve_task_gradients(
-                np.array([1.0]),
-                lambda p: np.array([np.nan]),
-                np.array([[1.0]]),
-                np.array([1.0]),
-            )
+            hessian_cg_solve(lambda v: np.full(v.shape, np.nan), np.array([1.0]), trace=1.0)
 
-    def test_model_level_capacity_cap(self):
-        model = init_model(20, 30, {"target": 3, "src": 3}, seed=0)  # 630 rep params
-        data = random_dataset(10, 20, 3, seed=1, task_id="src")
-        target = random_dataset(10, 20, 3, seed=2, task_id="target")
-        with pytest.raises(CapacityError):
-            hessian_task_gradient(model, [data], SimplexWeights(np.ones(1)), target)
+    def test_negative_curvature_escalates_ridge(self):
+        H = np.diag([1.0, -1e-6])
+        # the starting ridge 1e-6 * tr/2 < 1e-6 leaves H indefinite; ten times it does not
+        s = hessian_cg_solve(lambda v: H @ v, np.ones(2), np.trace(H))
+        ridge = 10.0 * 1e-6 * np.trace(H) / 2
+        np.testing.assert_allclose(s, 1.0 / (np.diag(H) + ridge), rtol=1e-10)
+        with pytest.raises(SingularSystemError):
+            hessian_cg_solve(lambda v: np.diag([1.0, -1.0]) @ v, np.ones(2), trace=0.0)
 
     def test_model_level_smoke_on_tiny_mlp(self):
         model = init_model(3, 5, {"target": 3, "src": 3}, seed=3)  # 20 rep params
         src = random_dataset(24, 3, 3, seed=4, task_id="src")
         target = random_dataset(24, 3, 3, seed=5, task_id="target")
-        g = hessian_task_gradient(model, [src], SimplexWeights(np.ones(1)), target)
-        assert g.shape == (1,)
-        assert np.isfinite(g).all()
+        H = RepHessian(model, [("src", src.features, src.labels, 1.0 / src.n)])
+        s = hessian_cg_solve(H.matvec, backward(model, "target", target).rep_grad, H.trace())
+        g = -(s @ backward(model, "src", src).rep_grad)
+        assert s.shape == (20,) and np.isfinite(s).all() and np.isfinite(g)
