@@ -14,6 +14,7 @@ from .numerics import Rng, hash64
 from .taskgen import Dataset, TaskSpec, generate_base_dataset
 from .training import (
     EvalResult,
+    FamilyConfig,
     RunRecord,
     TrainConfig,
     evaluate,
@@ -48,6 +49,7 @@ __all__ = [
     "TaskSpec",
     "generate_base_dataset",
     "EvalResult",
+    "FamilyConfig",
     "RunRecord",
     "TrainConfig",
     "evaluate",

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .numerics import Rng, float_repr17, hash64
-from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, sample_task_data
+from .taskgen import TARGET_TASK_ID, Dataset, sample_task_data
 from .training import (
-    TrainConfig, atomic_write_text, evaluate, pretrain_then_finetune, train_single_task,
+    FamilyConfig, TrainConfig, atomic_write_text, evaluate, pretrain_then_finetune,
+    train_single_task,
 )
 from .weighting import SimplexWeights, init_weights
 
@@ -45,23 +46,17 @@ class TaskDistanceEstimate:
     oracle_accuracy: float
     weights: list[float]
     negative: bool
-    config: dict = field(default_factory=dict)
 
 
 @dataclass
 class DistanceConfig:
-    """Sizes, dims, and training budgets for the distance estimator."""
+    """Sample sizes, budgets and optimizer of the estimator's own fits.
 
-    input_dim: int = 20
-    n_classes: int = 10
-    hidden: int = 256
-    base_n: int = 200
-    teacher_hidden: int = 256
-    teacher_epochs: int = 400
-    teacher_lr: float = 3e-3
-    source_n: int = 10000
+    The family (flip grid, dims, source and eval sizes, teacher recipe) is
+    the FamilyConfig that distance_curve is given.
+    """
+
     head_fit_n: int = 2000
-    eval_n: int = 2000
     oracle_n: int = 10000
     rep_epochs: int = 60
     head_fit_epochs: int = 100
@@ -69,8 +64,7 @@ class DistanceConfig:
     optimizer: str = "adam"
     lr: float = 1e-3
     batch_size: int = 100
-    seeds: tuple = (0, 1, 2, 3, 4)
-    master_seed: int = 0
+    hidden: int = 256
 
     def estimator_train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -127,52 +121,47 @@ def estimate_oracle_target_risk(
     return ev.mean_loss, ev.accuracy
 
 
-def distance_curve(flip_grid, weights_mode: str, cfg: DistanceConfig) -> list[TaskDistanceEstimate]:
-    """One distance estimate per (flip rate, seed), single source per point.
+def distance_curve(
+    fam: FamilyConfig, cfg: DistanceConfig, seeds, master_seed: int, weights_mode: str = "uniform"
+) -> list[TaskDistanceEstimate]:
+    """One distance estimate per (flip rate in fam.flip_grid, seed), single
+    source per point.
 
-    Per seed, all teachers come from flips of one base dataset, and one
-    oracle run is shared by every grid point, so distances within a seed
-    differ only through their source tasks.
+    Per seed, all teachers come from flips of one base dataset, fit with the
+    family's teacher recipe, and one oracle run is shared by every grid
+    point, so distances within a seed differ only through their source tasks.
     """
-    flip_grid = list(flip_grid)
-    if any(not 0.0 <= q <= 1.0 for q in flip_grid):
+    if any(not 0.0 <= q <= 1.0 for q in fam.flip_grid):
         raise ValueError("flip rates must lie in [0, 1]")
-    teacher_cfg = TrainConfig(
-        optimizer=cfg.optimizer, lr=cfg.teacher_lr, batch_size=cfg.batch_size,
-        epochs=cfg.teacher_epochs,
-    )
-    d = cfg.input_dim
+    d = fam.input_dim
     estimates = []
-    for seed in cfg.seeds:
-        family_rng = Rng(hash64(cfg.master_seed, "distance-family", seed))
-        teachers = fit_family_teachers(
-            flip_grid, cfg.base_n, d, cfg.n_classes, cfg.teacher_hidden,
-            hash64(cfg.master_seed, "distance-teacher", seed), family_rng, teacher_cfg,
-        )
+    for seed in seeds:
+        family_rng = Rng(hash64(master_seed, "distance-family", seed))
+        teachers = fam.fit_teachers(hash64(master_seed, "distance-teacher", seed), family_rng)
         target_teacher = teachers[0.0]
         target_train = sample_task_data(
             target_teacher, cfg.head_fit_n, d, family_rng.spawn("head-fit-draw"), TARGET_TASK_ID
         )
         target_eval = sample_task_data(
-            target_teacher, cfg.eval_n, d, family_rng.spawn("eval-draw"), TARGET_TASK_ID
+            target_teacher, fam.eval_n, d, family_rng.spawn("eval-draw"), TARGET_TASK_ID
         )
         target_large = sample_task_data(
             target_teacher, cfg.oracle_n, d, family_rng.spawn("oracle-draw"), TARGET_TASK_ID
         )
-        oracle_seed = hash64(cfg.master_seed, "distance-oracle", seed)
+        oracle_seed = hash64(master_seed, "distance-oracle", seed)
         oracle_risk, oracle_acc = estimate_oracle_target_risk(
             target_large, target_eval, cfg.oracle_train_config(oracle_seed)
         )
-        for q in flip_grid:
+        for q in fam.flip_grid:
             source = sample_task_data(
                 teachers[q],
-                cfg.source_n,
+                fam.source_n,
                 d,
                 family_rng.spawn("source-draw", round(q * 10000)),
                 f"source_q{q:g}",
             )
             weights = init_weights(weights_mode, [source.n])
-            est_seed = hash64(cfg.master_seed, "distance-est", seed, round(q * 10000))
+            est_seed = hash64(master_seed, "distance-est", seed, round(q * 10000))
             risk, acc = estimate_weighted_source_target_risk(
                 [source], weights, target_train, target_eval,
                 cfg.estimator_train_config(est_seed),
@@ -189,15 +178,6 @@ def distance_curve(flip_grid, weights_mode: str, cfg: DistanceConfig) -> list[Ta
                     oracle_accuracy=oracle_acc,
                     weights=[float(x) for x in weights.values],
                     negative=dist < 0.0,
-                    config={
-                        "source_n": cfg.source_n,
-                        "head_fit_n": cfg.head_fit_n,
-                        "eval_n": cfg.eval_n,
-                        "oracle_n": cfg.oracle_n,
-                        "rep_epochs": cfg.rep_epochs,
-                        "head_fit_epochs": cfg.head_fit_epochs,
-                        "oracle_epochs": cfg.oracle_epochs,
-                    },
                 )
             )
     return estimates

@@ -33,15 +33,9 @@ import numpy as np
 from .distance import DistanceConfig, distance_curve, write_distance_csv
 from .model import save_model
 from .numerics import Rng, float_repr17, hash64
-from .taskgen import (
-    TARGET_TASK_ID,
-    FitFailureError,
-    fit_family_teachers,
-    load_dataset,
-    sample_task_data,
-    save_dataset,
-)
+from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
 from .training import (
+    FamilyConfig,
     TrainConfig,
     atomic_write_text,
     default_initial_weights,
@@ -51,6 +45,7 @@ from .training import (
     tawt,
     train_single_task,
 )
+from .weighting import init_weights
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -76,34 +71,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class FamilyConfig:
-    base_n: int = 200
-    input_dim: int = 20
-    n_classes: int = 10
-    teacher_hidden: int = 256
-    teacher_epochs: int = 400
-    # At desk scale a 200-example base gives 2 minibatches per epoch, so the
-    # teacher lr runs hotter than the students'; interpolation then lands
-    # near epoch 85 instead of needing thousands.
-    teacher_lr: float = 3e-3
-    teacher_batch: int = 100
-    teacher_accuracy_threshold: float = 1.0
-    flip_grid: list = field(default_factory=lambda: [0.0])
-    source_n: int = 2000
-    target_sizes: list = field(default_factory=lambda: [100])
-    eval_n: int = 1000
-
-    def teacher_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            optimizer="adam",
-            lr=self.teacher_lr,
-            batch_size=self.teacher_batch,
-            epochs=self.teacher_epochs,
-            teacher_accuracy_threshold=self.teacher_accuracy_threshold,
-        )
-
-
-@dataclass
 class ArmConfig:
     name: str
     source_flips: list = field(default_factory=list)
@@ -118,7 +85,8 @@ class ExperimentConfig:
     family: FamilyConfig
     train: dict
     arms: list
-    distance: dict = field(default_factory=dict)
+    distance: DistanceConfig = field(default_factory=DistanceConfig)
+    distance_weights_mode: str = "uniform"
     save_checkpoints: bool = False
 
 
@@ -193,6 +161,7 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
                 f"{where}.arms[{i}]: paradigm {cfg.paradigm!r} needs source_flips"
             )
         arms.append(arm)
+    distance, weights_mode = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
     return ExperimentConfig(
         master_seed=int(raw.get("master_seed", 0)),
         seeds=[int(s) for s in seeds],
@@ -200,9 +169,33 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         family=family,
         train=train,
         arms=arms,
-        distance=raw.get("distance", {}),
+        distance=distance,
+        distance_weights_mode=weights_mode,
         save_checkpoints=bool(raw.get("save_checkpoints", False)),
     )
+
+
+_NOT_DISTANCE_FIELDS = {f.name for f in fields(FamilyConfig)} | {"seeds", "master_seed"}
+
+
+def _distance_config(raw, train: dict, where: str) -> tuple[DistanceConfig, str]:
+    """The distance block: DistanceConfig fields plus weights_mode. The
+    student width defaults to the train block's."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    misplaced = sorted(set(raw) & _NOT_DISTANCE_FIELDS)
+    if misplaced:
+        raise ConfigError(f"{where}: {misplaced} belong in the family block or at the top level")
+    block = {"hidden": train.get("hidden", TrainConfig.hidden), **raw}
+    weights_mode = block.pop("weights_mode", "uniform")
+    dist = _dataclass_from_dict(DistanceConfig, block, where)
+    try:
+        init_weights(weights_mode, [1])
+        dist.estimator_train_config(0).validate()
+        dist.oracle_train_config(0).validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return dist, weights_mode
 
 
 def load_config(path) -> ExperimentConfig:
@@ -263,10 +256,7 @@ def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> No
     fam = cfg.family
     family_seed = hash64(cfg.master_seed, "family", seed)
     rng = Rng(family_seed)
-    teachers = fit_family_teachers(
-        fam.flip_grid, fam.base_n, fam.input_dim, fam.n_classes, fam.teacher_hidden,
-        family_seed, rng, fam.teacher_train_config(),
-    )
+    teachers = fam.fit_teachers(family_seed, rng)
     seed_dir = _seed_dir(out_dir, seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
     target_full = sample_task_data(
@@ -309,18 +299,24 @@ def _manifest_current(manifest: dict | None, cfg: ExperimentConfig) -> bool:
     return set(manifest.get("files", {})) == expected
 
 
-def _hashes_match(manifest: dict, out_dir: Path) -> bool:
+def _family_fault(manifest: dict, out_dir: Path) -> str | None:
+    """Why the files the manifest lists are not intact, or None if they are."""
     for relpath, digest in manifest.get("files", {}).items():
         path = _family_dir(out_dir) / relpath
-        if not path.exists() or _sha256_file(path) != digest:
-            return False
-    return True
+        if not path.exists():
+            return f"cached dataset missing: {path}"
+        if _sha256_file(path) != digest:
+            return (
+                f"cached dataset {path} does not match its manifest hash; "
+                "delete the family directory to regenerate"
+            )
+    return None
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Cache the task family on disk; reuses an intact matching cache."""
     manifest = _load_manifest(out_dir)
-    if _manifest_current(manifest, cfg) and _hashes_match(manifest, out_dir):
+    if _manifest_current(manifest, cfg) and _family_fault(manifest, out_dir) is None:
         return {"cache_hit": True, "manifest": manifest}
     files = {}
     for seed in cfg.seeds:
@@ -352,15 +348,9 @@ def _verify_family(cfg: ExperimentConfig, out_dir: Path) -> dict:
     manifest = _load_manifest(out_dir)
     if not _manifest_current(manifest, cfg):
         return cmd_generate(cfg, out_dir)["manifest"]
-    for relpath, digest in manifest["files"].items():
-        path = _family_dir(out_dir) / relpath
-        if not path.exists():
-            raise IntegrityError(f"cached dataset missing: {path}")
-        if _sha256_file(path) != digest:
-            raise IntegrityError(
-                f"cached dataset {path} does not match its manifest hash; "
-                "delete the family directory to regenerate"
-            )
+    fault = _family_fault(manifest, out_dir)
+    if fault:
+        raise IntegrityError(fault)
     return manifest
 
 
@@ -369,6 +359,14 @@ def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
     # run streams, so an adaptive arm with eta = 0 reproduces its
     # fixed-weight counterpart bit for bit.
     return hash64(master_seed, "job", seed, target_size)
+
+
+def _job_dir(payload: dict) -> Path:
+    """runs/<arm>/seed<k>/n<size>: where a job writes and where resume looks."""
+    return (
+        Path(payload["out_dir"]) / "runs" / payload["arm"]["name"]
+        / f"seed{payload['seed']}" / f"n{payload['target_size']}"
+    )
 
 
 def _job_key(payload: dict) -> str:
@@ -468,7 +466,7 @@ def _execute_job(payload: dict) -> dict:
         model, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
 
     final = evaluate(model, TARGET_TASK_ID, eval_data)
-    job_dir = out_dir / "runs" / arm.name / f"seed{seed}" / f"n{target_size}"
+    job_dir = _job_dir(payload)
     job_dir.mkdir(parents=True, exist_ok=True)
     if payload.get("save_checkpoints"):
         save_model(model, job_dir / "model.bin")
@@ -534,12 +532,7 @@ def cmd_run(
     pending = []
     n_skipped = 0
     for i, payload in enumerate(payloads):
-        arm_name = payload["arm"]["name"]
-        job_dir = (
-            out_dir / "runs" / arm_name
-            / f"seed{payload['seed']}" / f"n{payload['target_size']}"
-        )
-        row_path = job_dir / "row.json"
+        row_path = _job_dir(payload) / "row.json"
         if row_path.exists():
             try:
                 stored = json.loads(row_path.read_text())
@@ -575,38 +568,11 @@ def cmd_run(
     }
 
 
-def _distance_config(cfg: ExperimentConfig) -> tuple[list, str, DistanceConfig]:
-    fam = cfg.family
-    block = dict(cfg.distance)
-    flip_grid = block.pop("flip_grid", fam.flip_grid)
-    weights_mode = block.pop("weights_mode", "uniform")
-    base = {
-        "input_dim": fam.input_dim,
-        "n_classes": fam.n_classes,
-        "hidden": cfg.train.get("hidden", 256),
-        "base_n": fam.base_n,
-        "teacher_hidden": fam.teacher_hidden,
-        "teacher_epochs": fam.teacher_epochs,
-        "teacher_lr": fam.teacher_lr,
-        "source_n": fam.source_n,
-        "eval_n": fam.eval_n,
-        "seeds": tuple(cfg.seeds),
-        "master_seed": cfg.master_seed,
-    }
-    known = {f.name for f in fields(DistanceConfig)}
-    unknown = set(block) - known
-    if unknown:
-        raise ConfigError(f"config.distance: unknown field(s) {sorted(unknown)}")
-    base.update(block)
-    if "seeds" in block:
-        base["seeds"] = tuple(block["seeds"])
-    return list(flip_grid), weights_mode, DistanceConfig(**base)
-
-
 def cmd_distance(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Distance-curve sweep; writes distance.csv under the output directory."""
-    flip_grid, weights_mode, dist_cfg = _distance_config(cfg)
-    estimates = distance_curve(flip_grid, weights_mode, dist_cfg)
+    estimates = distance_curve(
+        cfg.family, cfg.distance, cfg.seeds, cfg.master_seed, cfg.distance_weights_mode
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "distance.csv"
     write_distance_csv(estimates, path)

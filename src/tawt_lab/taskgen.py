@@ -128,18 +128,17 @@ def teacher_accuracy(teacher: SharedModel, data: Dataset) -> float:
     return float(np.mean(predictions(teacher, TEACHER_TASK_ID, data.features) == data.labels))
 
 
-def fit_teacher(data: Dataset, spec: TaskSpec, cfg) -> SharedModel:
+def fit_teacher(data: Dataset, spec: TaskSpec, cfg, threshold: float = 1.0) -> SharedModel:
     """Fit a two-layer teacher until it interpolates its training data.
 
-    Trains with the configured optimizer and stops at the first epoch whose
-    training accuracy reaches cfg.teacher_accuracy_threshold (1.0 by
-    default, i.e. interpolation). Raises FitFailureError if the threshold is
-    still unmet after cfg.epochs epochs; callers may retry with a wider
-    hidden layer or a larger epoch budget.
+    Trains with cfg's optimizer, lr, batch_size and epochs, and stops at the
+    first epoch whose training accuracy reaches threshold (1.0 by default,
+    i.e. interpolation). Raises FitFailureError if the threshold is still
+    unmet after cfg.epochs epochs; callers may retry with a wider hidden
+    layer or a larger epoch budget.
     """
     if data.n == 0:
         raise ValueError("cannot fit a teacher on an empty dataset")
-    threshold = getattr(cfg, "teacher_accuracy_threshold", 1.0)
     model = init_model(
         data.input_dim,
         spec.teacher_hidden_width,
@@ -175,9 +174,11 @@ def sample_task_data(teacher: SharedModel, n: int, d: int, rng: Rng, task_id: st
 
 
 def fit_family_teachers(
-    flip_grid, base_n: int, d: int, k: int, width: int, teacher_seed: int, rng: Rng, cfg
+    flip_grid, base_n: int, d: int, k: int, width: int, teacher_seed: int, rng: Rng, cfg,
+    threshold: float = 1.0,
 ) -> dict[float, SharedModel]:
-    """One interpolating teacher per flip rate in flip_grid, plus q = 0.
+    """One teacher per flip rate in flip_grid, plus q = 0, each fit by
+    fit_teacher(cfg, threshold).
 
     Every teacher is fit on a flip of one base dataset drawn from
     rng.spawn("base"). The teacher for q is seeded from
@@ -190,7 +191,9 @@ def fit_family_teachers(
     for q in sorted(set(flip_grid) | {0.0}):
         seed = hash64(teacher_seed, round(q * 10000))
         flipped = flip_labels(base, q, Rng(seed).spawn("flip"))
-        teachers[q] = fit_teacher(flipped, TaskSpec(q, base_n, d, k, width, seed), cfg)
+        teachers[q] = fit_teacher(
+            flipped, TaskSpec(q, base_n, d, k, width, seed), cfg, threshold=threshold
+        )
     return teachers
 
 

@@ -65,7 +65,7 @@ from .model import (
     train_step,
 )
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
-from .taskgen import TARGET_TASK_ID, Dataset, round_half_up
+from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, round_half_up
 from .weighting import (
     SimplexWeights,
     cosine_example_gradients,
@@ -109,7 +109,6 @@ class TrainConfig:
     hidden: int = 256
     seed: int = 0
     sample_split: float | None = None  # B1 fraction; pretrain only
-    teacher_accuracy_threshold: float = 1.0
     metrics_every: int = 1  # 0 -> record only the final epoch of each phase
 
     def validate(self) -> None:
@@ -154,6 +153,38 @@ class TrainConfig:
 
     def resolved_finetune_epochs(self) -> int:
         return self.epochs if self.finetune_epochs is None else self.finetune_epochs
+
+
+@dataclass
+class FamilyConfig:
+    """The synthetic task family that `generate` caches and `distance` redraws."""
+
+    base_n: int = 200
+    input_dim: int = 20
+    n_classes: int = 10
+    teacher_hidden: int = 256
+    teacher_epochs: int = 400
+    # At desk scale a 200-example base gives 2 minibatches per epoch, so the
+    # teacher lr runs hotter than the students'; interpolation then lands
+    # near epoch 85 instead of needing thousands.
+    teacher_lr: float = 3e-3
+    teacher_batch: int = 100
+    teacher_accuracy_threshold: float = 1.0
+    flip_grid: list = field(default_factory=lambda: [0.0])
+    source_n: int = 2000
+    target_sizes: list = field(default_factory=lambda: [100])
+    eval_n: int = 1000
+
+    def fit_teachers(self, teacher_seed: int, rng: Rng) -> dict:
+        """One teacher per flip rate (and q = 0), all fit with this family's recipe."""
+        recipe = TrainConfig(
+            optimizer="adam", lr=self.teacher_lr, batch_size=self.teacher_batch,
+            epochs=self.teacher_epochs,
+        )
+        return fit_family_teachers(
+            self.flip_grid, self.base_n, self.input_dim, self.n_classes, self.teacher_hidden,
+            teacher_seed, rng, recipe, threshold=self.teacher_accuracy_threshold,
+        )
 
 
 @dataclass

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tawt_lab.harness import cmd_run, parse_config
+from tawt_lab.harness import cmd_distance, cmd_run, parse_config
 from tawt_lab.model import OptimizerState, init_model, task_loss
 from tawt_lab.numerics import Rng, hash64
 from tawt_lab.taskgen import Dataset
@@ -277,18 +277,17 @@ def test_criterion_6_weight_identification(weight_identification):
 
 
 @pytest.mark.slow
-def test_criterion_7_task_distance():
-    from tawt_lab.distance import DistanceConfig, distance_curve
-
+def test_criterion_7_task_distance(tmp_path):
     started = time.perf_counter()
-    cfg = DistanceConfig(master_seed=404, seeds=(0, 1, 2, 3, 4))
-    grid = [0.0, 0.2, 0.5, 1.0]
-    estimates = distance_curve(grid, "uniform", cfg)
+    cfg = parse_config(json.loads((CONFIGS / "distance_curve.json").read_text()))
+    path = cmd_distance(cfg, tmp_path)
     by_q = {}
-    for est in estimates:
-        by_q.setdefault(est.flip_rate, []).append(est.distance)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_q.setdefault(float(row["flip_rate"]), []).append(float(row["distance"]))
+    grid = cfg.family.flip_grid
     means = [float(np.mean(by_q[q])) for q in grid]
-    self_bound = 0.1 * math.log(cfg.n_classes)
+    self_bound = 0.1 * math.log(cfg.family.n_classes)
     check_self = abs(means[0]) < self_bound
     inversions = sum(1 for i in range(3) if means[i] > means[i + 1])
     finish(

@@ -11,7 +11,7 @@ from tawt_lab.distance import (
     estimate_weighted_source_target_risk,
     write_distance_csv,
 )
-from tawt_lab.training import TrainConfig
+from tawt_lab.training import FamilyConfig, TrainConfig
 from tawt_lab.weighting import SimplexWeights
 
 
@@ -24,15 +24,16 @@ def small_cfg(**kw):
     return TrainConfig(**defaults)
 
 
-def small_curve_cfg(**kw):
-    defaults = dict(
-        input_dim=10, n_classes=4, hidden=64, base_n=80, teacher_hidden=128,
-        teacher_epochs=400, source_n=1200, head_fit_n=400, eval_n=400,
-        oracle_n=1200, rep_epochs=25, head_fit_epochs=40, oracle_epochs=25,
-        lr=1e-3, batch_size=50, seeds=(0,), master_seed=21,
+def small_curve(flip_grid, seeds=(0,)):
+    fam = FamilyConfig(
+        base_n=80, input_dim=10, n_classes=4, teacher_hidden=128, teacher_batch=50,
+        flip_grid=list(flip_grid), source_n=1200, eval_n=400,
     )
-    defaults.update(kw)
-    return DistanceConfig(**defaults)
+    cfg = DistanceConfig(
+        head_fit_n=400, oracle_n=1200, rep_epochs=25, head_fit_epochs=40, oracle_epochs=25,
+        batch_size=50, hidden=64,
+    )
+    return distance_curve(fam, cfg, seeds, master_seed=21)
 
 
 class TestRiskEstimators:
@@ -126,7 +127,7 @@ class TestRiskEstimators:
 
 class TestDistanceCurve:
     def test_single_point_grid(self):
-        ests = distance_curve([0.0], "uniform", small_curve_cfg())
+        ests = small_curve([0.0])
         assert len(ests) == 1
         est = ests[0]
         assert est.flip_rate == 0.0
@@ -136,22 +137,22 @@ class TestDistanceCurve:
         assert est.negative == (est.distance < 0)
 
     def test_replicates_per_seed_and_grid_point(self):
-        ests = distance_curve([0.0, 1.0], "uniform", small_curve_cfg(seeds=(0, 1)))
+        ests = small_curve([0.0, 1.0], seeds=(0, 1))
         assert len(ests) == 4
         assert {(e.flip_rate, e.seed) for e in ests} == {
             (0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)
         }
 
     def test_oracle_shared_within_seed(self):
-        ests = distance_curve([0.0, 1.0], "uniform", small_curve_cfg())
+        ests = small_curve([0.0, 1.0])
         assert ests[0].oracle_target_risk == ests[1].oracle_target_risk
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            distance_curve([0.0, 1.5], "uniform", small_curve_cfg())
+            small_curve([0.0, 1.5])
 
     def test_csv_schema(self, tmp_path):
-        ests = distance_curve([0.0], "uniform", small_curve_cfg())
+        ests = small_curve([0.0])
         path = tmp_path / "distance.csv"
         write_distance_csv(ests, path)
         lines = path.read_text().splitlines()

@@ -105,9 +105,9 @@ def golden_config(out_dir) -> dict:
 
 def distance_config(out_dir) -> dict:
     raw = tiny_config(out_dir, seeds=[0])
+    raw["family"].update(flip_grid=[0.0, 0.5, 1.0], source_n=300, eval_n=150, teacher_batch=100)
     raw["distance"] = {
-        "flip_grid": [0.0, 0.5, 1.0], "source_n": 300, "head_fit_n": 150,
-        "eval_n": 150, "oracle_n": 300, "rep_epochs": 10,
+        "head_fit_n": 150, "oracle_n": 300, "rep_epochs": 10,
         "head_fit_epochs": 15, "oracle_epochs": 10,
     }
     return raw

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from tawt_lab import harness
+from tawt_lab import harness, taskgen
 from tawt_lab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
     ConfigError,
+    cmd_distance,
     cmd_generate,
     cmd_report,
     cmd_run,
@@ -108,6 +109,22 @@ class TestConfigParsing:
         raw["arms"][1]["name"] = "single"
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "block, named",
+        [("x", "distance"), ([1], "distance"), ({"rep_epoch": 3}, "rep_epoch"),
+         ({"source_n": 300}, "source_n"), ({"seeds": [0]}, "seeds"),
+         ({"optimizer": "rmsprop"}, "optimizer"), ({"weights_mode": "random"}, "random")],
+    )
+    def test_bad_distance_block_fails_at_parse(self, tmp_path, capsys, block, named):
+        raw = tiny_config(tmp_path / "out")
+        raw["distance"] = block
+        with pytest.raises(ConfigError, match=named):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_cli_reports_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -378,9 +395,10 @@ class TestReport:
 class TestDistanceCommand:
     def test_distance_csv_written(self, tmp_path):
         raw = tiny_config(tmp_path / "out", seeds=[0])
+        raw["family"].update(flip_grid=[0.0], source_n=300, eval_n=150)
+        raw["arms"] = raw["arms"][:1]
         raw["distance"] = {
-            "flip_grid": [0.0], "source_n": 300, "head_fit_n": 150,
-            "eval_n": 150, "oracle_n": 300, "rep_epochs": 10,
+            "head_fit_n": 150, "oracle_n": 300, "rep_epochs": 10,
             "head_fit_epochs": 15, "oracle_epochs": 10,
         }
         path = write_config(tmp_path, raw)
@@ -388,6 +406,41 @@ class TestDistanceCommand:
         lines = (tmp_path / "out" / "distance.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("flip_rate,seed,")
+
+    def test_teachers_use_the_family_recipe(self, tmp_path, monkeypatch):
+        """generate and distance fit their teachers with the family's batch
+        size and accuracy threshold, not the distance estimator's."""
+        raw = tiny_config(tmp_path / "out", seeds=[0])
+        raw["family"]["teacher_accuracy_threshold"] = 0.9
+        raw["distance"] = {"batch_size": 50}
+        cfg = parse_config(raw)
+
+        class FirstFit(Exception):
+            pass
+
+        def spy(data, spec, cfg, **kw):
+            threshold = kw.get("threshold", getattr(cfg, "teacher_accuracy_threshold", 1.0))
+            raise FirstFit((cfg.optimizer, cfg.lr, cfg.batch_size, cfg.epochs, threshold))
+
+        monkeypatch.setattr(taskgen, "fit_teacher", spy)
+        recipes = []
+        for command in (cmd_generate, cmd_distance):
+            with pytest.raises(FirstFit) as caught:
+                command(cfg, tmp_path / "out")
+            recipes.append(caught.value.args[0])
+        assert recipes == [("adam", 3e-3, 30, 400, 0.9)] * 2
+
+
+def test_shipped_configs_parse():
+    """Every reference and benchmark config passes parse_config, distance
+    block included (perfbench/ is read, not changed)."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("scripts/configs/**/*.json")) + sorted(
+        root.glob("perfbench/configs/**/*.json")
+    )
+    assert len(paths) >= 7
+    for path in paths:
+        load_config(path)
 
 
 def test_cli_help_documents_columns(capsys):

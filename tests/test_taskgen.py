@@ -159,6 +159,14 @@ class TestFitTeacher:
         teacher = fit_teacher(data, spec, cfg)
         assert teacher_accuracy(teacher, data) == 1.0
 
+    def test_threshold_below_one_stops_before_interpolation(self):
+        spec = TaskSpec(1.0, 200, 20, 10, 256, seed=17)
+        base = generate_base_dataset(200, 20, 10, Rng(18))
+        data = flip_labels(base, 1.0, Rng(19))
+        cfg = TrainConfig(epochs=150, batch_size=100, lr=3e-3)
+        teacher = fit_teacher(data, spec, cfg, threshold=0.5)
+        assert 0.5 <= teacher_accuracy(teacher, data) < 1.0
+
     def test_fit_failure_raises(self):
         spec = TaskSpec(1.0, 60, 4, 10, 2, seed=20)  # width 2 cannot memorize
         base = generate_base_dataset(60, 4, 10, Rng(21))
