@@ -6,10 +6,12 @@ and report emission, behind a four-subcommand CLI.
     tawt-lab distance --config cfg.json    task-distance curve -> distance.csv
     tawt-lab report   --config cfg.json    aggregate results -> figure-ready CSVs
 
-Configs are versioned JSON (see `example_config`). Exit codes: 0 success,
-1 config error (a teacher that misses its accuracy threshold included),
-2 all jobs failed, 3 IO/integrity error. The --jobs flag
-(or the TAWT_LAB_JOBS environment variable) sets how many jobs may run
+Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
+codes: 0 success, 1 config error (a contradictory arm, or a teacher that
+misses its accuracy threshold, included), 2 all jobs failed, 3 IO/integrity
+error. `run` builds one Job per (arm, seed, target size), its TrainConfig
+merged once, and hands it to a worker as is. The --jobs flag (or the
+TAWT_LAB_JOBS environment variable) sets how many jobs may run
 concurrently; results are identical either way because every job derives
 its own seed stream from the master seed.
 """
@@ -26,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +162,11 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         if cfg.paradigm != "single" and not arm.source_flips:
             raise ConfigError(
                 f"{where}.arms[{i}]: paradigm {cfg.paradigm!r} needs source_flips"
+            )
+        if cfg.weighted and cfg.weight_granularity == "sample" and len(arm.source_flips) != 1:
+            raise ConfigError(
+                f"{where}.arms[{i}].source_flips: sample-granularity weighting needs "
+                f"exactly one source, got {len(arm.source_flips)}"
             )
         arms.append(arm)
     distance, weights_mode = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
@@ -361,97 +369,100 @@ def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
     return hash64(master_seed, "job", seed, target_size)
 
 
-def _job_dir(payload: dict) -> Path:
-    """runs/<arm>/seed<k>/n<size>: where a job writes and where resume looks."""
-    return (
-        Path(payload["out_dir"]) / "runs" / payload["arm"]["name"]
-        / f"seed{payload['seed']}" / f"n{payload['target_size']}"
-    )
+@dataclass(frozen=True)
+class Job:
+    """One (arm, seed, target_size) run, built once by cmd_run and handed to a
+    worker as is. train is the arm's merged TrainConfig at the job seed."""
+
+    out_dir: Path
+    arm: ArmConfig
+    seed: int
+    target_size: int
+    train: TrainConfig
+    manifest_key: str
+    save_checkpoints: bool
+
+    @property
+    def dir(self) -> Path:
+        """runs/<arm>/seed<k>/n<size>: where the job writes and where resume looks."""
+        return self.out_dir / "runs" / self.arm.name / f"seed{self.seed}" / f"n{self.target_size}"
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 of everything that decides the job's row: the merged
+        TrainConfig, the arm's source flips, the job seed, the target size and
+        the family."""
+        blob = json.dumps(
+            {
+                "train": asdict(self.train),
+                "source_flips": self.arm.source_flips,
+                "job_seed": self.train.seed,
+                "target_size": self.target_size,
+                "manifest_key": self.manifest_key,
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def row(self, **cols) -> dict:
+        """The job's summary row, cols filled in; cmd_run adds the timestamp."""
+        row = dict.fromkeys(SUMMARY_COLUMNS[:-1], "")
+        flips = "+".join(f"{q:g}" for q in self.arm.source_flips)
+        row.update(arm=self.arm.name, seed=str(self.seed), target_size=str(self.target_size))
+        row.update(flip_rate=flips, **cols)
+        return row
 
 
-def _job_key(payload: dict) -> str:
-    """SHA-256 of everything that decides a job's row: the merged TrainConfig,
-    the arm's source flips, the job seed, the target size and the family."""
-    arm = ArmConfig(**payload["arm"])
-    job_seed = _job_seed(payload["master_seed"], payload["seed"], payload["target_size"])
-    blob = json.dumps(
-        {
-            "train": asdict(_arm_train_config(payload["train"], arm, job_seed)),
-            "source_flips": arm.source_flips,
-            "job_seed": job_seed,
-            "target_size": payload["target_size"],
-            "manifest_key": payload["manifest_key"],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _failure(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _error_row(payload: dict, exc: BaseException) -> dict:
-    return {
-        "arm": payload["arm"]["name"],
-        "seed": str(payload["seed"]),
-        "target_size": str(payload["target_size"]),
-        "ratio": "",
-        "flip_rate": "+".join(f"{q:g}" for q in payload["arm"]["source_flips"]),
-        "final_target_acc": "",
-        "final_target_loss": "",
-        "error": f"{type(exc).__name__}: {exc}",
-    }
-
-
-def _execute_job_safe(payload: dict) -> dict:
+def _execute_job_safe(job: Job) -> dict:
     """_execute_job, with failures folded into an error-tagged summary row."""
     try:
-        return _execute_job(payload)
+        return _execute_job(job)
     except Exception as exc:  # error rows keep the sweep going
-        return _error_row(payload, exc)
+        return job.row(error=_failure(exc))
 
 
-def _run_in_pool(payloads: list[dict], jobs: int) -> list[dict]:
-    """_execute_job_safe over payloads in worker processes, one row each.
+def _run_in_pool(todo: list[Job], jobs: int) -> list[dict]:
+    """_execute_job_safe over todo in worker processes, one row each.
 
     A worker that dies (killed, crashed interpreter) breaks the whole pool
     and fails every job still in it. Those jobs are rerun one at a time,
     each in a fresh single-worker pool, so only a job that kills its own
     worker again is lost, as an error row.
     """
-    rows: list = [None] * len(payloads)
+    rows: list = [None] * len(todo)
     broken = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_execute_job_safe, payload) for payload in payloads]
+        futures = [pool.submit(_execute_job_safe, job) for job in todo]
         for i, future in enumerate(futures):
             try:
                 rows[i] = future.result()
             except BrokenProcessPool:
                 broken.append(i)
-            except Exception as exc:  # the payload or row failed to cross processes
-                rows[i] = _error_row(payloads[i], exc)
+            except Exception as exc:  # the job or row failed to cross processes
+                rows[i] = todo[i].row(error=_failure(exc))
     for i in broken:
         with ProcessPoolExecutor(max_workers=1) as pool:
             try:
-                rows[i] = pool.submit(_execute_job_safe, payloads[i]).result()
+                rows[i] = pool.submit(_execute_job_safe, todo[i]).result()
             except Exception as exc:
-                rows[i] = _error_row(payloads[i], exc)
+                rows[i] = todo[i].row(error=_failure(exc))
     return rows
 
 
-def _execute_job(payload: dict) -> dict:
-    """Run one (arm, seed, target_size) job from cached datasets."""
-    out_dir = Path(payload["out_dir"])
-    arm = ArmConfig(**payload["arm"])
-    seed = payload["seed"]
-    target_size = payload["target_size"]
-    cfg = _arm_train_config(
-        payload["train"], arm, _job_seed(payload["master_seed"], seed, target_size)
-    )
-    seed_dir = _seed_dir(out_dir, seed)
-    train_path = seed_dir / _dataset_file("target_train")
-    target = load_dataset(train_path, TARGET_TASK_ID).take(target_size)
+def _execute_job(job: Job) -> dict:
+    """Run one job from cached datasets; writes its files and returns its row."""
+    cfg = job.train
+    seed_dir = _seed_dir(job.out_dir, job.seed)
+    target = load_dataset(seed_dir / _dataset_file("target_train"), TARGET_TASK_ID)
+    target = target.take(job.target_size)
     eval_data = load_dataset(seed_dir / _dataset_file("target_eval"), TARGET_TASK_ID)
     sources = [
         load_dataset(seed_dir / _dataset_file(_source_name(q)), _source_name(q))
-        for q in arm.source_flips
+        for q in job.arm.source_flips
     ]
 
     if cfg.paradigm == "single":
@@ -466,29 +477,29 @@ def _execute_job(payload: dict) -> dict:
         model, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
 
     final = evaluate(model, TARGET_TASK_ID, eval_data)
-    job_dir = _job_dir(payload)
-    job_dir.mkdir(parents=True, exist_ok=True)
-    if payload.get("save_checkpoints"):
-        save_model(model, job_dir / "model.bin")
-        record.checkpoint_path = str(job_dir / "model.bin")
-    atomic_write_text(job_dir / "record.json", record.to_json())
-    record.write_metrics_csv(job_dir / "metrics.csv")
-    record.write_weights_csv(job_dir / "weights.csv")
-    row = {
-        "arm": arm.name,
-        "seed": str(seed),
-        "target_size": str(target_size),
-        "ratio": float_repr17(payload["source_n"] / target_size) if sources else "0",
-        "flip_rate": "+".join(f"{q:g}" for q in arm.source_flips),
-        "final_target_acc": float_repr17(final.accuracy),
-        "final_target_loss": float_repr17(final.mean_loss),
-        "error": "",
-    }
-    atomic_write_text(
-        job_dir / "row.json",
-        json.dumps({"job_key": payload["job_key"], "row": row}, indent=2),
+    job.dir.mkdir(parents=True, exist_ok=True)
+    if job.save_checkpoints:
+        save_model(model, job.dir / "model.bin")
+        record.checkpoint_path = str(job.dir / "model.bin")
+    atomic_write_text(job.dir / "record.json", record.to_json())
+    record.write_metrics_csv(job.dir / "metrics.csv")
+    record.write_weights_csv(job.dir / "weights.csv")
+    row = job.row(
+        ratio=float_repr17(sources[0].n / job.target_size) if sources else "0",
+        final_target_acc=float_repr17(final.accuracy),
+        final_target_loss=float_repr17(final.mean_loss),
     )
+    atomic_write_text(job.dir / "row.json", json.dumps({"job_key": job.key, "row": row}, indent=2))
     return row
+
+
+def _stored_row(job: Job) -> dict | None:
+    """The row a finished run of this exact job left behind, if any."""
+    try:
+        stored = json.loads((job.dir / "row.json").read_text())
+        return dict(stored["row"]) if stored["job_key"] == job.key else None
+    except (OSError, ValueError, KeyError, TypeError):  # absent, unreadable or malformed
+        return None
 
 
 def cmd_run(
@@ -500,56 +511,33 @@ def cmd_run(
     """Execute every (arm x seed x target_size) job and write summary.csv.
 
     A completed job is reused on rerun only if its stored job key (see
-    _job_key) still matches, so editing an arm or the train block reruns
+    Job.key) still matches, so editing an arm or the train block reruns
     it. A failing job contributes an error-tagged row; the command only
     counts as failed when every job fails.
     """
     manifest = _verify_family(cfg, out_dir)
-    manifest_key = manifest["config_key"]
     arms = [a for a in cfg.arms if arm_filter is None or a.name == arm_filter]
     if not arms:
         raise ConfigError(f"--arm {arm_filter!r} matches no configured arm")
-    payloads = []
-    for arm in arms:
-        for seed in cfg.seeds:
-            for target_size in cfg.family.target_sizes:
-                payloads.append(
-                    {
-                        "out_dir": str(out_dir),
-                        "arm": asdict(arm),
-                        "seed": seed,
-                        "target_size": target_size,
-                        "train": cfg.train,
-                        "master_seed": cfg.master_seed,
-                        "source_n": cfg.family.source_n,
-                        "manifest_key": manifest_key,
-                        "save_checkpoints": cfg.save_checkpoints,
-                    }
-                )
-                payloads[-1]["job_key"] = _job_key(payloads[-1])
+    todo = [
+        Job(
+            out_dir, arm, seed, target_size,
+            _arm_train_config(cfg.train, arm, _job_seed(cfg.master_seed, seed, target_size)),
+            manifest["config_key"], cfg.save_checkpoints,
+        )
+        for arm in arms
+        for seed in cfg.seeds
+        for target_size in cfg.family.target_sizes
+    ]
 
-    rows: list[dict | None] = [None] * len(payloads)
-    pending = []
-    n_skipped = 0
-    for i, payload in enumerate(payloads):
-        row_path = _job_dir(payload) / "row.json"
-        if row_path.exists():
-            try:
-                stored = json.loads(row_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                stored = None
-            if stored and stored.get("job_key") == payload["job_key"]:
-                rows[i] = dict(stored["row"])
-                n_skipped += 1
-                continue
-        pending.append(i)
-
+    rows = [_stored_row(job) for job in todo]
+    pending = [i for i, row in enumerate(rows) if row is None]
     if jobs > 1 and len(pending) > 1:
-        for i, row in zip(pending, _run_in_pool([payloads[i] for i in pending], jobs)):
+        for i, row in zip(pending, _run_in_pool([todo[i] for i in pending], jobs)):
             rows[i] = row
     else:
         for i in pending:
-            rows[i] = _execute_job_safe(payloads[i])
+            rows[i] = _execute_job_safe(todo[i])
 
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -564,7 +552,7 @@ def cmd_run(
         "summary": out_dir / "summary.csv",
         "n_jobs": len(rows),
         "n_failed": n_failed,
-        "n_skipped": n_skipped,
+        "n_skipped": len(rows) - len(pending),
     }
 
 
@@ -651,41 +639,6 @@ def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
     return {"curves": curves_path, "trajectories": trajectory_paths}
 
 
-def example_config() -> dict:
-    """A small, complete config; the documented reference for the schema."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": 0,
-        "seeds": [0, 1],
-        "out_dir": "results/demo",
-        "family": {
-            "base_n": 120,
-            "input_dim": 10,
-            "n_classes": 5,
-            "teacher_hidden": 128,
-            "teacher_epochs": 400,
-            "flip_grid": [0.0, 1.0],
-            "source_n": 800,
-            "target_sizes": [50],
-            "eval_n": 500,
-        },
-        "train": {"hidden": 64, "epochs": 10, "batch_size": 50},
-        "arms": [
-            {"name": "single", "overrides": {"paradigm": "single"}},
-            {
-                "name": "transfer-q0",
-                "source_flips": [0.0],
-                "overrides": {"paradigm": "pretrain", "finetune_epochs": 10},
-            },
-            {
-                "name": "adaptive-joint",
-                "source_flips": [0.0, 1.0],
-                "overrides": {"paradigm": "joint", "weighted": True},
-            },
-        ],
-    }
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tawt-lab",
@@ -708,8 +661,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "run":
             p.add_argument("--jobs", type=int, default=None,
                            help="max concurrent jobs (default: $TAWT_LAB_JOBS or 1)")
-            p.add_argument("--seed-override", type=int, default=None,
-                           help="replace the config's master seed")
             p.add_argument("--arm", default=None, help="run only the named arm")
         if name == "report":
             p.add_argument("--arm", default=None, help="report only the named arm")
@@ -740,8 +691,6 @@ def main(argv=None) -> int:
             print(f"family under {out_dir} ({state})")
             return EXIT_OK
         if args.command == "run":
-            if args.seed_override is not None:
-                cfg.master_seed = args.seed_override
             jobs = args.jobs
             if jobs is None:
                 jobs = int(os.environ.get("TAWT_LAB_JOBS", "1"))

@@ -56,13 +56,6 @@ def _pack(*arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def _copy_into(flat: np.ndarray, values, what: str) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size != flat.size:
-        raise DimensionError(f"expected {flat.size} {what} values, got {values.size}")
-    flat[:] = values.ravel()
-
-
 class Head:
     """One task's last layer: W2 (k, hidden) and b2 (k,) are views into params."""
 
@@ -120,18 +113,6 @@ class SharedModel:
 
     def rep_param_count(self) -> int:
         return self._rep.size
-
-    def rep_flat(self) -> np.ndarray:
-        return self._rep.copy()
-
-    def set_rep_flat(self, flat: np.ndarray) -> None:
-        _copy_into(self._rep, flat, "representation")
-
-    def head_flat(self, task_id: str) -> np.ndarray:
-        return self.head(task_id).params.copy()
-
-    def set_head_flat(self, task_id: str, flat: np.ndarray) -> None:
-        _copy_into(self.head(task_id).params, flat, "head")
 
 
 def _glorot(rng: Rng, fan_out: int, fan_in: int) -> np.ndarray:

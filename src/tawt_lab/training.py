@@ -96,14 +96,11 @@ class TrainConfig:
     # Epochs between mirror-descent steps; one such period is one outer
     # round. None resolves to 1 for task weights and 5 for sample weights.
     weight_update_period: int | None = None
-    weight_init: str | None = None  # None -> paradigm default
     weight_floor: float = 0.0
-    loss_scale_mode: str = "weight"  # 'weight' | 'weight_times_T'
     optimizer: str = "adam"
     lr: float = 3e-4
     epochs: int = 30
     finetune_epochs: int | None = None  # pretrain phase 2; None -> epochs
-    finetune_lr: float | None = None  # None -> lr
     finetune_rep: str = "full"  # 'full' | 'frozen'
     batch_size: int = 100
     hidden: int = 256
@@ -118,14 +115,14 @@ class TrainConfig:
             raise ValueError(f"weight_granularity must be one of {GRANULARITIES}")
         if self.gradient_estimator not in ESTIMATORS:
             raise ValueError(f"gradient_estimator must be one of {ESTIMATORS}")
-        if self.loss_scale_mode not in ("weight", "weight_times_T"):
-            raise ValueError(f"unknown loss_scale_mode {self.loss_scale_mode!r}")
         if self.finetune_rep not in ("full", "frozen"):
             raise ValueError("finetune_rep must be 'full' or 'frozen'")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.weight_init not in (None, "proportional", "uniform"):
-            raise ValueError(f"unknown weight_init {self.weight_init!r}")
+        if self.weighted and self.paradigm == "single":
+            raise ValueError("adaptive weighting needs a multi-task paradigm, got 'single'")
+        if self.weighted and self.weight_granularity == "sample" and self.paradigm != "pretrain":
+            raise ValueError("sample-granularity weighting supports the pretrain paradigm only")
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.eta < 0:
@@ -139,8 +136,6 @@ class TrainConfig:
             raise ValueError("weight_update_period must be >= 1")
         if self.finetune_epochs is not None and self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be >= 0")
-        if self.finetune_lr is not None and self.finetune_lr <= 0:
-            raise ValueError("finetune_lr must be positive")
         if self.sample_split is not None and not 0.0 < self.sample_split < 1.0:
             raise ValueError("sample_split fraction must lie strictly inside (0, 1)")
         if self.metrics_every < 0:
@@ -208,35 +203,8 @@ class RunRecord:
     def add_weight_snapshot(self, step: int, w: SimplexWeights) -> None:
         self.weight_steps.append({"step": step, "weights": [float(x) for x in w.values]})
 
-    def final_weights(self) -> list[float]:
-        return self.weight_steps[-1]["weights"]
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "weight_task_ids": self.weight_task_ids,
-                "epoch_metrics": self.epoch_metrics,
-                "weight_steps": self.weight_steps,
-                "wall_clock": self.wall_clock,
-                "checkpoint_path": self.checkpoint_path,
-                "notes": self.notes,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        raw = json.loads(text)
-        return cls(
-            config=raw["config"],
-            weight_task_ids=raw["weight_task_ids"],
-            epoch_metrics=raw["epoch_metrics"],
-            weight_steps=raw["weight_steps"],
-            wall_clock=raw["wall_clock"],
-            checkpoint_path=raw.get("checkpoint_path"),
-            notes=raw.get("notes", []),
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def write_metrics_csv(self, path) -> None:
         lines = ["epoch,task,loss,target_acc"]
@@ -297,18 +265,14 @@ def split_target(target: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, D
 
 
 def default_initial_weights(cfg: TrainConfig, sources, target: Dataset | None) -> SimplexWeights:
-    """Paradigm-default starting weights (overridable via cfg.weight_init)."""
+    """Paradigm-default starting weights: proportional to sample size, except
+    uniform for normalized_joint."""
     if cfg.paradigm == "pretrain":
-        sizes = [s.n for s in sources]
-        mode = cfg.weight_init or "proportional"
-    elif cfg.paradigm in ("joint", "normalized_joint"):
-        sizes = [target.n] + [s.n for s in sources]
-        mode = cfg.weight_init or (
-            "uniform" if cfg.paradigm == "normalized_joint" else "proportional"
-        )
-    else:
-        raise ValueError(f"no weight initialization for paradigm {cfg.paradigm!r}")
-    return init_weights(mode, sizes)
+        return init_weights("proportional", [s.n for s in sources])
+    if cfg.paradigm in ("joint", "normalized_joint"):
+        mode = "uniform" if cfg.paradigm == "normalized_joint" else "proportional"
+        return init_weights(mode, [target.n] + [s.n for s in sources])
+    raise ValueError(f"no weight initialization for paradigm {cfg.paradigm!r}")
 
 
 class _Streams:
@@ -338,7 +302,6 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
     # Per-row weights (sample granularity) cover the rows of a single entry;
     # a one-row entry gets the coefficient 1 under either reading.
     per_row = len(w) != len(entries)
-    scale_mult = float(len(w)) if cfg.loss_scale_mode == "weight_times_T" else 1.0
     steps = []
     for pos, (task_id, data) in enumerate(entries):
         if data.n == 0 or (not per_row and w[pos] == 0.0):
@@ -349,7 +312,7 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
             if per_row:
                 scale = {"row_weights": w.values[idx] * (data.n / idx.size)}
             else:
-                scale = {"loss_scale": w[pos] * scale_mult}
+                scale = {"loss_scale": w[pos]}
             steps.append((task_id, data, idx, scale))
     if not steps:
         return
@@ -542,7 +505,7 @@ def _train_weighted_phase(
 def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
     """Pretrain phase 2: fit the target on its own data, full or frozen rep."""
     epochs = cfg.resolved_finetune_epochs()
-    opt = OptimizerState(kind=cfg.optimizer, lr=cfg.finetune_lr or cfg.lr)
+    opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
     entries = [(TARGET_TASK_ID, data)]
     w_one = SimplexWeights(np.ones(1))
     # A frozen representation gives the same hidden matrix every epoch.
@@ -708,15 +671,11 @@ def tawt(
     partitioned once: part one drives the head-fit and estimation steps,
     part two the final fine-tune.
     """
-    if cfg.paradigm not in ("pretrain", "joint", "normalized_joint"):
-        raise ValueError(f"adaptive weighting needs a multi-task paradigm, got {cfg.paradigm!r}")
     if not cfg.weighted:
         raise ValueError("cfg.weighted must be set for adaptive weighting")
     if not sources:
         raise ValueError("adaptive weighting needs at least one source task")
     if cfg.weight_granularity == "sample":
-        if cfg.paradigm != "pretrain":
-            raise ValueError("sample-granularity weighting supports the pretrain paradigm only")
         if len(sources) != 1:
             raise ValueError("sample-granularity weighting expects exactly one source task")
         if sources[0].n == 0:

@@ -72,12 +72,6 @@ class SimplexWeights:
     def __getitem__(self, i: int) -> float:
         return float(self.values[i])
 
-    @classmethod
-    def from_values(cls, values) -> "SimplexWeights":
-        v = np.asarray(values, dtype=np.float64)
-        total = v.sum()
-        return cls(v / total if total > 0 else v)
-
 
 def init_weights(mode: str, sizes) -> SimplexWeights:
     """Starting weights: 'proportional' w_t = n_t / sum n, or 'uniform' 1/T."""

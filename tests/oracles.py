@@ -68,15 +68,15 @@ def weighted_rep_grad(model, parts) -> np.ndarray:
 def fd_rep_hessian(model, parts, step) -> np.ndarray:
     """Dense Hessian of the weighted loss by central differences of its gradient."""
     probe = model.copy()
-    phi = model.rep_flat()
+    phi = model.rep_params.copy()
     H = np.empty((phi.size, phi.size))
     for j in range(phi.size):
         orig = phi[j]
         phi[j] = orig + step
-        probe.set_rep_flat(phi)
+        probe.rep_params[:] = phi
         up = weighted_rep_grad(probe, parts)
         phi[j] = orig - step
-        probe.set_rep_flat(phi)
+        probe.rep_params[:] = phi
         down = weighted_rep_grad(probe, parts)
         phi[j] = orig
         H[:, j] = (up - down) / (2.0 * step)

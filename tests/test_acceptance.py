@@ -13,6 +13,7 @@ finish in under a minute combined. The criteria that run whole sweeps
 import csv
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -53,13 +54,18 @@ def random_dataset(n, d, k, seed, task_id="target"):
     return Dataset(rng.uniform(-0.5, 0.5, (n, d)), rng.integers(0, k, n), k, task_id)
 
 
-def run_config(name, out_dir, mutate=None):
+# Results are bitwise across job counts, so the sweep fixtures use both cores
+# where there are two; criterion 8 checks that claim at this scale.
+SWEEP_JOBS = min(2, os.cpu_count() or 1)
+
+
+def run_config(name, out_dir, mutate=None, jobs=1):
     raw = json.loads((CONFIGS / name).read_text())
     raw["out_dir"] = str(out_dir)
     if mutate:
         mutate(raw)
     cfg = parse_config(raw, where=name)
-    return cmd_run(cfg, Path(out_dir))
+    return cmd_run(cfg, Path(out_dir), jobs=jobs)
 
 
 def summary_rows(result):
@@ -93,11 +99,11 @@ def test_criterion_1_gradient_oracle():
         n_rep = model.rep_param_count()
 
         def f(vec):
-            probe.set_rep_flat(vec[:n_rep])
-            probe.set_head_flat("target", vec[n_rep:])
+            probe.rep_params[:] = vec[:n_rep]
+            probe.heads["target"].params[:] = vec[n_rep:]
             return task_loss(probe, "target", data)
 
-        flat = np.concatenate([model.rep_flat(), model.head_flat("target")])
+        flat = np.concatenate([model.rep_params, model.heads["target"].params])
         fd = finite_diff_gradient(f, flat, h=1e-5)
         rel = np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8))
         worst = max(worst, float(rel))
@@ -110,7 +116,7 @@ def test_criterion_2_mirror_descent_algebra():
     rng = Rng(2002)
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        w = SimplexWeights.from_values(rng.uniform(0.05, 1.0, n))
+        w = SimplexWeights(rng.uniform(0.05, 1.0, n))
         g = rng.uniform(-20.0, 20.0, n)
         eta = float(rng.uniform(0.0, 3.0))
         out = mirror_descent_step(w, g, eta)
@@ -214,7 +220,7 @@ def test_criterion_4_estimator_agreement():
 def flip_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("flip_sweep")
     started = time.perf_counter()
-    result = run_config("flip_sweep.json", out)
+    result = run_config("flip_sweep.json", out, jobs=SWEEP_JOBS)
     result["elapsed"] = time.perf_counter() - started
     return result
 
@@ -249,7 +255,7 @@ def test_criterion_5_flip_rate_reproduction(flip_sweep):
 def weight_identification(tmp_path_factory):
     out = tmp_path_factory.mktemp("weight_identification")
     started = time.perf_counter()
-    result = run_config("weight_identification.json", out)
+    result = run_config("weight_identification.json", out, jobs=SWEEP_JOBS)
     result["elapsed"] = time.perf_counter() - started
     result["out"] = out
     return result
@@ -300,16 +306,24 @@ def test_criterion_7_task_distance(tmp_path):
 
 @pytest.mark.slow
 def test_criterion_8_end_to_end_determinism(tmp_path_factory):
+    """A serial run and a two-worker run give the same bytes: the summary
+    (timestamp column excluded) and every joint-adaptive weight trajectory."""
     started = time.perf_counter()
-    texts = []
-    for tag in ("a", "b"):
-        out = tmp_path_factory.mktemp(f"determinism_{tag}")
-        result = run_config("weight_identification.json", out)
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path_factory.mktemp(f"determinism_jobs{jobs}")
+        result = run_config("weight_identification.json", out, jobs=jobs)
         lines = Path(result["summary"]).read_text().splitlines()
-        texts.append("\n".join(line.rsplit(",", 1)[0] for line in lines))
+        weights = sorted(out.glob("runs/joint-adaptive/seed*/n100/weights.csv"))
+        outputs.append((
+            "\n".join(line.rsplit(",", 1)[0] for line in lines),
+            {str(p.relative_to(out)): p.read_bytes() for p in weights},
+        ))
+    (summary_1, weights_1), (summary_2, weights_2) = outputs
     finish(
-        8, started, texts[0] == texts[1],
-        "two fresh runs give byte-identical summaries (timestamp column excluded)",
+        8, started, summary_1 == summary_2 and len(weights_1) == 5 and weights_1 == weights_2,
+        f"jobs=1 and jobs=2 give byte-identical summaries (timestamp column excluded) "
+        f"and {len(weights_1)} byte-identical joint-adaptive weights.csv files",
     )
 
 

@@ -17,7 +17,6 @@ from tawt_lab.harness import (
     cmd_generate,
     cmd_report,
     cmd_run,
-    example_config,
     load_config,
     main,
     parse_config,
@@ -67,9 +66,6 @@ def write_config(tmp_path, raw, name="cfg.json"):
 
 
 class TestConfigParsing:
-    def test_example_config_parses(self):
-        parse_config(example_config())
-
     def test_malformed_json_has_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1,,}')
@@ -124,6 +120,53 @@ class TestConfigParsing:
         path = write_config(tmp_path, raw)
         assert main(["generate", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "arm, named",
+        [
+            ({"overrides": {"paradigm": "single", "weighted": True}}, "single"),
+            ({"source_flips": [0.0], "overrides": {
+                "paradigm": "joint", "weighted": True, "weight_granularity": "sample"}},
+             "pretrain paradigm only"),
+            ({"source_flips": [0.0, 1.0], "overrides": {
+                "paradigm": "pretrain", "weighted": True, "weight_granularity": "sample"}},
+             "exactly one source"),
+        ],
+    )
+    def test_contradictory_arm_fails_at_parse(self, tmp_path, capsys, arm, named):
+        """An arm whose settings cannot all hold is a config error before
+        anything is generated, not a sweep of silent or failed rows."""
+        raw = tiny_config(tmp_path / "out")
+        raw["arms"].append({"name": "contradictory", **arm})
+        with pytest.raises(ConfigError, match=named):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("in_arm", [False, True], ids=["train", "override"])
+    @pytest.mark.parametrize(
+        "name, value", [("weight_init", "uniform"), ("loss_scale_mode", "weight"),
+                        ("finetune_lr", 1e-3)],
+    )
+    def test_removed_training_field_fails_at_parse(self, tmp_path, capsys, name, value, in_arm):
+        """TrainConfig fields that were dropped are named as unknown, in the
+        train block or an arm override, and `run` writes nothing."""
+        raw = tiny_config(tmp_path / "out")
+        (raw["arms"][1]["overrides"] if in_arm else raw["train"])[name] = value
+        with pytest.raises(ConfigError, match=name):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_master_seed_has_no_cli_override(self, tmp_path):
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(path), "--seed-override", "3"])
         assert not (tmp_path / "out").exists()
 
     def test_cli_reports_config_error(self, tmp_path, capsys):
@@ -325,10 +368,10 @@ class TestRun:
     def test_crashed_worker_loses_only_its_own_row(self, tmp_path, monkeypatch):
         run_job = harness._execute_job
 
-        def crash_one(payload):
-            if payload["arm"]["name"] == "adaptive" and payload["seed"] == 0:
+        def crash_one(job):
+            if job.arm.name == "adaptive" and job.seed == 0:
                 os._exit(1)
-            return run_job(payload)
+            return run_job(job)
 
         monkeypatch.setattr(harness, "_execute_job", crash_one)
         raw = tiny_config(tmp_path / "out")

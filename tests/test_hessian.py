@@ -63,7 +63,7 @@ def _problem(granularity, seed=0):
         parts = [(tid, x.features, x.labels, wt / x.n) for (tid, x), wt in zip(entries, w.values)]
     else:
         entries = [("a", a)]
-        w = SimplexWeights.from_values(Rng(seed + 9).uniform(0.5, 1.5, size=a.n))
+        w = SimplexWeights(Rng(seed + 9).uniform(0.5, 1.5, size=a.n))
         parts = [("a", a.features, a.labels, w.values)]
     assert min(min_abs_preactivation(model, x.features) for _, x in entries) >= 10 * FD_STEP
     return model, entries, w, target, parts

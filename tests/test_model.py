@@ -105,13 +105,13 @@ class TestTaskLoss:
 
 
 def flat_params(model, task_id):
-    return np.concatenate([model.rep_flat(), model.head_flat(task_id)])
+    return np.concatenate([model.rep_params, model.heads[task_id].params])
 
 
 def set_flat(model, task_id, vec):
     n_rep = model.rep_param_count()
-    model.set_rep_flat(vec[:n_rep])
-    model.set_head_flat(task_id, vec[n_rep:])
+    model.rep_params[:] = vec[:n_rep]
+    model.heads[task_id].params[:] = vec[n_rep:]
 
 
 class TestBackward:
@@ -164,10 +164,10 @@ class TestBackward:
     def test_head_isolation(self):
         m = init_model(3, 4, {"target": 3, "other": 3}, seed=2)
         data = random_dataset(5, 3, 3, seed=4)
-        before = m.head_flat("other").copy()
+        before = m.heads["other"].params.copy()
         snap = backward(m, "target", data)
         assert snap.task_id == "target"
-        np.testing.assert_array_equal(m.head_flat("other"), before)
+        np.testing.assert_array_equal(m.heads["other"].params, before)
 
     def test_permutation_invariance(self):
         m = tiny_model(seed=13)
@@ -409,8 +409,8 @@ class TestFlatParameterGroups:
     def test_views_survive_every_way_of_setting_parameters(self, tmp_path):
         m = tiny_model(tasks=("target", "other"))
         _assert_flat_views(m)
-        m.set_rep_flat(np.arange(m.rep_param_count(), dtype=float))
-        m.set_head_flat("other", np.ones(m.heads["other"].params.size))
+        m.rep_params[:] = np.arange(m.rep_param_count(), dtype=float)
+        m.heads["other"].params[:] = 1.0
         _assert_flat_views(m)
         _assert_flat_views(m.copy())
         save_model(m, tmp_path / "m.bin")
@@ -422,10 +422,10 @@ class TestFlatParameterGroups:
     def test_copy_and_flat_accessors_do_not_alias(self):
         m = tiny_model()
         c = m.copy()
-        flat = m.rep_flat()
         c.W1[:] = 7.0
-        flat[:] = 9.0
-        assert not np.any(m.W1 == 7.0) and not np.any(m.rep_params == 9.0)
+        c.heads["target"].params[:] = 9.0
+        assert not np.any(m.W1 == 7.0) and not np.any(m.heads["target"].params == 9.0)
+        assert np.all(c.rep_params[: c.W1.size] == 7.0)
 
     def test_views_cannot_be_rebound(self):
         m = tiny_model()
@@ -433,8 +433,3 @@ class TestFlatParameterGroups:
             m.W1 = np.zeros_like(m.W1)
         with pytest.raises(AttributeError):
             m.heads["target"].b2 = np.zeros(3)
-
-    def test_set_rep_flat_checks_size(self):
-        m = tiny_model()
-        with pytest.raises(DimensionError):
-            m.set_rep_flat(np.zeros(m.rep_param_count() + 1))

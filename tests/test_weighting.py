@@ -29,7 +29,7 @@ gradient_lists = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=2, m
 
 class TestSimplexWeights:
     def test_normalizes_and_freezes(self):
-        w = SimplexWeights.from_values([1.0, 3.0])
+        w = SimplexWeights([1.0, 3.0])
         np.testing.assert_allclose(w.values, [0.25, 0.75])
         with pytest.raises(ValueError):
             w.values[0] = 0.5
@@ -142,7 +142,7 @@ class TestMirrorDescent:
     @given(weight_lists, gradient_lists, st.floats(0.0, 5.0))
     def test_simplex_preserved(self, raw_w, raw_g, eta):
         n = min(len(raw_w), len(raw_g))
-        w = SimplexWeights.from_values(raw_w[:n])
+        w = SimplexWeights(raw_w[:n])
         out = mirror_descent_step(w, np.asarray(raw_g[:n]), eta)
         assert np.all(out.values >= 0.0)
         assert abs(out.values.sum() - 1.0) <= 1e-9
@@ -150,7 +150,7 @@ class TestMirrorDescent:
     @given(weight_lists, gradient_lists, st.floats(-3.0, 3.0))
     def test_shift_invariance(self, raw_w, raw_g, c):
         n = min(len(raw_w), len(raw_g))
-        w = SimplexWeights.from_values(raw_w[:n])
+        w = SimplexWeights(raw_w[:n])
         g = np.asarray(raw_g[:n])
         a = mirror_descent_step(w, g, 0.7)
         b = mirror_descent_step(w, g + c, 0.7)
@@ -159,7 +159,7 @@ class TestMirrorDescent:
     @given(weight_lists)
     def test_order_response(self, raw_w):
         # smaller task gradient means the weight ratio strictly grows
-        w = SimplexWeights.from_values(raw_w[:2] if len(raw_w) >= 2 else [1, 1])
+        w = SimplexWeights(raw_w[:2] if len(raw_w) >= 2 else [1, 1])
         g = np.array([-0.5, 0.5])
         out = mirror_descent_step(w, g, eta=1.0)
         before = w.values[0] / w.values[1]
