@@ -42,7 +42,6 @@ from .training import (
     TrainConfig,
     atomic_write_text,
     default_initial_weights,
-    evaluate,
     joint_train,
     pretrain_then_finetune,
     tawt,
@@ -476,7 +475,7 @@ def _execute_job(job: Job) -> dict:
         weights = default_initial_weights(cfg, sources, target)
         model, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
 
-    final = evaluate(model, TARGET_TASK_ID, eval_data)
+    final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
     job.dir.mkdir(parents=True, exist_ok=True)
     if job.save_checkpoints:
         save_model(model, job.dir / "model.bin")
@@ -486,8 +485,8 @@ def _execute_job(job: Job) -> dict:
     record.write_weights_csv(job.dir / "weights.csv")
     row = job.row(
         ratio=float_repr17(sources[0].n / job.target_size) if sources else "0",
-        final_target_acc=float_repr17(final.accuracy),
-        final_target_loss=float_repr17(final.mean_loss),
+        final_target_acc=float_repr17(final["target_accuracy"]),
+        final_target_loss=float_repr17(final["target_loss"]),
     )
     atomic_write_text(job.dir / "row.json", json.dumps({"job_key": job.key, "row": row}, indent=2))
     return row

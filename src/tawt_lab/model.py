@@ -19,6 +19,16 @@ one of the head group. example_rep_grads gives the representation
 gradient of every example's own loss, for the sample-granularity
 estimators, and RepHessian the exact representation Hessian of a weighted
 loss as products H v, for the exact_hessian estimator.
+
+logits_batch, the forward pass behind evaluation, task losses and task
+labelling, runs in near-equal blocks of EVAL_BLOCK (1,024) to 2,047 rows
+through one reused (block, hidden) buffer, so no (n, hidden) activation is
+built. The 1,024-row floor keeps every block's products off OpenBLAS's
+small-matrix path (rows * k <= 1200 on SkylakeX), which rounds differently,
+so for k >= 2 the blocked logits are bitwise those of the one-shot product;
+for that the remainder is spread over the blocks, never left as a short
+tail. (One-class logits can differ in the last bit, but their softmax is
+exactly 1 either way.)
 """
 
 from __future__ import annotations
@@ -72,9 +82,6 @@ class Head:
     def n_classes(self) -> int:
         return self._W2.shape[0]
 
-    def copy(self) -> "Head":
-        return Head(self._W2, self._b2)
-
 
 class SharedModel:
     """Representation W1 (hidden, d), b1 (hidden,) as views into rep_params,
@@ -105,11 +112,6 @@ class SharedModel:
             raise KeyError(
                 f"unknown task_id {task_id!r}; model has {sorted(self.heads)}"
             ) from None
-
-    def copy(self) -> "SharedModel":
-        return SharedModel(
-            self._W1, self._b1, {tid: h.copy() for tid, h in self.heads.items()}
-        )
 
     def rep_param_count(self) -> int:
         return self._rep.size
@@ -147,15 +149,31 @@ def hidden_batch(model: SharedModel, X: np.ndarray, out: np.ndarray | None = Non
     return np.maximum(H, 0.0, out=H)
 
 
+# Least rows per block of logits_batch (see the module docstring).
+EVAL_BLOCK = 1024
+
+
 def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
-    """(n, k) logits for a (n, d) feature matrix."""
+    """(n, k) logits for a (n, d) feature matrix.
+
+    The rows go through in max(n // EVAL_BLOCK, 1) near-equal blocks, one
+    reused (block, hidden) activation buffer for all; below 2 * EVAL_BLOCK
+    rows that is one block, the one-shot pass itself.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionError(
             f"expected features of shape (n, {model.input_dim}), got {X.shape}"
         )
     head = model.head(task_id)
-    Z = hidden_batch(model, X) @ head.W2.T
+    n = X.shape[0]
+    blocks = max(n // EVAL_BLOCK, 1)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    H = np.empty((-(-n // blocks), model.hidden_dim))
+    Z = np.empty((n, head.n_classes))
+    for start, stop in zip(bounds, bounds[1:]):
+        Hb = hidden_batch(model, X[start:stop], out=H[: stop - start])
+        np.matmul(Hb, head.W2.T, out=Z[start:stop])
     Z += head.b2
     return Z
 

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread per process, as in perfbench: the jobs=2 fixtures run two
+# worker processes, and each must not start a BLAS thread per core as well.
+# Must precede the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 from hypothesis import HealthCheck, settings
 

@@ -1,7 +1,9 @@
 """Reference implementations the library no longer carries, kept as test oracles.
 
 finite_diff_gradient is the central-difference gradient that audits the
-hand-derived backprop; backward/GradSnapshot are the allocate-and-return
+hand-derived backprop; copy_model gives a model its own parameter buffers;
+unblocked_logits is logits_batch before its row blocks, one (n, hidden)
+activation for all rows; backward/GradSnapshot are the allocate-and-return
 full-data gradient; fd_rep_hessian assembles the representation Hessian of
 a weighted loss by central differences of that gradient, one column per
 parameter. The FD Hessian is only right where no pre-activation lies
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tawt_lab.model import EmptyBatchError, RepHessian, backward_arrays
+from tawt_lab.model import (
+    EmptyBatchError, Head, RepHessian, SharedModel, backward_arrays, hidden_batch,
+)
 from tawt_lab.numerics import NumericError
 
 
@@ -34,6 +38,20 @@ def finite_diff_gradient(f, params, h=1e-5) -> np.ndarray:
             raise NumericError(f"objective non-finite near coordinate {i}")
         grad[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def copy_model(model) -> SharedModel:
+    """A model with its own copies of every parameter buffer."""
+    heads = {tid: Head(h.W2, h.b2) for tid, h in model.heads.items()}
+    return SharedModel(model.W1, model.b1, heads)
+
+
+def unblocked_logits(model, task_id, X) -> np.ndarray:
+    """(n, k) logits from one (n, hidden) activation of all rows at once."""
+    head = model.head(task_id)
+    Z = hidden_batch(model, np.asarray(X, dtype=np.float64)) @ head.W2.T
+    Z += head.b2
+    return Z
 
 
 @dataclass
@@ -67,7 +85,7 @@ def weighted_rep_grad(model, parts) -> np.ndarray:
 
 def fd_rep_hessian(model, parts, step) -> np.ndarray:
     """Dense Hessian of the weighted loss by central differences of its gradient."""
-    probe = model.copy()
+    probe = copy_model(model)
     phi = model.rep_params.copy()
     H = np.empty((phi.size, phi.size))
     for j in range(phi.size):

@@ -34,7 +34,7 @@ from tawt_lab.weighting import (
     mirror_descent_step,
 )
 
-from oracles import backward, finite_diff_gradient
+from oracles import backward, copy_model, finite_diff_gradient
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "scripts" / "configs"
@@ -95,7 +95,7 @@ def test_criterion_1_gradient_oracle():
         data = random_dataset(n, d, k, hash64(1001, case, "d"))
         snap = backward(model, "target", data)
         analytic = np.concatenate([snap.rep_grad, snap.head_grad])
-        probe = model.copy()
+        probe = copy_model(model)
         n_rep = model.rep_param_count()
 
         def f(vec):

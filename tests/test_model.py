@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tawt_lab.model import (
     init_model,
     load_model,
     logits_batch,
+    mean_loss_of_logits,
     predictions,
     rep_gradient_flat,
     save_model,
@@ -22,10 +24,10 @@ from tawt_lab.numerics import (
     LOG_EPS, DimensionError, NumericError, Rng, hash64, softmax_rows,
 )
 from tawt_lab.taskgen import Dataset
-from tawt_lab.training import TrainConfig, _frozen_hidden, _head_only_epoch
+from tawt_lab.training import TrainConfig, _frozen_hidden, _head_only_epoch, evaluate
 
 from conftest import random_dataset
-from oracles import backward, finite_diff_gradient
+from oracles import backward, copy_model, finite_diff_gradient, unblocked_logits
 
 
 def tiny_model(d=3, hidden=4, k=3, seed=0, tasks=("target",)):
@@ -65,6 +67,42 @@ class TestForward:
     def test_unknown_task(self):
         with pytest.raises(KeyError):
             forward(tiny_model(), "nope", [0.0, 0.0, 0.0])
+
+
+def reference_shape_model(d, hidden, k, seed):
+    """init_model with nonzero biases, so both bias adds are exercised."""
+    m = init_model(d, hidden, {"target": k}, seed)
+    rng = Rng(hash64(seed, "biases"))
+    m.b1[:] = rng.uniform(-0.1, 0.1, size=hidden)
+    m.heads["target"].b2[:] = rng.uniform(-0.1, 0.1, size=k)
+    return m
+
+
+class TestBlockedForward:
+    """logits_batch runs in row blocks; it must match the one-shot pass byte for byte."""
+
+    @pytest.mark.parametrize("n, k", [
+        (2047, 10), (2048, 10), (2049, 10), (3071, 10), (10_000, 10), (10_000, 2),
+    ])
+    def test_matches_unblocked_pass_bitwise(self, n, k):
+        m = reference_shape_model(20, 256, k, seed=n + k)
+        data = random_dataset(n, 20, k, seed=hash64(n, k))
+        want = unblocked_logits(m, "target", data.features)
+        got = logits_batch(m, "target", data.features)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert task_loss(m, "target", data) == mean_loss_of_logits(want, data.labels)
+
+    def test_evaluate_never_builds_the_full_activation(self):
+        m = reference_shape_model(20, 256, 10, seed=3)
+        data = random_dataset(10_000, 20, 10, seed=4)
+        evaluate(m, "target", data)  # warm up lazy allocations outside the measurement
+        tracemalloc.start()
+        try:
+            evaluate(m, "target", data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"evaluate peaked at {peak / 1e6:.1f} MB"
 
 
 class TestTaskLoss:
@@ -126,7 +164,7 @@ class TestBackward:
         snap = backward(model, "target", data)
         analytic = np.concatenate([snap.rep_grad, snap.head_grad])
 
-        probe = model.copy()
+        probe = copy_model(model)
 
         def f(vec):
             set_flat(probe, "target", vec)
@@ -412,7 +450,7 @@ class TestFlatParameterGroups:
         m.rep_params[:] = np.arange(m.rep_param_count(), dtype=float)
         m.heads["other"].params[:] = 1.0
         _assert_flat_views(m)
-        _assert_flat_views(m.copy())
+        _assert_flat_views(copy_model(m))
         save_model(m, tmp_path / "m.bin")
         _assert_flat_views(load_model(tmp_path / "m.bin"))
         data = random_dataset(9, 3, 3, seed=2)
@@ -421,7 +459,7 @@ class TestFlatParameterGroups:
 
     def test_copy_and_flat_accessors_do_not_alias(self):
         m = tiny_model()
-        c = m.copy()
+        c = copy_model(m)
         c.W1[:] = 7.0
         c.heads["target"].params[:] = 9.0
         assert not np.any(m.W1 == 7.0) and not np.any(m.heads["target"].params == 9.0)
