@@ -26,13 +26,14 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, Dataset, sample_task_data
 from .training import (
-    FamilyConfig, TrainConfig, atomic_write_text, evaluate, pretrain_then_finetune,
-    train_single_task,
+    FamilyConfig, TrainConfig, atomic_write_text, pretrain_then_finetune, train_single_task,
 )
-from .weighting import SimplexWeights, init_weights
+from .weighting import SimplexWeights
 
 
 @dataclass
@@ -44,7 +45,6 @@ class TaskDistanceEstimate:
     distance: float
     aux_accuracy: float
     oracle_accuracy: float
-    weights: list[float]
     negative: bool
 
 
@@ -103,9 +103,9 @@ def estimate_weighted_source_target_risk(
     target_eval. target_train and target_eval must be disjoint draws.
     """
     cfg = replace(cfg, paradigm="pretrain", weighted=False, finetune_rep="frozen")
-    model, _ = pretrain_then_finetune(sources, target_train, weights, cfg)
-    ev = evaluate(model, TARGET_TASK_ID, target_eval)
-    return ev.mean_loss, ev.accuracy
+    _, record = pretrain_then_finetune(sources, target_train, weights, cfg, eval_data=target_eval)
+    final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
+    return final["target_loss"], final["target_accuracy"]
 
 
 def estimate_oracle_target_risk(
@@ -116,13 +116,13 @@ def estimate_oracle_target_risk(
     Plug-in stand-in for the risk of the best target representation.
     """
     cfg = replace(cfg, paradigm="single", weighted=False)
-    model, _ = train_single_task(target_train_large, cfg)
-    ev = evaluate(model, TARGET_TASK_ID, target_eval)
-    return ev.mean_loss, ev.accuracy
+    _, record = train_single_task(target_train_large, cfg, eval_data=target_eval)
+    final = record.epoch_metrics[-1]
+    return final["target_loss"], final["target_accuracy"]
 
 
 def distance_curve(
-    fam: FamilyConfig, cfg: DistanceConfig, seeds, master_seed: int, weights_mode: str = "uniform"
+    fam: FamilyConfig, cfg: DistanceConfig, seeds, master_seed: int
 ) -> list[TaskDistanceEstimate]:
     """One distance estimate per (flip rate in fam.flip_grid, seed), single
     source per point.
@@ -160,10 +160,9 @@ def distance_curve(
                 family_rng.spawn("source-draw", round(q * 10000)),
                 f"source_q{q:g}",
             )
-            weights = init_weights(weights_mode, [source.n])
             est_seed = hash64(master_seed, "distance-est", seed, round(q * 10000))
             risk, acc = estimate_weighted_source_target_risk(
-                [source], weights, target_train, target_eval,
+                [source], SimplexWeights(np.ones(1)), target_train, target_eval,
                 cfg.estimator_train_config(est_seed),
             )
             dist = risk - oracle_risk
@@ -176,7 +175,6 @@ def distance_curve(
                     distance=dist,
                     aux_accuracy=acc,
                     oracle_accuracy=oracle_acc,
-                    weights=[float(x) for x in weights.values],
                     negative=dist < 0.0,
                 )
             )

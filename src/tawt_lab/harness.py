@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .distance import DistanceConfig, distance_curve, write_distance_csv
-from .model import save_model
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
 from .training import (
@@ -88,8 +87,6 @@ class ExperimentConfig:
     train: dict
     arms: list
     distance: DistanceConfig = field(default_factory=DistanceConfig)
-    distance_weights_mode: str = "uniform"
-    save_checkpoints: bool = False
 
 
 def _dataclass_from_dict(cls, raw: dict, where: str):
@@ -104,6 +101,7 @@ def _dataclass_from_dict(cls, raw: dict, where: str):
 
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_TOP_LEVEL_FIELDS = {f.name for f in fields(ExperimentConfig)} | {"schema_version"}
 
 
 def _check_train_dict(raw: dict, where: str) -> dict:
@@ -121,6 +119,9 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         raise ConfigError(
             f"{where}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
+    unknown = set(raw) - _TOP_LEVEL_FIELDS
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{where}: 'seeds' must be a nonempty list of integers")
@@ -168,7 +169,7 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
                 f"exactly one source, got {len(arm.source_flips)}"
             )
         arms.append(arm)
-    distance, weights_mode = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
+    distance = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
     return ExperimentConfig(
         master_seed=int(raw.get("master_seed", 0)),
         seeds=[int(s) for s in seeds],
@@ -177,17 +178,18 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         train=train,
         arms=arms,
         distance=distance,
-        distance_weights_mode=weights_mode,
-        save_checkpoints=bool(raw.get("save_checkpoints", False)),
     )
 
 
 _NOT_DISTANCE_FIELDS = {f.name for f in fields(FamilyConfig)} | {"seeds", "master_seed"}
 
 
-def _distance_config(raw, train: dict, where: str) -> tuple[DistanceConfig, str]:
-    """The distance block: DistanceConfig fields plus weights_mode. The
-    student width defaults to the train block's."""
+def _distance_config(raw, train: dict, where: str) -> DistanceConfig:
+    """The distance block: DistanceConfig fields. The student width defaults
+    to the train block's. weights_mode is still accepted and checked, but
+    has no effect: each grid point has one source, whose weight is 1 under
+    any mode. It becomes a config error once no shipped config sets it
+    (ROADMAP item 1(a))."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be a JSON object")
     misplaced = sorted(set(raw) & _NOT_DISTANCE_FIELDS)
@@ -202,7 +204,7 @@ def _distance_config(raw, train: dict, where: str) -> tuple[DistanceConfig, str]
         dist.oracle_train_config(0).validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return dist, weights_mode
+    return dist
 
 
 def load_config(path) -> ExperimentConfig:
@@ -379,7 +381,6 @@ class Job:
     target_size: int
     train: TrainConfig
     manifest_key: str
-    save_checkpoints: bool
 
     @property
     def dir(self) -> Path:
@@ -465,21 +466,18 @@ def _execute_job(job: Job) -> dict:
     ]
 
     if cfg.paradigm == "single":
-        model, record = train_single_task(target, cfg, eval_data=eval_data)
+        _, record = train_single_task(target, cfg, eval_data=eval_data)
     elif cfg.weighted:
-        model, record = tawt(sources, target, cfg, eval_data=eval_data)
+        _, record = tawt(sources, target, cfg, eval_data=eval_data)
     elif cfg.paradigm == "pretrain":
         weights = default_initial_weights(cfg, sources, target)
-        model, record = pretrain_then_finetune(sources, target, weights, cfg, eval_data=eval_data)
+        _, record = pretrain_then_finetune(sources, target, weights, cfg, eval_data=eval_data)
     else:
         weights = default_initial_weights(cfg, sources, target)
-        model, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
+        _, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
 
     final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
     job.dir.mkdir(parents=True, exist_ok=True)
-    if job.save_checkpoints:
-        save_model(model, job.dir / "model.bin")
-        record.checkpoint_path = str(job.dir / "model.bin")
     atomic_write_text(job.dir / "record.json", record.to_json())
     record.write_metrics_csv(job.dir / "metrics.csv")
     record.write_weights_csv(job.dir / "weights.csv")
@@ -522,7 +520,7 @@ def cmd_run(
         Job(
             out_dir, arm, seed, target_size,
             _arm_train_config(cfg.train, arm, _job_seed(cfg.master_seed, seed, target_size)),
-            manifest["config_key"], cfg.save_checkpoints,
+            manifest["config_key"],
         )
         for arm in arms
         for seed in cfg.seeds
@@ -557,9 +555,7 @@ def cmd_run(
 
 def cmd_distance(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Distance-curve sweep; writes distance.csv under the output directory."""
-    estimates = distance_curve(
-        cfg.family, cfg.distance, cfg.seeds, cfg.master_seed, cfg.distance_weights_mode
-    )
+    estimates = distance_curve(cfg.family, cfg.distance, cfg.seeds, cfg.master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "distance.csv"
     write_distance_csv(estimates, path)

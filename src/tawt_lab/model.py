@@ -34,7 +34,6 @@ exactly 1 either way.)
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -557,42 +556,3 @@ def train_step(
     )
     apply_update([model.rep_params, head.params], [rep_grad, head_grad], opt, ["rep", head_key])
 
-
-_MAGIC = b"TWLM"
-_VERSION = 1
-
-
-def save_model(model: SharedModel, path) -> None:
-    """Versioned binary checkpoint: dims header + row-major float64 blocks."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, model.input_dim, model.hidden_dim))
-        fh.write(struct.pack("<I", len(model.heads)))
-        fh.write(model.rep_params.astype("<f8").tobytes())
-        for task_id, head in model.heads.items():
-            raw = task_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", head.n_classes))
-            fh.write(head.params.astype("<f8").tobytes())
-
-
-def load_model(path) -> SharedModel:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        version, d, hidden = struct.unpack("<III", fh.read(12))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (n_heads,) = struct.unpack("<I", fh.read(4))
-        W1 = np.frombuffer(fh.read(8 * hidden * d), dtype="<f8").reshape(hidden, d)
-        b1 = np.frombuffer(fh.read(8 * hidden), dtype="<f8")
-        heads = {}
-        for _ in range(n_heads):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            task_id = fh.read(name_len).decode("utf-8")
-            (k,) = struct.unpack("<I", fh.read(4))
-            W2 = np.frombuffer(fh.read(8 * k * hidden), dtype="<f8").reshape(k, hidden)
-            b2 = np.frombuffer(fh.read(8 * k), dtype="<f8")
-            heads[task_id] = Head(W2, b2)
-        return SharedModel(W1, b1, heads)

@@ -67,6 +67,7 @@ from .model import (
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
 from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, round_half_up
 from .weighting import (
+    DEFAULT_IDENTITY_HESSIAN_SCALE,
     SimplexWeights,
     cosine_example_gradients,
     cosine_task_gradient,
@@ -90,7 +91,7 @@ class TrainConfig:
     weight_granularity: str = "task"
     gradient_estimator: str = "cosine"
     c: float = 1.0
-    identity_hessian_scale: float = 5.0
+    identity_hessian_scale: float = DEFAULT_IDENTITY_HESSIAN_SCALE
     eta: float = 1.0
     subset_size: int = 64
     # Epochs between mirror-descent steps; one such period is one outer
@@ -197,7 +198,6 @@ class RunRecord:
     epoch_metrics: list[dict] = field(default_factory=list)
     weight_steps: list[dict] = field(default_factory=list)
     wall_clock: float = 0.0
-    checkpoint_path: str | None = None
     notes: list[str] = field(default_factory=list)
 
     def add_weight_snapshot(self, step: int, w: SimplexWeights) -> None:

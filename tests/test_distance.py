@@ -166,7 +166,7 @@ class TestDistanceCurve:
             return TaskDistanceEstimate(
                 flip_rate=flip_rate, seed=0, weighted_source_target_risk=0.5 + distance,
                 oracle_target_risk=0.5, distance=distance, aux_accuracy=0.75,
-                oracle_accuracy=0.8, weights=[1.0], negative=distance < 0,
+                oracle_accuracy=0.8, negative=distance < 0,
             )
 
         path = tmp_path / "distance.csv"

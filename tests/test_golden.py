@@ -6,7 +6,9 @@ compares SHA-256 digests of summary.csv (timestamp column dropped) and of
 the two adaptive weights.csv files with values stored below. A second,
 one-arm run pins the identity-Hessian estimator at sample granularity, the
 other alignment path of the per-example kernel, with its own digests. A
-third, cmd_distance on a three-point flip grid, pins distance.csv. Float64
+third, one task-level joint arm at hidden 32, pins the exact-Hessian
+estimator (one CG solve per round). A fourth, cmd_distance on a
+three-point flip grid, pins distance.csv. Float64
 results depend on the numpy and BLAS build, so the stored digests are keyed
 on that build; on another build the test skips and names it.
 
@@ -45,6 +47,11 @@ GOLDEN = {
         "runs/pretrain-sample-identity/seed0/n30/weights.csv":
             "e98a52e03ed9525d45ffaca920af4205832a9d8d92b9df9ed6cf6c0994244dd6",
     },
+    "exact_digests": {
+        "summary.csv": "79abf9eb8006ce90adca947068407ed2cb2354e9fcbc7550bb3bc9ebf66973fa",
+        "runs/joint-exact/seed0/n30/weights.csv":
+            "7cfb172462821b47c9bc9077ef2c7038a51dafa6fc27bb1caeb222b637359a67",
+    },
     "distance_digests": {
         "distance.csv": "abe703801bb6742cf004ebfaf2793a936bf052ad9ead09aa0f43e5deea0d04b6",
     },
@@ -58,6 +65,21 @@ IDENTITY_ARM = {
         "weight_granularity": "sample", "weight_update_period": 2,
         "gradient_estimator": "identity_hessian", "subset_size": 16,
     },
+}
+
+EXACT_ARM = {
+    "name": "joint-exact",
+    "source_flips": [0.0, 1.0],
+    "overrides": {
+        "paradigm": "joint", "weighted": True,
+        "gradient_estimator": "exact_hessian", "subset_size": 16,
+    },
+}
+
+# One-arm runs: digest key -> (the arm, train overrides on golden_config).
+SINGLE_ARM_RUNS = {
+    "identity_digests": (IDENTITY_ARM, {}),
+    "exact_digests": (EXACT_ARM, {"hidden": 32}),
 }
 
 
@@ -140,8 +162,10 @@ def run_digests(out_dir: Path, key: str = "digests") -> dict:
         cmd_distance(parse_config(distance_config(out_dir)), out_dir)
     else:
         raw = golden_config(out_dir)
-        if key == "identity_digests":
-            raw["arms"] = [IDENTITY_ARM]
+        if key in SINGLE_ARM_RUNS:
+            arm, train = SINGLE_ARM_RUNS[key]
+            raw["arms"] = [arm]
+            raw["train"].update(train)
         cfg = parse_config(raw)
         cmd_generate(cfg, out_dir)
         result = cmd_run(cfg, out_dir)
@@ -170,6 +194,10 @@ def test_identity_hessian_sample_arm_matches_golden_digests(tmp_path):
     _check(tmp_path / "out", "identity_digests")
 
 
+def test_exact_hessian_task_arm_matches_golden_digests(tmp_path):
+    _check(tmp_path / "out", "exact_digests")
+
+
 def test_distance_curve_matches_golden_digests(tmp_path):
     _check(tmp_path / "out", "distance_digests")
 
@@ -179,7 +207,9 @@ if __name__ == "__main__":
     import tempfile
 
     out = {"env": build()}
-    for key in ("digests", "identity_digests", "distance_digests"):
+    for key in GOLDEN:
+        if key == "env":
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             out[key] = run_digests(Path(tmp) / "out", key)
     print(json.dumps(out, indent=4))

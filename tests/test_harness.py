@@ -163,6 +163,18 @@ class TestConfigParsing:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, value", [("save_checkpoints", True), ("master_sed", 3)])
+    def test_unknown_top_level_key_fails_at_parse(self, tmp_path, capsys, name, value):
+        """A removed option or a misspelt key is named, and `run` writes
+        nothing, rather than running without it."""
+        raw = tiny_config(tmp_path / "out", **{name: value})
+        with pytest.raises(ConfigError, match=name):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_master_seed_has_no_cli_override(self, tmp_path):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         with pytest.raises(SystemExit):
@@ -384,18 +396,6 @@ class TestRun:
             assert bool(row["final_target_acc"]) != crashed
         assert "BrokenProcessPool" in next(r["error"] for r in rows if r["error"])
 
-    def test_checkpoints_saved_when_requested(self, tmp_path):
-        from tawt_lab.model import load_model
-
-        raw = tiny_config(tmp_path / "out", seeds=[0], save_checkpoints=True)
-        raw["arms"] = raw["arms"][:1]
-        cfg = parse_config(raw)
-        cmd_run(cfg, Path(cfg.out_dir))
-        job_dir = Path(cfg.out_dir) / "runs" / "single" / "seed0" / "n40"
-        model = load_model(job_dir / "model.bin")
-        assert model.input_dim == 10
-        record = json.loads((job_dir / "record.json").read_text())
-        assert record["checkpoint_path"].endswith("model.bin")
 
 
 class TestReport:

@@ -11,12 +11,10 @@ from tawt_lab.model import (
     SharedModel,
     apply_update,
     init_model,
-    load_model,
     logits_batch,
     mean_loss_of_logits,
     predictions,
     rep_gradient_flat,
-    save_model,
     task_loss,
     train_step,
 )
@@ -301,24 +299,6 @@ class TestInitAndCheckpoints:
         limit = math.sqrt(6.0 / (6 + 8))
         assert np.all(np.abs(m.W1) <= limit)
 
-    def test_checkpoint_round_trip_bitwise(self, tmp_path):
-        m = init_model(5, 7, {"alpha": 3, "beta": 4}, seed=21)
-        path = tmp_path / "model.bin"
-        save_model(m, path)
-        loaded = load_model(path)
-        assert np.array_equal(m.W1, loaded.W1)
-        assert np.array_equal(m.b1, loaded.b1)
-        assert list(loaded.heads) == ["alpha", "beta"]
-        for tid in m.heads:
-            assert np.array_equal(m.heads[tid].W2, loaded.heads[tid].W2)
-            assert np.array_equal(m.heads[tid].b2, loaded.heads[tid].b2)
-
-    def test_checkpoint_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
-            load_model(path)
-
 
 def test_predictions_break_ties_to_lowest_index():
     m = tiny_model(k=3)
@@ -444,15 +424,13 @@ def _assert_flat_views(m):
 
 
 class TestFlatParameterGroups:
-    def test_views_survive_every_way_of_setting_parameters(self, tmp_path):
+    def test_views_survive_every_way_of_setting_parameters(self):
         m = tiny_model(tasks=("target", "other"))
         _assert_flat_views(m)
         m.rep_params[:] = np.arange(m.rep_param_count(), dtype=float)
         m.heads["other"].params[:] = 1.0
         _assert_flat_views(m)
         _assert_flat_views(copy_model(m))
-        save_model(m, tmp_path / "m.bin")
-        _assert_flat_views(load_model(tmp_path / "m.bin"))
         data = random_dataset(9, 3, 3, seed=2)
         train_step(m, "target", data.features, data.labels, OptimizerState(lr=1e-2))
         _assert_flat_views(m)

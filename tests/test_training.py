@@ -566,7 +566,7 @@ class TestRunRecord:
         raw = json.loads(record.to_json())
         assert list(raw) == [
             "config", "weight_task_ids", "epoch_metrics", "weight_steps",
-            "wall_clock", "checkpoint_path", "notes",
+            "wall_clock", "notes",
         ]
         assert RunRecord(**raw) == record
 
