@@ -16,9 +16,10 @@ sparsely. train_step, the minibatch step of every loop that trains the
 representation, is one backward pass into preallocated gradient and
 activation buffers plus one fused update of the representation group and
 one of the head group. example_rep_grads gives the representation
-gradient of every example's own loss, for the sample-granularity
-estimators, and RepHessian the exact representation Hessian of a weighted
-loss as products H v, for the exact_hessian estimator.
+gradient of every example's own loss in blocks of rows, bitwise those of
+one-row backward passes, for the sample-granularity estimators, and
+RepHessian the exact representation Hessian of a weighted loss as
+products H v, for the exact_hessian estimator.
 
 logits_batch, the forward pass behind evaluation, task losses and task
 labelling, runs in near-equal blocks of EVAL_BLOCK (1,024) to 2,047 rows
@@ -295,21 +296,24 @@ def rep_gradient_flat(
     return np.concatenate([dW1.ravel(), db1])
 
 
-# Rows per block of example_rep_grads; its (block, hidden) buffer is 256 KB
-# at hidden 256.
-EXAMPLE_BLOCK = 128
+# Bytes of example_rep_grads' gradient block at any width (48 rows at d 20, hidden 256).
+EXAMPLE_BLOCK_BYTES = 2 << 20
 
 
 def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.ndarray):
-    """Yield the representation gradient of each row's own loss, rows in order.
+    """Yield (rows, G) over consecutive row blocks, rows a slice of X: G[i],
+    flat like rep_params, is the representation gradient of row rows.start + i's
+    own loss, bitwise that of backward_arrays on the one-row batch.
 
-    Row i's gradient, flat like rep_params, is bitwise the rep gradient of
-    backward_arrays on the one-row batch X[i:i+1]. The elementwise work
-    (+b1, ReLU, +b2, softmax, the loss residual, dZ and the ReLU mask) runs
-    on blocks of EXAMPLE_BLOCK rows. The products stay per row: a one-row
-    product is a BLAS gemv and a block product a gemm, and the two round
-    differently. Every row is yielded in the same reused buffer, which
-    holds that row's gradient until the next one is drawn.
+    A block has max(EXAMPLE_BLOCK_BYTES // (8 * rep_param_count), 1) rows,
+    and the elementwise work (+b1, ReLU, +b2, softmax, the loss residual, dZ,
+    the ReLU mask) runs on the whole block. The products stay per row, as a
+    one-row product is a gemv and a block product a gemm, which round
+    differently: a stacked matmul, (rows, 1, d) @ (d, hidden), makes one gemv
+    per row from numpy's C loop. The outer products dA x are stacked
+    (hidden, 2) @ (2, d) gemms of [dA, 0] and [x; 0]: each entry is the sum
+    a*x + 0*0, in any order the one-row product's 0 + a*x (-0.0 -> +0.0).
+    The blocks share one buffer, which holds a block until the next is drawn.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y)
@@ -317,23 +321,22 @@ def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.nda
     if n == 0:
         raise EmptyBatchError("per-example gradients over an empty batch")
     head = model.head(task_id)
-    W1T, W2, W2T, b1 = model.W1.T, head.W2, head.W2.T, model.b1
-    block = min(n, EXAMPLE_BLOCK)
-    HA = np.empty((block, model.hidden_dim))  # A, then relu(A), then dA, as in backward_arrays
+    h, d = model.W1.shape
+    block = min(n, max(EXAMPLE_BLOCK_BYTES // (8 * model.rep_param_count()), 1))
+    HA = np.empty((block, h))  # A, then relu(A), then dA, as in backward_arrays
     mask = np.empty(HA.shape, dtype=bool)
     Z = np.empty((block, head.n_classes))
-    grad = np.empty(model.rep_param_count())
-    dW1, db1 = _views(grad, model.W1.shape, b1.shape)
+    G = np.empty((block, model.rep_param_count()))
+    GW1 = G[:, : h * d].reshape(block, h, d)
+    A2, X2 = np.zeros((block, h, 2)), np.zeros((block, 2, d))  # [dA, 0] and [x; 0]
     for start in range(0, n, block):
         Xb, Yb = X[start : start + block], Y[start : start + block]
         m = len(Yb)
         A, Zb, Mb, rows = HA[:m], Z[:m], mask[:m], np.arange(m)
-        for j in range(m):
-            np.matmul(Xb[j : j + 1], W1T, out=A[j : j + 1])
-        A += b1
+        np.matmul(Xb[:, None, :], model.W1.T, out=A[:, None, :])
+        A += model.b1
         np.maximum(A, 0.0, out=A)
-        for j in range(m):
-            np.matmul(A[j : j + 1], W2T, out=Zb[j : j + 1])
+        np.matmul(A[:, None, :], head.W2.T, out=Zb[:, None, :])
         Zb += head.b2
         dZ = softmax_rows(Zb)
         picked = dZ[rows, Yb]
@@ -341,14 +344,12 @@ def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.nda
         dZ *= r[:, None]
         dZ[rows, Yb] -= r
         np.greater(A, 0.0, out=Mb)
-        for j in range(m):
-            np.matmul(dZ[j : j + 1], W2, out=A[j : j + 1])
+        np.matmul(dZ[:, None, :], head.W2, out=A[:, None, :])
         A *= Mb
-        for j in range(m):
-            np.multiply(A[j][:, None], Xb[j], out=dW1)
-            dW1 += 0.0  # matmul's one-term sum is 0 + a*x, which turns -0.0 into +0.0
-            np.add(A[j], 0.0, out=db1)  # a sum over one row: 0 + dA, so -0.0 -> +0.0
-            yield grad
+        A2[:m, :, 0], X2[:m, 0] = A, Xb
+        np.matmul(A2[:m], X2[:m], out=GW1[:m])
+        np.add(A, 0.0, out=G[:m, h * d :])  # a sum over one row: 0 + dA, so -0.0 -> +0.0
+        yield slice(start, start + m), G[:m]
 
 
 class RepHessian:

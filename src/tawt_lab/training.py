@@ -204,7 +204,7 @@ class RunRecord:
         self.weight_steps.append({"step": step, "weights": [float(x) for x in w.values]})
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(vars(self), indent=2)  # asdict would deep-copy every snapshot
 
     def write_metrics_csv(self, path) -> None:
         lines = ["epoch,task,loss,target_acc"]
@@ -415,21 +415,20 @@ def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
 def _per_sample_gradients(model, source, g0, cfg) -> np.ndarray:
     """Weight gradient per source example against the target subset gradient.
 
-    Every estimator reads the per-example gradients of model.example_rep_grads
-    once, in row order: the identity and exact Hessians take <g0, g_i> (g0
-    already s = H_w^{-1} g0 for the exact one), and the cosine also |g_i|.
-    Each row product is one BLAS ddot on the flat gradient, the same call as
-    the task-level estimators make, so the weights match a per-example loop
-    bit for bit.
+    Every estimator reads the per-example gradient blocks of
+    model.example_rep_grads once, in row order: the identity and exact
+    Hessians take <g0, g_i> (g0 already s = H_w^{-1} g0 for the exact one),
+    and the cosine also |g_i|. Each is a stacked matmul over the block,
+    (rows, 1, p) @ (p,), whose C loop makes one BLAS ddot per row, the same
+    call as the task-level estimators make, so the weights match a
+    per-example loop bit for bit.
     """
-    n = source.n
-    rows = example_rep_grads(model, source.task_id, source.features, source.labels)
     cosine = cfg.gradient_estimator == "cosine"
-    dots, sq_norms = np.empty(n), np.empty(n)
-    for i, g_i in enumerate(rows):
-        dots[i] = g0 @ g_i
+    dots, sq_norms = np.empty(source.n), np.empty(source.n)
+    for rows, G in example_rep_grads(model, source.task_id, source.features, source.labels):
+        np.matmul(G[:, None, :], g0, out=dots[rows, None])
         if cosine:
-            sq_norms[i] = g_i @ g_i
+            np.matmul(G[:, None, :], G[:, :, None], out=sq_norms[rows, None, None])
     if cosine:
         return cosine_example_gradients(dots, np.linalg.norm(g0), np.sqrt(sq_norms), cfg.c)
     return -_inner_product_scale(cfg) * dots

@@ -1,12 +1,14 @@
 import json
 import os
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import tawt_lab.training as training
 from tawt_lab.model import (
-    EXAMPLE_BLOCK,
+    EXAMPLE_BLOCK_BYTES,
     backward_arrays,
     example_rep_grads,
     init_model,
@@ -508,17 +510,24 @@ def _ref_example_grads(model, source):
 
 
 def _estimator_setup(hidden, n, seed):
-    """A model with negative biases, a source of n rows whose row 3 is all zero
-    (every unit dead, so its gradient vanishes) and a target subset gradient."""
+    """A model with negative biases, a source of n rows whose row 3 (if any) is
+    all zero (every unit dead, so its gradient vanishes) and whose rows 0, 7,
+    14, ... start with -0.0 features, and a target subset gradient."""
     model = init_model(20, hidden, {"src": 10, "target": 10}, seed=seed)
     model.b1[:] = -Rng(seed + 1).uniform(0.01, 0.1, size=hidden)
     raw = random_dataset(n, 20, 10, seed=seed + 2, task_id="src")
     features = raw.features.copy()
-    features[3] = 0.0
+    features[3:4] = 0.0
+    features[::7, :5] = -0.0
     source = Dataset(features, raw.labels, 10, "src")
     target = random_dataset(100, 20, 10, seed=seed + 3)
     g0 = rep_gradient_flat(model, "target", target, 64, Rng(seed + 4))
     return model, source, g0
+
+
+def _block_rows(hidden):
+    """Rows per block of example_rep_grads at input width 20."""
+    return EXAMPLE_BLOCK_BYTES // (8 * (hidden * 20 + hidden))
 
 
 class TestPerExampleEstimator:
@@ -526,37 +535,64 @@ class TestPerExampleEstimator:
     per-example backward_arrays loop, compared byte for byte."""
 
     def test_matches_per_example_loop_at_full_width(self):
-        n = 2 * EXAMPLE_BLOCK + 37
-        model, source, g0 = _estimator_setup(256, n, seed=21)
-        ref_rows = _ref_example_grads(model, source)
-        rows = [g.copy() for g in example_rep_grads(model, "src", source.features, source.labels)]
-        assert len(rows) == n
-        assert all(r.tobytes() == ref.tobytes() for r, ref in zip(rows, ref_rows))
-        assert not ref_rows[3].any()
+        block = _block_rows(256)
+        assert block > 1
+        for n in (1, block - 1, block, 2 * block + 37):
+            model, source, g0 = _estimator_setup(256, n, seed=21 + n)
+            ref_rows = _ref_example_grads(model, source)
+            blocks = [(rows, G.copy()) for rows, G in example_rep_grads(
+                model, "src", source.features, source.labels)]
+            assert [rows for rows, _ in blocks] == [
+                slice(a, min(a + block, n)) for a in range(0, n, block)
+            ]
+            got_rows = np.concatenate([G for _, G in blocks])
+            assert got_rows.shape == (n, model.rep_param_count())
+            for i, ref in enumerate(ref_rows):
+                assert got_rows[i].tobytes() == ref.tobytes(), f"n {n}, row {i}"
+            assert not np.signbit(got_rows[got_rows == 0.0]).any()  # -0.0 turned to +0.0
+            if n > 3:
+                assert not ref_rows[3].any()
 
-        cos_cfg = TrainConfig(c=2.0)
-        got = _per_sample_gradients(model, source, g0, cos_cfg)
-        ref = np.array([cosine_task_gradient(g0, gi, 2.0) for gi in ref_rows])
-        assert got.tobytes() == ref.tobytes()
-        assert got[3] == 0.0 and np.signbit(got[3])  # zero-norm rule: -c * 0
+            cos_cfg = TrainConfig(c=2.0)
+            got = _per_sample_gradients(model, source, g0, cos_cfg)
+            ref = np.array([cosine_task_gradient(g0, gi, 2.0) for gi in ref_rows])
+            assert got.tobytes() == ref.tobytes(), f"n {n}"
+            if n > 3:
+                assert got[3] == 0.0 and np.signbit(got[3])  # zero-norm rule: -c * 0
 
-        id_cfg = TrainConfig(gradient_estimator="identity_hessian")
-        got = _per_sample_gradients(model, source, g0, id_cfg)
-        ref = np.array([identity_hessian_task_gradient(g0, gi, 5.0) for gi in ref_rows])
-        assert got.tobytes() == ref.tobytes()
+            id_cfg = TrainConfig(gradient_estimator="identity_hessian")
+            got = _per_sample_gradients(model, source, g0, id_cfg)
+            ref = np.array([identity_hessian_task_gradient(g0, gi, 5.0) for gi in ref_rows])
+            assert got.tobytes() == ref.tobytes(), f"n {n}"
 
     def test_exact_hessian_rhs_matches_per_example_loop(self):
         # exact_hessian takes -<s, g_i>, s = H_w^{-1} g0 as handed in by the
         # estimator, through the identity-Hessian product at scale 1
-        n = EXAMPLE_BLOCK + 5
-        model, source, g0 = _estimator_setup(8, n, seed=31)
-        s = Rng(32).uniform(-1.0, 1.0, size=g0.size)
-        cfg = TrainConfig(gradient_estimator="exact_hessian")
-        got = _per_sample_gradients(model, source, s, cfg)
-        ref = np.array([
-            identity_hessian_task_gradient(s, gi, 1.0) for gi in _ref_example_grads(model, source)
-        ])
-        assert got.tobytes() == ref.tobytes()
+        for hidden in (8, 256):
+            n = _block_rows(hidden) + 5
+            model, source, g0 = _estimator_setup(hidden, n, seed=31)
+            s = Rng(32).uniform(-1.0, 1.0, size=g0.size)
+            cfg = TrainConfig(gradient_estimator="exact_hessian")
+            got = _per_sample_gradients(model, source, s, cfg)
+            ref = np.array([
+                identity_hessian_task_gradient(s, gi, 1.0)
+                for gi in _ref_example_grads(model, source)
+            ])
+            assert got.tobytes() == ref.tobytes(), f"hidden {hidden}"
+
+    def test_workspace_stays_flat(self):
+        # one (block, rep_param_count) gradient block of EXAMPLE_BLOCK_BYTES
+        # plus (block, hidden) activations, whatever the row count
+        model, source, g0 = _estimator_setup(256, 2000, seed=41)
+        cfg = TrainConfig()
+        _per_sample_gradients(model, source, g0, cfg)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            _per_sample_gradients(model, source, g0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"_per_sample_gradients peaked at {peak / 1e6:.1f} MB"
 
 
 class TestRunRecord:
@@ -569,6 +605,15 @@ class TestRunRecord:
             "wall_clock", "notes",
         ]
         assert RunRecord(**raw) == record
+
+    def test_json_bytes_match_asdict_on_sample_record(self, tiny_family):
+        cfg = base_cfg(
+            paradigm="pretrain", weighted=True, weight_granularity="sample",
+            epochs=4, finetune_epochs=1, subset_size=16,
+        )
+        _, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg)
+        assert len(record.weight_steps[-1]["weights"]) == tiny_family["copy"].n
+        assert record.to_json() == json.dumps(asdict(record), indent=2)
 
     def test_csv_layouts(self, tiny_family, tmp_path):
         cfg = base_cfg(paradigm="single", epochs=3)
