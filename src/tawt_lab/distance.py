@@ -130,6 +130,8 @@ def distance_curve(
     Per seed, all teachers come from flips of one base dataset, fit with the
     family's teacher recipe, and one oracle run is shared by every grid
     point, so distances within a seed differ only through their source tasks.
+    The oracle sample and each source are freed after their one fit, so no
+    draw overlaps the previous one.
     """
     if any(not 0.0 <= q <= 1.0 for q in fam.flip_grid):
         raise ValueError("flip rates must lie in [0, 1]")
@@ -145,12 +147,12 @@ def distance_curve(
         target_eval = sample_task_data(
             target_teacher, fam.eval_n, d, family_rng.spawn("eval-draw"), TARGET_TASK_ID
         )
-        target_large = sample_task_data(
-            target_teacher, cfg.oracle_n, d, family_rng.spawn("oracle-draw"), TARGET_TASK_ID
-        )
-        oracle_seed = hash64(master_seed, "distance-oracle", seed)
         oracle_risk, oracle_acc = estimate_oracle_target_risk(
-            target_large, target_eval, cfg.oracle_train_config(oracle_seed)
+            sample_task_data(
+                target_teacher, cfg.oracle_n, d, family_rng.spawn("oracle-draw"), TARGET_TASK_ID
+            ),
+            target_eval,
+            cfg.oracle_train_config(hash64(master_seed, "distance-oracle", seed)),
         )
         for q in fam.flip_grid:
             source = sample_task_data(
@@ -165,6 +167,7 @@ def distance_curve(
                 [source], SimplexWeights(np.ones(1)), target_train, target_eval,
                 cfg.estimator_train_config(est_seed),
             )
+            del source
             dist = risk - oracle_risk
             estimates.append(
                 TaskDistanceEstimate(

@@ -25,8 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -228,8 +226,15 @@ def _arm_train_config(train: dict, arm: ArmConfig, seed: int) -> TrainConfig:
     return TrainConfig(**merged)
 
 
+_HASH_CHUNK_BYTES = 1 << 20
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _config_key(cfg: ExperimentConfig) -> str:
@@ -268,21 +273,20 @@ def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> No
     teachers = fam.fit_teachers(family_seed, rng)
     seed_dir = _seed_dir(out_dir, seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
-    target_full = sample_task_data(
-        teachers[0.0], max(fam.target_sizes), fam.input_dim,
-        rng.spawn("target-draw"), TARGET_TASK_ID,
-    )
-    save_dataset(target_full, seed_dir / _dataset_file("target_train"))
-    target_eval = sample_task_data(
-        teachers[0.0], fam.eval_n, fam.input_dim, rng.spawn("eval-draw"), TARGET_TASK_ID
-    )
-    save_dataset(target_eval, seed_dir / _dataset_file("target_eval"))
-    for q in fam.flip_grid:
-        source = sample_task_data(
-            teachers[q], fam.source_n, fam.input_dim,
-            rng.spawn("source-draw", round(q * 10000)), _source_name(q),
+    # (file, teacher's flip rate, rows, stream key, task id) in draw order. Each
+    # draw goes straight to disk, so no two datasets are alive at once.
+    draws = [
+        ("target_train", 0.0, max(fam.target_sizes), ("target-draw",), TARGET_TASK_ID),
+        ("target_eval", 0.0, fam.eval_n, ("eval-draw",), TARGET_TASK_ID),
+    ] + [
+        (_source_name(q), q, fam.source_n, ("source-draw", round(q * 10000)), _source_name(q))
+        for q in fam.flip_grid
+    ]
+    for name, q, n, key, task_id in draws:
+        save_dataset(
+            sample_task_data(teachers[q], n, fam.input_dim, rng.spawn(*key), task_id),
+            seed_dir / _dataset_file(name),
         )
-        save_dataset(source, seed_dir / _dataset_file(_source_name(q)))
 
 
 def _manifest_path(out_dir: Path) -> Path:
@@ -431,11 +435,16 @@ def _run_in_pool(todo: list[Job], jobs: int) -> list[dict]:
     A worker that dies (killed, crashed interpreter) breaks the whole pool
     and fails every job still in it. Those jobs are rerun one at a time,
     each in a fresh single-worker pool, so only a job that kills its own
-    worker again is lost, as an error row.
+    worker again is lost, as an error row. The pool starts every worker at
+    once, so it gets no more workers than jobs; multiprocessing is imported
+    only here, so a serial run never loads it.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     rows: list = [None] * len(todo)
     broken = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
         futures = [pool.submit(_execute_job_safe, job) for job in todo]
         for i, future in enumerate(futures):
             try:

@@ -502,24 +502,30 @@ def _train_weighted_phase(
 
 
 def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
-    """Pretrain phase 2: fit the target on its own data, full or frozen rep."""
+    """Pretrain phase 2: fit the target on its own data, full or frozen rep.
+
+    A frozen representation gives the same hidden matrix H every epoch, so it
+    is built once. H is released after the last head-only epoch, before the
+    final evaluation builds its own forward block.
+    """
     epochs = cfg.resolved_finetune_epochs()
     opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
     entries = [(TARGET_TASK_ID, data)]
     w_one = SimplexWeights(np.ones(1))
-    # A frozen representation gives the same hidden matrix every epoch.
     frozen = cfg.finetune_rep == "frozen" and epochs > 0
     H = _frozen_hidden(model, TARGET_TASK_ID, data, opt) if frozen else None
     for epoch in range(epochs):
+        last = epoch == epochs - 1
         if frozen:
             _head_only_epoch(
                 model, TARGET_TASK_ID, data, H, cfg, opt, streams.get("finetune-shuffle")
             )
+            if last:
+                H = None
         else:
             _weighted_epoch(model, entries, w_one, cfg, opt, streams)
         _record_epoch(
-            record, model, entries, eval_data, epoch_offset + epoch, "finetune",
-            cfg, final=epoch == epochs - 1,
+            record, model, entries, eval_data, epoch_offset + epoch, "finetune", cfg, final=last
         )
 
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -220,6 +222,11 @@ class TestGenerate:
         assert len(files) == 2 * (2 + 2)  # 2 seeds x (2 target files + 2 sources)
         assert all(len(digest) == 64 for digest in files.values())
 
+    def test_file_hash_matches_whole_file_sha256(self, tmp_path):
+        path = tmp_path / "blob.npz"
+        path.write_bytes(os.urandom(2 * harness._HASH_CHUNK_BYTES + 123))
+        assert harness._sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_family_bytes_are_reproducible(self, tmp_path, monkeypatch):
         def family_bytes(out):
             family = out / "family"
@@ -395,6 +402,50 @@ class TestRun:
             assert bool(row["error"]) == crashed
             assert bool(row["final_target_acc"]) != crashed
         assert "BrokenProcessPool" in next(r["error"] for r in rows if r["error"])
+
+    def test_pool_starts_no_more_workers_than_pending_jobs(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool(concurrent.futures.Executor):
+            """Records its worker count and runs each job in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_execute_job", lambda job: {"job": job})
+        rows = harness._run_in_pool(["a", "b", "c"], jobs=8)
+        assert started == [3]
+        assert rows == [{"job": job} for job in "abc"]
+
+    def test_serial_commands_never_load_the_process_pool(self, tmp_path):
+        raw = tiny_config(tmp_path / "out")
+        raw["distance"] = {
+            "head_fit_n": 150, "oracle_n": 300, "rep_epochs": 2,
+            "head_fit_epochs": 2, "oracle_epochs": 2,
+        }
+        path = write_config(tmp_path, raw)
+        code = (
+            "import sys\n"
+            "from tawt_lab.harness import main\n"
+            "assert main(['run', '--config', sys.argv[1], '--jobs', '1']) == 0\n"
+            "assert main(['distance', '--config', sys.argv[1]]) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 
