@@ -102,7 +102,7 @@ def estimate_weighted_source_target_risk(
     the target head on target_train, and returns (mean loss, accuracy) on
     target_eval. target_train and target_eval must be disjoint draws.
     """
-    cfg = replace(cfg, paradigm="pretrain", weighted=False, finetune_rep="frozen")
+    cfg = replace(cfg, finetune_rep="frozen")
     _, record = pretrain_then_finetune(sources, target_train, weights, cfg, eval_data=target_eval)
     final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
     return final["target_loss"], final["target_accuracy"]
@@ -115,7 +115,6 @@ def estimate_oracle_target_risk(
 
     Plug-in stand-in for the risk of the best target representation.
     """
-    cfg = replace(cfg, paradigm="single", weighted=False)
     _, record = train_single_task(target_train_large, cfg, eval_data=target_eval)
     final = record.epoch_metrics[-1]
     return final["target_loss"], final["target_accuracy"]

@@ -7,13 +7,17 @@ and report emission, behind a four-subcommand CLI.
     tawt-lab report   --config cfg.json    aggregate results -> figure-ready CSVs
 
 Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
-codes: 0 success, 1 config error (a contradictory arm, or a teacher that
-misses its accuracy threshold, included), 2 all jobs failed, 3 IO/integrity
-error. `run` builds one Job per (arm, seed, target size), its TrainConfig
-merged once, and hands it to a worker as is. The --jobs flag (or the
-TAWT_LAB_JOBS environment variable) sets how many jobs may run
-concurrently; results are identical either way because every job derives
-its own seed stream from the master seed.
+codes: 0 success; 1 config error, reported before anything is written; 2
+all jobs failed; 3 IO/integrity error. Config errors include a family size
+that is not a positive integer, --jobs below 1, a teacher that misses its
+accuracy threshold, and an arm that TrainConfig.validate rejects: a
+weighted single arm, a single arm with sources or another paradigm
+without any, sample weights off pretrain or on other than one source, or
+sample_split off pretrain. `run` builds one Job per (arm, seed, target
+size), its TrainConfig merged once, and a worker trains it with one tawt
+call. --jobs (default 1) sets how many jobs may run concurrently; results
+are identical either way because every job derives its own seed stream
+from the master seed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -34,16 +37,7 @@ import numpy as np
 from .distance import DistanceConfig, distance_curve, write_distance_csv
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
-from .training import (
-    FamilyConfig,
-    TrainConfig,
-    atomic_write_text,
-    default_initial_weights,
-    joint_train,
-    pretrain_then_finetune,
-    tawt,
-    train_single_task,
-)
+from .training import FamilyConfig, TrainConfig, atomic_write_text, tawt
 from .weighting import init_weights
 
 SCHEMA_VERSION = 1
@@ -99,6 +93,10 @@ def _dataclass_from_dict(cls, raw: dict, where: str):
 
 
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_FAMILY_COUNTS = (
+    "base_n", "source_n", "eval_n", "input_dim", "n_classes", "teacher_hidden",
+    "teacher_epochs", "teacher_batch",
+)
 _TOP_LEVEL_FIELDS = {f.name for f in fields(ExperimentConfig)} | {"schema_version"}
 
 
@@ -131,8 +129,12 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{where}.family.flip_grid: must be nonempty")
     if any(not 0.0 <= q <= 1.0 for q in family.flip_grid):
         raise ConfigError(f"{where}.family.flip_grid: flip rates must lie in [0, 1]")
-    if not family.target_sizes:
-        raise ConfigError(f"{where}.family.target_sizes: must be nonempty")
+    if not isinstance(family.target_sizes, list) or not family.target_sizes:
+        raise ConfigError(f"{where}.family.target_sizes: must be a nonempty list")
+    counts = [(name, getattr(family, name)) for name in _FAMILY_COUNTS]
+    for name, value in counts + [("target_sizes", n) for n in family.target_sizes]:
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ConfigError(f"{where}.family.{name}: must be a positive integer, got {value!r}")
     train = _check_train_dict(raw.get("train", {}), f"{where}.train")
     arms_raw = raw.get("arms")
     if not isinstance(arms_raw, list) or not arms_raw:
@@ -152,20 +154,10 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
                 raise ConfigError(
                     f"{where}.arms[{i}].source_flips: flip {q} not in family.flip_grid"
                 )
-        cfg = _arm_train_config(train, arm, seed=0)
         try:
-            cfg.validate()
+            _arm_train_config(train, arm, seed=0).validate(len(arm.source_flips))
         except ValueError as exc:
             raise ConfigError(f"{where}.arms[{i}]: {exc}") from None
-        if cfg.paradigm != "single" and not arm.source_flips:
-            raise ConfigError(
-                f"{where}.arms[{i}]: paradigm {cfg.paradigm!r} needs source_flips"
-            )
-        if cfg.weighted and cfg.weight_granularity == "sample" and len(arm.source_flips) != 1:
-            raise ConfigError(
-                f"{where}.arms[{i}].source_flips: sample-granularity weighting needs "
-                f"exactly one source, got {len(arm.source_flips)}"
-            )
         arms.append(arm)
     distance = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
     return ExperimentConfig(
@@ -198,8 +190,8 @@ def _distance_config(raw, train: dict, where: str) -> DistanceConfig:
     dist = _dataclass_from_dict(DistanceConfig, block, where)
     try:
         init_weights(weights_mode, [1])
-        dist.estimator_train_config(0).validate()
-        dist.oracle_train_config(0).validate()
+        dist.estimator_train_config(0).validate(1)
+        dist.oracle_train_config(0).validate(0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return dist
@@ -464,7 +456,6 @@ def _run_in_pool(todo: list[Job], jobs: int) -> list[dict]:
 
 def _execute_job(job: Job) -> dict:
     """Run one job from cached datasets; writes its files and returns its row."""
-    cfg = job.train
     seed_dir = _seed_dir(job.out_dir, job.seed)
     target = load_dataset(seed_dir / _dataset_file("target_train"), TARGET_TASK_ID)
     target = target.take(job.target_size)
@@ -473,18 +464,7 @@ def _execute_job(job: Job) -> dict:
         load_dataset(seed_dir / _dataset_file(_source_name(q)), _source_name(q))
         for q in job.arm.source_flips
     ]
-
-    if cfg.paradigm == "single":
-        _, record = train_single_task(target, cfg, eval_data=eval_data)
-    elif cfg.weighted:
-        _, record = tawt(sources, target, cfg, eval_data=eval_data)
-    elif cfg.paradigm == "pretrain":
-        weights = default_initial_weights(cfg, sources, target)
-        _, record = pretrain_then_finetune(sources, target, weights, cfg, eval_data=eval_data)
-    else:
-        weights = default_initial_weights(cfg, sources, target)
-        _, record = joint_train(sources, target, weights, cfg, eval_data=eval_data)
-
+    _, record = tawt(sources, target, job.train, eval_data=eval_data)
     final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
     job.dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(job.dir / "record.json", record.to_json())
@@ -521,6 +501,8 @@ def cmd_run(
     it. A failing job contributes an error-tagged row; the command only
     counts as failed when every job fails.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     manifest = _verify_family(cfg, out_dir)
     arms = [a for a in cfg.arms if arm_filter is None or a.name == arm_filter]
     if not arms:
@@ -663,8 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=name != "report", help="experiment config JSON")
         p.add_argument("--out", help="override the config's out_dir")
         if name == "run":
-            p.add_argument("--jobs", type=int, default=None,
-                           help="max concurrent jobs (default: $TAWT_LAB_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=1, help="max concurrent jobs (default 1)")
             p.add_argument("--arm", default=None, help="run only the named arm")
         if name == "report":
             p.add_argument("--arm", default=None, help="report only the named arm")
@@ -695,10 +676,7 @@ def main(argv=None) -> int:
             print(f"family under {out_dir} ({state})")
             return EXIT_OK
         if args.command == "run":
-            jobs = args.jobs
-            if jobs is None:
-                jobs = int(os.environ.get("TAWT_LAB_JOBS", "1"))
-            result = cmd_run(cfg, out_dir, jobs=jobs, arm_filter=args.arm)
+            result = cmd_run(cfg, out_dir, jobs=args.jobs, arm_filter=args.arm)
             print(
                 f"{result['n_jobs']} jobs ({result['n_skipped']} reused, "
                 f"{result['n_failed']} failed) -> {result['summary']}"

@@ -62,15 +62,12 @@ class Dataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    def take(self, n: int, task_id: str | None = None) -> "Dataset":
+    def take(self, n: int) -> "Dataset":
         """First n examples (nested subsets for size sweeps)."""
-        if n > self.n:
+        if not 0 <= n <= self.n:
             raise ValueError(f"asked for {n} of {self.n} examples")
         return Dataset(
-            self.features[:n].copy(),
-            self.labels[:n].copy(),
-            self.n_classes,
-            task_id or self.task_id,
+            self.features[:n].copy(), self.labels[:n].copy(), self.n_classes, self.task_id
         )
 
 

@@ -23,15 +23,18 @@ Weights can live on tasks (default) or on the samples of a single source
 task.
 
 All four entry points are thin wrappers over one driver, _train, which
-runs one phase loop (_train_weighted_phase), one epoch function
-(_weighted_epoch) and one estimator dispatch (_estimate_task_gradients)
-for every paradigm and both weight granularities. single is the joint
-objective with no sources; fixed-weight runs are the adaptive loop with
-the weight step switched off. Sample weights enter _weighted_epoch as
-per-row loss coefficients, task weights as per-batch loss scales. Every
-step on the representation is model.train_step; head-only steps (the
-pretrain head fit and the frozen fine-tune) keep their own gradient on
-the frozen hidden layer.
+reads everything from the TrainConfig and runs one phase loop
+(_train_weighted_phase), one epoch function (_weighted_epoch) and one
+estimator dispatch (_estimate_task_gradients) for every paradigm and both
+weight granularities. single is the joint objective with no sources;
+fixed-weight runs are the adaptive loop with the weight step switched off.
+tawt runs any arm its config describes; train_single_task,
+pretrain_then_finetune and joint_train pin their own paradigm with the
+weight step off, and their RunRecord.config says so. Sample weights enter
+_weighted_epoch as per-row loss coefficients, task weights as per-batch
+loss scales. Every step on the representation is model.train_step;
+head-only steps (the pretrain head fit and the frozen fine-tune) keep
+their own gradient on the frozen hidden layer.
 
 Every run derives all of its randomness from cfg.seed through purpose-keyed
 child streams (model init, per-task shuffles, batch interleaving, subset
@@ -109,7 +112,8 @@ class TrainConfig:
     sample_split: float | None = None  # B1 fraction; pretrain only
     metrics_every: int = 1  # 0 -> record only the final epoch of each phase
 
-    def validate(self) -> None:
+    def validate(self, n_sources: int) -> None:
+        """Every rule an arm must satisfy, given its number of source tasks."""
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
         if self.weight_granularity not in GRANULARITIES:
@@ -124,6 +128,17 @@ class TrainConfig:
             raise ValueError("adaptive weighting needs a multi-task paradigm, got 'single'")
         if self.weighted and self.weight_granularity == "sample" and self.paradigm != "pretrain":
             raise ValueError("sample-granularity weighting supports the pretrain paradigm only")
+        if (self.paradigm == "single") != (n_sources == 0):
+            raise ValueError(
+                f"paradigm {self.paradigm!r} with {n_sources} sources: 'single' takes no "
+                "sources, every other paradigm at least one"
+            )
+        if self.weighted and self.weight_granularity == "sample" and n_sources != 1:
+            raise ValueError(
+                f"sample-granularity weighting needs exactly one source, got {n_sources}"
+            )
+        if self.sample_split is not None and self.paradigm != "pretrain":
+            raise ValueError("sample_split applies to the pretrain paradigm only")
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.eta < 0:
@@ -264,15 +279,18 @@ def split_target(target: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, D
     return parts[0], parts[1]
 
 
-def default_initial_weights(cfg: TrainConfig, sources, target: Dataset | None) -> SimplexWeights:
-    """Paradigm-default starting weights: proportional to sample size, except
-    uniform for normalized_joint."""
-    if cfg.paradigm == "pretrain":
-        return init_weights("proportional", [s.n for s in sources])
-    if cfg.paradigm in ("joint", "normalized_joint"):
-        mode = "uniform" if cfg.paradigm == "normalized_joint" else "proportional"
-        return init_weights(mode, [target.n] + [s.n for s in sources])
-    raise ValueError(f"no weight initialization for paradigm {cfg.paradigm!r}")
+def default_initial_weights(cfg: TrainConfig, sources, target: Dataset) -> SimplexWeights:
+    """Paradigm-default starting weights, one per objective task: proportional
+    to sample size, except uniform for normalized_joint. The target leads
+    unless the paradigm is pretrain, so single gets the target alone, [1.0].
+    Weighted sample granularity puts a uniform weight on each example of
+    the single source."""
+    if cfg.weighted and cfg.weight_granularity == "sample":
+        return init_weights("uniform", np.ones(sources[0].n))
+    sizes = [s.n for s in sources]
+    if cfg.paradigm != "pretrain":
+        sizes.insert(0, target.n)
+    return init_weights("uniform" if cfg.paradigm == "normalized_joint" else "proportional", sizes)
 
 
 class _Streams:
@@ -553,42 +571,35 @@ def _build_model(sources, target, cfg) -> SharedModel:
     return init_model(target.input_dim, cfg.hidden, head_dims, cfg.seed)
 
 
-def _train(sources, target, cfg, eval_data, w0, *, pretrain, adapt):
-    """The one driver behind every entry point.
+def _train(sources, target, cfg, eval_data, w0):
+    """The one driver behind every entry point; cfg alone decides the run.
 
-    pretrain puts only the sources in the weighted objective, adds one
-    head-only target step per epoch and ends with the fine-tune phase;
-    otherwise the target joins the objective at index 0. adapt turns on the
-    mirror-descent weight steps. w0 None picks the paradigm default: one
-    weight per objective task, or at sample granularity (adapt only) a
-    uniform weight per example of the single source. cfg.sample_split
-    partitions the target for pretrain, adaptive or not, so eta = 0 stays
-    bitwise the fixed-weight run.
+    The pretrain paradigm puts only the sources in the weighted objective,
+    adds one head-only target step per epoch and ends with the fine-tune
+    phase; every other paradigm puts the target in the objective at index
+    0. cfg.weighted turns on the mirror-descent weight steps. w0 None picks
+    default_initial_weights. cfg.sample_split partitions the target for
+    pretrain, weighted or not, so eta = 0 stays bitwise the fixed-weight run.
     """
-    cfg.validate()
-    if pretrain and not sources:
-        raise ValueError("pretraining needs at least one source task")
+    cfg.validate(len(sources))
+    pretrain, adapt = cfg.paradigm == "pretrain", cfg.weighted
     sources, target = _normalize_tasks(sources, target)
     started = time.perf_counter()
     eval_data = eval_data or target
     streams = _Streams(cfg.seed)
     fit_target, tune_target = target, target
     if cfg.sample_split is not None:
-        if pretrain:
-            fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
-        elif adapt:
-            raise ValueError("sample_split applies to the pretrain paradigm only")
+        fit_target, tune_target = split_target(target, cfg.sample_split, streams.get("split"))
 
     entries = [(s.task_id, s) for s in sources]
     if not pretrain:
         entries.insert(0, (TARGET_TASK_ID, target))
     if adapt and cfg.weight_granularity == "sample":
-        ((task_id, source),) = entries
-        weight_ids = [f"{task_id}[{i}]" for i in range(source.n)]
-        w0 = w0 or SimplexWeights(np.full(source.n, 1.0 / source.n))
+        weight_ids = [f"{sources[0].task_id}[{i}]" for i in range(sources[0].n)]
     else:
         weight_ids = [task_id for task_id, _ in entries]
-        w0 = w0 or default_initial_weights(cfg, sources, target)
+    if w0 is None:
+        w0 = default_initial_weights(cfg, sources, target)
     if len(w0) != len(weight_ids):
         raise ValueError(f"{len(w0)} weights for {len(weight_ids)} objective tasks")
 
@@ -612,9 +623,7 @@ def train_single_task(target: Dataset, cfg: TrainConfig, eval_data: Dataset | No
     """
     if target.n == 0:
         raise EmptyBatchError("cannot train on an empty target dataset")
-    return _train(
-        [], target, cfg, eval_data, SimplexWeights(np.ones(1)), pretrain=False, adapt=False
-    )
+    return _train([], target, replace(cfg, paradigm="single", weighted=False), eval_data, None)
 
 
 def pretrain_then_finetune(
@@ -633,7 +642,8 @@ def pretrain_then_finetune(
     the target is partitioned as in tawt: part one for the head-only steps,
     part two for the fine-tune.
     """
-    return _train(sources, target, cfg, eval_data, weights, pretrain=True, adapt=False)
+    cfg = replace(cfg, paradigm="pretrain", weighted=False)
+    return _train(sources, target, cfg, eval_data, weights)
 
 
 def joint_train(
@@ -646,12 +656,11 @@ def joint_train(
     """Simultaneous fixed-weight optimization over target + sources.
 
     The weight vector carries the target at index 0. The normalized_joint
-    paradigm differs from joint only in how default weights are initialized,
-    so this function serves both.
+    paradigm differs from joint only in its default weights, and this
+    function is always given weights, so it runs (and records) joint.
     """
-    return _train(
-        sources, target, cfg, eval_data, weights_with_target, pretrain=False, adapt=False
-    )
+    cfg = replace(cfg, paradigm="joint", weighted=False)
+    return _train(sources, target, cfg, eval_data, weights_with_target)
 
 
 def tawt(
@@ -661,31 +670,21 @@ def tawt(
     eval_data: Dataset | None = None,
     initial_weights: SimplexWeights | None = None,
 ):
-    """Adaptively weighted training: SGD epochs + mirror-descent weight steps.
+    """Train any arm that cfg.validate accepts; cfg alone decides how.
 
-    Per outer round: (i) SGD epochs on the weight-scaled objective (sources,
-    plus the target for the joint paradigms); (ii) for pretrain, head-only
-    SGD on the target; (iii) estimate each task's weight gradient from
-    subset gradient alignment; (iv) one mirror-descent step. The full weight
-    trajectory lands in the RunRecord. With sample granularity (pretrain,
-    one source) the weights live on the examples of that source instead.
-    initial_weights replaces the default start (paradigm default per task,
-    uniform per example) and must have one entry per weight.
+    With cfg.weighted set, each outer round is: (i) SGD epochs on the
+    weight-scaled objective (sources, plus the target unless pretraining);
+    (ii) for pretrain, head-only SGD on the target; (iii) each task's weight
+    gradient from subset gradient alignment; (iv) one mirror-descent step.
+    With cfg.weighted off the weight step is skipped, which makes tawt the
+    fixed-weight single, pretrain, joint or normalized_joint run. The full
+    weight trajectory lands in the RunRecord. With sample granularity
+    (pretrain, one source) the weights live on the examples of that source
+    instead. initial_weights replaces default_initial_weights and must
+    have one entry per weight.
 
     With cfg.sample_split set (pretrain only), the target data is
     partitioned once: part one drives the head-fit and estimation steps,
     part two the final fine-tune.
     """
-    if not cfg.weighted:
-        raise ValueError("cfg.weighted must be set for adaptive weighting")
-    if not sources:
-        raise ValueError("adaptive weighting needs at least one source task")
-    if cfg.weight_granularity == "sample":
-        if len(sources) != 1:
-            raise ValueError("sample-granularity weighting expects exactly one source task")
-        if sources[0].n == 0:
-            raise EmptyBatchError("cannot weight the samples of an empty source")
-    return _train(
-        sources, target, cfg, eval_data, initial_weights,
-        pretrain=cfg.paradigm == "pretrain", adapt=True,
-    )
+    return _train(sources, target, cfg, eval_data, initial_weights)

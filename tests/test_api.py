@@ -1,13 +1,17 @@
-"""The names the package exports, and the names the benchmark calls, exist.
+"""The names the package exports, and the names the benchmark calls, exist,
+and the benchmark's kernels run.
 
 perfbench/ wraps and calls tawt_lab functions by name from outside src/, so
-deleting one from the library would otherwise show only when the benchmark
-runs. These checks read perfbench/ and change nothing in it.
+deleting or reshaping one in the library would otherwise show only when the
+benchmark runs. These checks read and run perfbench/ and change nothing in it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import tawt_lab
@@ -48,3 +52,20 @@ def test_every_kernel_import_exists():
     ]
     assert imports and all(module.startswith("tawt_lab") for module, _ in imports)
     assert _missing(imports) == []
+
+
+def test_benchmark_kernels_run(tmp_path):
+    """perfbench/rep.py --kernels calls the step kernels, the CSV IO and the
+    teacher fit through their public signatures, so a signature change shows
+    here and not only in a traced benchmark run."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "rep.py"), "--kernels", "--seed", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(k for k in result if k.startswith("kernel.")) == [
+        "kernel.apply_update_us", "kernel.backward_arrays_us", "kernel.fit_teacher_s",
+        "kernel.load_dataset_csv_s", "kernel.save_dataset_csv_s",
+    ]

@@ -134,6 +134,13 @@ class TestConfigParsing:
             ({"source_flips": [0.0, 1.0], "overrides": {
                 "paradigm": "pretrain", "weighted": True, "weight_granularity": "sample"}},
              "exactly one source"),
+            ({"source_flips": [0.0], "overrides": {"paradigm": "single"}}, "takes no sources"),
+            ({"overrides": {"paradigm": "pretrain"}}, "at least one"),
+            ({"source_flips": [0.0], "overrides": {"paradigm": "joint", "sample_split": 0.5}},
+             "sample_split"),
+            ({"source_flips": [0.0], "overrides": {
+                "paradigm": "joint", "weighted": True, "sample_split": 0.5}},
+             "sample_split"),
         ],
     )
     def test_contradictory_arm_fails_at_parse(self, tmp_path, capsys, arm, named):
@@ -176,6 +183,33 @@ class TestConfigParsing:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("target_sizes", [40, -5]), ("target_sizes", [0]), ("target_sizes", 40),
+         ("base_n", 0), ("source_n", -200), ("eval_n", 200.5), ("n_classes", "4"),
+         ("input_dim", True), ("teacher_hidden", -1), ("teacher_epochs", 0),
+         ("teacher_batch", 0.0)],
+    )
+    def test_family_size_must_be_a_positive_integer(self, tmp_path, capsys, name, value):
+        """A size such as -5 is a config error naming the field, not a row
+        trained on the wrong number of examples."""
+        raw = tiny_config(tmp_path / "out")
+        raw["family"][name] = value
+        with pytest.raises(ConfigError, match=f"family.{name}"):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert f"family.{name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --jobs must be at least 1")
+        assert not (tmp_path / "out").exists()
+        assert harness._build_parser().parse_args(["run", "--config", str(path)]).jobs == 1
 
     def test_master_seed_has_no_cli_override(self, tmp_path):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))

@@ -61,6 +61,13 @@ class TestDataset:
         assert part.n == 4
         assert np.array_equal(part.features, data.features[:4])
 
+    @pytest.mark.parametrize("n", [-1, -5, 11])
+    def test_take_rejects_counts_outside_the_dataset(self, n):
+        """A negative n would otherwise slice off the tail instead of a prefix."""
+        data = generate_base_dataset(10, 4, 3, Rng(0))
+        with pytest.raises(ValueError, match=f"asked for {n} of 10"):
+            data.take(n)
+
     def test_empty_dataset_allowed(self):
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "x")
         assert empty.n == 0

@@ -34,6 +34,7 @@ from tawt_lab.weighting import (
     SimplexWeights,
     cosine_task_gradient,
     identity_hessian_task_gradient,
+    init_weights,
 )
 
 from conftest import random_dataset
@@ -70,11 +71,13 @@ class TestTrainConfig:
             {"finetune_rep": "half"},
             {"paradigm": "single", "weighted": True},
             {"paradigm": "joint", "weighted": True, "weight_granularity": "sample"},
+            {"paradigm": "joint", "sample_split": 0.5},
         ],
     )
     def test_validation_rejects(self, kw):
+        cfg = TrainConfig(**kw)
         with pytest.raises(ValueError):
-            TrainConfig(**kw).validate()
+            cfg.validate(0 if cfg.paradigm == "single" else 1)
 
 
 class TestSplitTarget:
@@ -219,6 +222,15 @@ class TestPretrain:
         # one head fit per rep epoch, then one matrix for the whole fine-tune
         assert calls == [target.n] * 3
 
+    def test_records_the_pinned_paradigm(self, tiny_family):
+        """The entry point pins pretrain and the weight step off, and
+        record.config says what ran, whatever the config asked for."""
+        cfg = base_cfg(paradigm="single", weighted=False, epochs=1, finetune_epochs=1)
+        _, record = pretrain_then_finetune(
+            [tiny_family["copy"]], tiny_family["target"], SimplexWeights(np.ones(1)), cfg
+        )
+        assert record.config["paradigm"] == "pretrain" and record.config["weighted"] is False
+
     def test_weight_count_mismatch(self, tiny_family):
         with pytest.raises(ValueError):
             pretrain_then_finetune(
@@ -307,8 +319,30 @@ class TestTawt:
     def test_requires_multitask_weighted_config(self, tiny_family):
         with pytest.raises(ValueError):
             tawt([tiny_family["copy"]], tiny_family["target"], base_cfg(paradigm="single", weighted=True))
-        with pytest.raises(ValueError):
-            tawt([tiny_family["copy"]], tiny_family["target"], base_cfg(paradigm="joint"))
+
+    @pytest.mark.parametrize("paradigm", ["single", "pretrain", "joint", "normalized_joint"])
+    def test_fixed_arm_matches_named_entry_point_bitwise(self, tiny_family, paradigm):
+        """With weighted off, tawt is the paradigm's fixed-weight run on its
+        default weights: proportional to sample size, uniform for
+        normalized_joint, the target first unless pretraining."""
+        target, copy, distractor = (
+            tiny_family["target"], tiny_family["copy"], tiny_family["distractor"],
+        )
+        sources = [] if paradigm == "single" else [copy, distractor]
+        cfg = base_cfg(paradigm=paradigm, epochs=3, finetune_epochs=2)
+        m_tawt, r_tawt = tawt(sources, target, cfg)
+        if paradigm == "single":
+            m_named, r_named = train_single_task(target, cfg)
+        elif paradigm == "pretrain":
+            w = init_weights("proportional", [copy.n, distractor.n])
+            m_named, r_named = pretrain_then_finetune(sources, target, w, cfg)
+        else:
+            mode = "uniform" if paradigm == "normalized_joint" else "proportional"
+            w = init_weights(mode, [target.n, copy.n, distractor.n])
+            m_named, r_named = joint_train(sources, target, w, cfg)
+        assert np.array_equal(m_tawt.rep_params, m_named.rep_params)
+        assert r_tawt.weight_steps == r_named.weight_steps
+        assert r_tawt.epoch_metrics == r_named.epoch_metrics
 
     def test_eta_zero_coincides_with_joint_bitwise(self, tiny_family):
         target, copy, distractor = (
