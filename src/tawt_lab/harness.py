@@ -8,11 +8,12 @@ and report emission, behind a four-subcommand CLI.
 
 Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
 codes: 0 success; 1 config error, reported before anything is written; 2
-all jobs failed; 3 IO/integrity error. Config errors include a family size
-that is not a positive integer, --jobs below 1, a teacher that misses its
-accuracy threshold, and an arm that TrainConfig.validate rejects: a
-weighted single arm, a single arm with sources or another paradigm
-without any, sample weights off pretrain or on other than one source, or
+all jobs failed; 3 IO/integrity error. Config errors include a value of
+the wrong type (never coerced) or a family size that is not positive, a
+seed in a train block, --jobs below 1, a teacher that misses its accuracy
+threshold, and an arm that TrainConfig.validate rejects: a weighted
+single arm, a single arm with sources or another paradigm without any,
+sample weights off pretrain or on other than one source, or
 sample_split off pretrain. `run` builds one Job per (arm, seed, target
 size), its TrainConfig merged once, and a worker trains it with one tawt
 call. --jobs (default 1) sets how many jobs may run concurrently; results
@@ -92,7 +93,8 @@ def _dataclass_from_dict(cls, raw: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "None": type(None)}
 _FAMILY_COUNTS = (
     "base_n", "source_n", "eval_n", "input_dim", "n_classes", "teacher_hidden",
     "teacher_epochs", "teacher_batch",
@@ -100,10 +102,30 @@ _FAMILY_COUNTS = (
 _TOP_LEVEL_FIELDS = {f.name for f in fields(ExperimentConfig)} | {"schema_version"}
 
 
+def _check_type(value, annotation: str, where: str) -> None:
+    """ConfigError unless value has the type annotation names ("float | None",
+    "list[int]" nonempty, ...); a bool is no number, an int is a float."""
+    if annotation.startswith("list["):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: must be a nonempty list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(item, annotation[5:-1], f"{where}[{i}]")
+        return
+    if not any(
+        isinstance(value, _TYPES.get(kind, ())) and (kind == "bool") == isinstance(value, bool)
+        for kind in annotation.split(" | ")
+    ):
+        raise ConfigError(f"{where}: must be {annotation}, got {value!r}")
+
+
 def _check_train_dict(raw: dict, where: str) -> dict:
-    unknown = set(raw) - _TRAIN_FIELDS
+    unknown = set(raw) - set(_TRAIN_TYPES)
     if unknown:
         raise ConfigError(f"{where}: unknown training field(s) {sorted(unknown)}")
+    if "seed" in raw:
+        raise ConfigError(f"{where}.seed: each job's seed derives from master_seed and seeds")
+    for name, value in raw.items():
+        _check_type(value, _TRAIN_TYPES[name], f"{where}.{name}")
     return dict(raw)
 
 
@@ -118,30 +140,25 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
     unknown = set(raw) - _TOP_LEVEL_FIELDS
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-    seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{where}: 'seeds' must be a nonempty list of integers")
+    _check_type(raw.get("master_seed", 0), "int", f"{where}.master_seed")
+    _check_type(raw.get("seeds"), "list[int]", f"{where}.seeds")
     out_dir = raw.get("out_dir")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"{where}: 'out_dir' must be a nonempty string")
     family = _dataclass_from_dict(FamilyConfig, raw.get("family", {}), f"{where}.family")
-    if not family.flip_grid:
-        raise ConfigError(f"{where}.family.flip_grid: must be nonempty")
+    _check_type(family.flip_grid, "list[float]", f"{where}.family.flip_grid")
     if any(not 0.0 <= q <= 1.0 for q in family.flip_grid):
         raise ConfigError(f"{where}.family.flip_grid: flip rates must lie in [0, 1]")
-    if not isinstance(family.target_sizes, list) or not family.target_sizes:
-        raise ConfigError(f"{where}.family.target_sizes: must be a nonempty list")
+    _check_type(family.target_sizes, "list[int]", f"{where}.family.target_sizes")
     counts = [(name, getattr(family, name)) for name in _FAMILY_COUNTS]
     for name, value in counts + [("target_sizes", n) for n in family.target_sizes]:
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise ConfigError(f"{where}.family.{name}: must be a positive integer, got {value!r}")
     train = _check_train_dict(raw.get("train", {}), f"{where}.train")
-    arms_raw = raw.get("arms")
-    if not isinstance(arms_raw, list) or not arms_raw:
-        raise ConfigError(f"{where}: 'arms' must be a nonempty list")
+    _check_type(raw.get("arms"), "list[dict]", f"{where}.arms")
     arms = []
     names = set()
-    for i, arm_raw in enumerate(arms_raw):
+    for i, arm_raw in enumerate(raw["arms"]):
         arm = _dataclass_from_dict(ArmConfig, arm_raw, f"{where}.arms[{i}]")
         if not arm.name:
             raise ConfigError(f"{where}.arms[{i}].name: must be nonempty")
@@ -161,8 +178,8 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
         arms.append(arm)
     distance = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
     return ExperimentConfig(
-        master_seed=int(raw.get("master_seed", 0)),
-        seeds=[int(s) for s in seeds],
+        master_seed=raw.get("master_seed", 0),
+        seeds=list(raw["seeds"]),
         out_dir=out_dir,
         family=family,
         train=train,
@@ -212,10 +229,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _arm_train_config(train: dict, arm: ArmConfig, seed: int) -> TrainConfig:
-    merged = dict(train)
-    merged.update(arm.overrides)
-    merged["seed"] = seed
-    return TrainConfig(**merged)
+    return TrainConfig(**{**train, **arm.overrides, "seed": seed})
 
 
 _HASH_CHUNK_BYTES = 1 << 20

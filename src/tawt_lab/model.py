@@ -21,15 +21,15 @@ one-row backward passes, for the sample-granularity estimators, and
 RepHessian the exact representation Hessian of a weighted loss as
 products H v, for the exact_hessian estimator.
 
-logits_batch, the forward pass behind evaluation, task losses and task
-labelling, runs in near-equal blocks of EVAL_BLOCK (1,024) to 2,047 rows
-through one reused (block, hidden) buffer, so no (n, hidden) activation is
-built. The 1,024-row floor keeps every block's products off OpenBLAS's
-small-matrix path (rows * k <= 1200 on SkylakeX), which rounds differently,
-so for k >= 2 the blocked logits are bitwise those of the one-shot product;
-for that the remainder is spread over the blocks, never left as a short
-tail. (One-class logits can differ in the last bit, but their softmax is
-exactly 1 either way.)
+The forward pass behind evaluation, task losses and task labelling streams
+the rows in near-equal blocks of floor to 2 * floor - 1 rows through reused
+(block, hidden) and (block, k) buffers, scoring each block as it comes. The
+floor, SMALL_GEMM_LIMIT // min(k, hidden) + 1 rows (121 at k = 10), keeps
+both products of every block off OpenBLAS's small-matrix path, which rounds
+differently, so for k >= 2 the logits are bitwise those of the one-shot
+product (the remainder is spread over the blocks, never left as a short
+tail), and so are the row-wise softmax and argmax. (One-class logits can
+differ in the last bit, but their softmax is exactly 1 either way.)
 """
 
 from __future__ import annotations
@@ -149,52 +149,63 @@ def hidden_batch(model: SharedModel, X: np.ndarray, out: np.ndarray | None = Non
     return np.maximum(H, 0.0, out=H)
 
 
-# Least rows per block of logits_batch (see the module docstring).
-EVAL_BLOCK = 1024
+# Largest M * N of an M x N product OpenBLAS (SkylakeX) may send to its small-matrix kernel.
+SMALL_GEMM_LIMIT = 1200
 
 
-def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
-    """(n, k) logits for a (n, d) feature matrix.
-
-    The rows go through in max(n // EVAL_BLOCK, 1) near-equal blocks, one
-    reused (block, hidden) activation buffer for all; below 2 * EVAL_BLOCK
-    rows that is one block, the one-shot pass itself.
-    """
+def _logit_blocks(model: SharedModel, task_id: str, X: np.ndarray):
+    """Yield (rows, Z) per row block of X: rows a slice, Z the block's logits,
+    valid until the next block is drawn (the blocks share their buffers)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionError(
             f"expected features of shape (n, {model.input_dim}), got {X.shape}"
         )
     head = model.head(task_id)
-    n = X.shape[0]
-    blocks = max(n // EVAL_BLOCK, 1)
+    n, k = X.shape[0], head.n_classes
+    blocks = max(n // (SMALL_GEMM_LIMIT // min(k, model.hidden_dim) + 1), 1)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     H = np.empty((-(-n // blocks), model.hidden_dim))
-    Z = np.empty((n, head.n_classes))
+    Z = np.empty((H.shape[0], k))
     for start, stop in zip(bounds, bounds[1:]):
         Hb = hidden_batch(model, X[start:stop], out=H[: stop - start])
-        np.matmul(Hb, head.W2.T, out=Z[start:stop])
-    Z += head.b2
+        Zb = np.matmul(Hb, head.W2.T, out=Z[: stop - start])
+        Zb += head.b2
+        yield slice(start, stop), Zb
+
+
+def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
+    """(n, k) logits for a (n, d) feature matrix, gathered from the blocks."""
+    Z = np.empty((len(X), model.head(task_id).n_classes))
+    for rows, Zb in _logit_blocks(model, task_id, X):
+        Z[rows] = Zb
     return Z
 
 
 def predictions(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties broken toward the lowest class index."""
-    return np.argmax(logits_batch(model, task_id, X), axis=1)
+    out = np.empty(len(X), dtype=np.intp)
+    for rows, Z in _logit_blocks(model, task_id, X):
+        np.argmax(Z, axis=1, out=out[rows])
+    return out
+
+
+def accuracy_and_loss(model: SharedModel, task_id: str, data) -> tuple[float, float]:
+    """Accuracy (argmax, ties to the lowest class) and mean cross-entropy
+    -ln(p_y + eps) over a dataset, as means of two per-row (n,) vectors."""
+    hit, picked = np.empty(data.n, dtype=bool), np.empty(data.n)
+    for rows, Z in _logit_blocks(model, task_id, data.features):
+        Yb = data.labels[rows]
+        np.equal(np.argmax(Z, axis=1), Yb, out=hit[rows])
+        picked[rows] = softmax_rows(Z)[np.arange(len(Yb)), Yb]
+    return float(np.mean(hit)), float(np.mean(-np.log(picked + LOG_EPS)))
 
 
 def task_loss(model: SharedModel, task_id: str, data) -> float:
     """Mean cross-entropy of the model's softmax outputs over a dataset."""
     if len(data.labels) == 0:
         raise EmptyBatchError(f"task_loss over an empty dataset for {task_id!r}")
-    return mean_loss_of_logits(logits_batch(model, task_id, data.features), data.labels)
-
-
-def mean_loss_of_logits(Z: np.ndarray, Y: np.ndarray) -> float:
-    """Mean cross-entropy -ln(softmax(z)_y + eps) over the rows of a (n, k) logit matrix."""
-    P = softmax_rows(Z)
-    picked = P[np.arange(len(Y)), Y]
-    return float(np.mean(-np.log(picked + LOG_EPS)))
+    return accuracy_and_loss(model, task_id, data)[1]
 
 
 class _Workspace:
@@ -296,8 +307,8 @@ def rep_gradient_flat(
     return np.concatenate([dW1.ravel(), db1])
 
 
-# Bytes of example_rep_grads' gradient block at any width (48 rows at d 20, hidden 256).
-EXAMPLE_BLOCK_BYTES = 2 << 20
+# Bytes of example_rep_grads' gradient block at any width (12 rows at d 20, hidden 256).
+EXAMPLE_BLOCK_BYTES = 512 << 10
 
 
 def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.ndarray):

@@ -57,12 +57,11 @@ from .model import (
     OptimizerState,
     RepHessian,
     SharedModel,
+    accuracy_and_loss,
     apply_update,
     example_rep_grads,
     hidden_batch,
     init_model,
-    logits_batch,
-    mean_loss_of_logits,
     rep_gradient_flat,
     task_loss,
     train_step,
@@ -249,11 +248,7 @@ def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
     """Accuracy (argmax, ties to lowest class) and mean loss on a dataset."""
     if data.n == 0:
         raise EmptyBatchError("evaluate over an empty dataset")
-    Z = logits_batch(model, task_id, data.features)
-    return EvalResult(
-        accuracy=float(np.mean(np.argmax(Z, axis=1) == data.labels)),
-        mean_loss=mean_loss_of_logits(Z, data.labels),
-    )
+    return EvalResult(*accuracy_and_loss(model, task_id, data))
 
 
 def split_target(target: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, Dataset]:

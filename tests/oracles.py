@@ -3,12 +3,13 @@
 finite_diff_gradient is the central-difference gradient that audits the
 hand-derived backprop; copy_model gives a model its own parameter buffers;
 unblocked_logits is logits_batch before its row blocks, one (n, hidden)
-activation for all rows; backward/GradSnapshot are the allocate-and-return
-full-data gradient; fd_rep_hessian assembles the representation Hessian of
-a weighted loss by central differences of that gradient, one column per
-parameter. The FD Hessian is only right where no pre-activation lies
-within the step of zero: a step that crosses a ReLU kink measures a jump,
-not a curvature.
+activation for all rows, and mean_loss_of_logits the loss of a whole (n, k)
+logit matrix at once, which task_loss and evaluate must equal bitwise;
+backward/GradSnapshot are the allocate-and-return full-data gradient;
+fd_rep_hessian assembles the representation Hessian of a weighted loss by
+central differences of that gradient, one column per parameter. The FD
+Hessian is only right where no pre-activation lies within the step of
+zero: a step that crosses a ReLU kink measures a jump, not a curvature.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from tawt_lab.model import (
     EmptyBatchError, Head, RepHessian, SharedModel, backward_arrays, hidden_batch,
 )
-from tawt_lab.numerics import NumericError
+from tawt_lab.numerics import LOG_EPS, NumericError, softmax_rows
 
 
 def finite_diff_gradient(f, params, h=1e-5) -> np.ndarray:
@@ -52,6 +53,13 @@ def unblocked_logits(model, task_id, X) -> np.ndarray:
     Z = hidden_batch(model, np.asarray(X, dtype=np.float64)) @ head.W2.T
     Z += head.b2
     return Z
+
+
+def mean_loss_of_logits(Z, Y) -> float:
+    """Mean cross-entropy -ln(softmax(z)_y + eps) over the rows of a (n, k) logit matrix."""
+    P = softmax_rows(Z)
+    picked = P[np.arange(len(Y)), Y]
+    return float(np.mean(-np.log(picked + LOG_EPS)))
 
 
 @dataclass

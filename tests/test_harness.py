@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -201,6 +202,49 @@ class TestConfigParsing:
         path = write_config(tmp_path, raw)
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert f"family.{name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value, named", [
+        pytest.param(path, value, named, id=f"{named}={value!r}")
+        for path, value, named in [
+            (("train", "epochs"), "3", "train.epochs"), (("train", "lr"), "x", "train.lr"),
+            (("train", "epochs"), 3.0, "train.epochs"),
+            (("train", "weighted"), 1, "train.weighted"),
+            (("train", "finetune_epochs"), True, "train.finetune_epochs"),
+            (("arms", 1, "overrides", "subset_size"), 2.5, "overrides.subset_size"),
+            (("family", "flip_grid"), ["a"], "family.flip_grid[0]"),
+            (("family", "flip_grid"), [0.0, True], "family.flip_grid[1]"),
+            (("family", "flip_grid"), "0.5", "family.flip_grid"),
+            (("seeds",), ["a"], "seeds[0]"), (("seeds",), [0, 1.0], "seeds[1]"),
+            (("master_seed",), 1.5, "master_seed"), (("master_seed",), "11", "master_seed"),
+        ]
+    ])
+    def test_value_of_the_wrong_type_fails_at_parse(self, tmp_path, capsys, path, value, named):
+        """A wrongly typed value is a config error naming its field, never a
+        traceback and never silently converted (master_seed 1.5 is not 1)."""
+        raw = tiny_config(tmp_path / "out")
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(raw)
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("in_arm", [False, True], ids=["train", "override"])
+    def test_seed_in_train_fields_fails_at_parse(self, tmp_path, capsys, in_arm):
+        """Every job's seed derives from master_seed and seeds; a seed set
+        beside them is named, not silently replaced by the job seed."""
+        raw = tiny_config(tmp_path / "out")
+        (raw["arms"][1]["overrides"] if in_arm else raw["train"])["seed"] = 99
+        with pytest.raises(ConfigError, match=r"\.seed: each job's seed derives"):
+            parse_config(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tawt_lab.model import (
+    SMALL_GEMM_LIMIT,
     EmptyBatchError,
     Head,
     OptimizerState,
@@ -12,7 +13,6 @@ from tawt_lab.model import (
     apply_update,
     init_model,
     logits_batch,
-    mean_loss_of_logits,
     predictions,
     rep_gradient_flat,
     task_loss,
@@ -22,10 +22,14 @@ from tawt_lab.numerics import (
     LOG_EPS, DimensionError, NumericError, Rng, hash64, softmax_rows,
 )
 from tawt_lab.taskgen import Dataset
-from tawt_lab.training import TrainConfig, _frozen_hidden, _head_only_epoch, evaluate
+from tawt_lab.training import (
+    EvalResult, TrainConfig, _frozen_hidden, _head_only_epoch, evaluate,
+)
 
 from conftest import random_dataset
-from oracles import backward, copy_model, finite_diff_gradient, unblocked_logits
+from oracles import (
+    backward, copy_model, finite_diff_gradient, mean_loss_of_logits, unblocked_logits,
+)
 
 
 def tiny_model(d=3, hidden=4, k=3, seed=0, tasks=("target",)):
@@ -76,31 +80,65 @@ def reference_shape_model(d, hidden, k, seed):
     return m
 
 
+def _assert_scores_match_one_shot(m, data):
+    want = unblocked_logits(m, "target", data.features)
+    got = logits_batch(m, "target", data.features)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    hits = np.argmax(want, axis=1) == data.labels
+    assert np.array_equal(predictions(m, "target", data.features), np.argmax(want, axis=1))
+    loss = mean_loss_of_logits(want, data.labels)
+    assert task_loss(m, "target", data) == loss
+    assert evaluate(m, "target", data) == EvalResult(float(np.mean(hits)), loss)
+
+
+def _scoring_peak(score) -> int:
+    score()  # warm up lazy allocations outside the measurement
+    tracemalloc.start()
+    try:
+        score()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedForward:
-    """logits_batch runs in row blocks; it must match the one-shot pass byte for byte."""
+    """The forward pass runs in row blocks of at least SMALL_GEMM_LIMIT //
+    min(k, hidden) + 1 rows; logits, predictions, losses and evaluate must
+    match the one-shot pass byte for byte."""
 
     @pytest.mark.parametrize("n, k", [
         (2047, 10), (2048, 10), (2049, 10), (3071, 10), (10_000, 10), (10_000, 2),
     ])
     def test_matches_unblocked_pass_bitwise(self, n, k):
         m = reference_shape_model(20, 256, k, seed=n + k)
-        data = random_dataset(n, 20, k, seed=hash64(n, k))
-        want = unblocked_logits(m, "target", data.features)
-        got = logits_batch(m, "target", data.features)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert task_loss(m, "target", data) == mean_loss_of_logits(want, data.labels)
+        _assert_scores_match_one_shot(m, random_dataset(n, 20, k, seed=hash64(n, k)))
 
+    # At d 40, hidden 8 a floor from k alone would send the first product,
+    # (rows, d) @ (d, hidden), to the small-matrix kernel.
+    @pytest.mark.parametrize("d, hidden, k, n", [
+        (d, hidden, k, n)
+        for d, hidden in [(20, 8), (20, 256), (40, 8)]
+        for k in (2, 3, 10)
+        for floor in [SMALL_GEMM_LIMIT // min(k, hidden) + 1]
+        for n in [floor - 1, floor, 2 * floor - 1, 2 * floor, 2 * floor + 1, 2000, 10_000]
+    ])
+    def test_matches_unblocked_pass_at_every_block_edge(self, d, hidden, k, n):
+        m = reference_shape_model(d, hidden, k, seed=n + k)
+        _assert_scores_match_one_shot(m, random_dataset(n, d, k, seed=hash64(n, k, d)))
+
+    # Scoring holds (block, hidden) and (block, k) buffers and (n,) score
+    # vectors; one (10,000, 256) activation alone would be 20.5 MB.
     def test_evaluate_never_builds_the_full_activation(self):
         m = reference_shape_model(20, 256, 10, seed=3)
         data = random_dataset(10_000, 20, 10, seed=4)
-        evaluate(m, "target", data)  # warm up lazy allocations outside the measurement
-        tracemalloc.start()
-        try:
-            evaluate(m, "target", data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6e6, f"evaluate peaked at {peak / 1e6:.1f} MB"
+        peak = _scoring_peak(lambda: evaluate(m, "target", data))
+        assert peak < 1e6, f"evaluate peaked at {peak / 1e6:.2f} MB"
+
+    def test_predictions_never_build_the_full_activation(self):
+        m = reference_shape_model(20, 256, 10, seed=3)
+        data = random_dataset(10_000, 20, 10, seed=4)
+        peak = _scoring_peak(lambda: predictions(m, "target", data.features))
+        assert peak < 1e6, f"predictions peaked at {peak / 1e6:.2f} MB"
 
 
 class TestTaskLoss:

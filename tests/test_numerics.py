@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tawt_lab.model import mean_loss_of_logits
 from tawt_lab.numerics import (
     DimensionError,
     NumericError,
@@ -16,7 +15,7 @@ from tawt_lab.numerics import (
     softmax_rows,
 )
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, mean_loss_of_logits
 
 finite_floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 
@@ -73,7 +72,8 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
-    """mean_loss_of_logits, the loss every evaluation path reports."""
+    """mean_loss_of_logits, the reference loss that task_loss and evaluate
+    equal bitwise (tests/test_model.py::TestBlockedForward)."""
 
     def test_uniform_gives_log_k(self):
         for k in (2, 5, 10):
