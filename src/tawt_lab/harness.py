@@ -9,7 +9,8 @@ and report emission, behind a four-subcommand CLI.
 Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
 codes: 0 success; 1 config error, reported before anything is written; 2
 all jobs failed; 3 IO/integrity error. Config errors include a value of
-the wrong type (never coerced) or a family size that is not positive, a
+the wrong type in any block (checked against its field's annotation,
+never coerced) or a family size that is not positive, a
 seed in a train block, --jobs below 1, a teacher that misses its accuracy
 threshold, and an arm that TrainConfig.validate rejects: a weighted
 single arm, a single arm with sources or another paradigm without any,
@@ -83,18 +84,21 @@ class ExperimentConfig:
 
 
 def _dataclass_from_dict(cls, raw: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    """cls(**raw), each value checked against its field's annotation first."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for name, value in raw.items():
+        _check_type(value, types[name], f"{where}.{name}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-_TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "None": type(None)}
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
+          "list": list, "None": type(None)}
 _FAMILY_COUNTS = (
     "base_n", "source_n", "eval_n", "input_dim", "n_classes", "teacher_hidden",
     "teacher_epochs", "teacher_batch",
@@ -119,13 +123,9 @@ def _check_type(value, annotation: str, where: str) -> None:
 
 
 def _check_train_dict(raw: dict, where: str) -> dict:
-    unknown = set(raw) - set(_TRAIN_TYPES)
-    if unknown:
-        raise ConfigError(f"{where}: unknown training field(s) {sorted(unknown)}")
     if "seed" in raw:
         raise ConfigError(f"{where}.seed: each job's seed derives from master_seed and seeds")
-    for name, value in raw.items():
-        _check_type(value, _TRAIN_TYPES[name], f"{where}.{name}")
+    _dataclass_from_dict(TrainConfig, raw, where)  # the fields' types; validate checks the rest
     return dict(raw)
 
 
@@ -146,13 +146,11 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"{where}: 'out_dir' must be a nonempty string")
     family = _dataclass_from_dict(FamilyConfig, raw.get("family", {}), f"{where}.family")
-    _check_type(family.flip_grid, "list[float]", f"{where}.family.flip_grid")
     if any(not 0.0 <= q <= 1.0 for q in family.flip_grid):
         raise ConfigError(f"{where}.family.flip_grid: flip rates must lie in [0, 1]")
-    _check_type(family.target_sizes, "list[int]", f"{where}.family.target_sizes")
     counts = [(name, getattr(family, name)) for name in _FAMILY_COUNTS]
     for name, value in counts + [("target_sizes", n) for n in family.target_sizes]:
-        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        if value <= 0:
             raise ConfigError(f"{where}.family.{name}: must be a positive integer, got {value!r}")
     train = _check_train_dict(raw.get("train", {}), f"{where}.train")
     _check_type(raw.get("arms"), "list[dict]", f"{where}.arms")
@@ -166,7 +164,8 @@ def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{where}.arms[{i}].name: duplicate arm name {arm.name!r}")
         names.add(arm.name)
         _check_train_dict(arm.overrides, f"{where}.arms[{i}].overrides")
-        for q in arm.source_flips:
+        for j, q in enumerate(arm.source_flips):
+            _check_type(q, "float", f"{where}.arms[{i}].source_flips[{j}]")
             if q not in family.flip_grid:
                 raise ConfigError(
                     f"{where}.arms[{i}].source_flips: flip {q} not in family.flip_grid"

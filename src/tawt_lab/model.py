@@ -21,15 +21,18 @@ one-row backward passes, for the sample-granularity estimators, and
 RepHessian the exact representation Hessian of a weighted loss as
 products H v, for the exact_hessian estimator.
 
-The forward pass behind evaluation, task losses and task labelling streams
-the rows in near-equal blocks of floor to 2 * floor - 1 rows through reused
-(block, hidden) and (block, k) buffers, scoring each block as it comes. The
-floor, SMALL_GEMM_LIMIT // min(k, hidden) + 1 rows (121 at k = 10), keeps
-both products of every block off OpenBLAS's small-matrix path, which rounds
-differently, so for k >= 2 the logits are bitwise those of the one-shot
-product (the remainder is spread over the blocks, never left as a short
-tail), and so are the row-wise softmax and argmax. (One-class logits can
-differ in the last bit, but their softmax is exactly 1 either way.)
+One floor rule keeps row blocks off OpenBLAS's small-matrix path (and off
+gemv), which rounds differently: a product with N output columns and at
+least _gemm_floor(N) = max(SMALL_GEMM_LIMIT // N + 1, 2) rows gives each
+row the bits of the one-shot product. Evaluation, task losses and labelling
+stream the rows in near-equal blocks of floor to 2 * floor - 1 rows, floor
+at min(k, hidden) (121 at k = 10), through reused (block, hidden) and
+(block, k) buffers, scoring each block as it comes: for k >= 2 the logits,
+softmax and argmax are bitwise those of the one-shot pass (the remainder is
+spread over the blocks, never left as a short tail; one-class logits can
+differ in the last bit, but their softmax is exactly 1 either way).
+Head-only training takes each minibatch's hidden rows from hidden_batches,
+in windows of at least the floor at hidden (5 at hidden 256).
 """
 
 from __future__ import annotations
@@ -153,6 +156,11 @@ def hidden_batch(model: SharedModel, X: np.ndarray, out: np.ndarray | None = Non
 SMALL_GEMM_LIMIT = 1200
 
 
+def _gemm_floor(cols: int) -> int:
+    """Fewest rows that keep a product with cols output columns a plain gemm."""
+    return max(SMALL_GEMM_LIMIT // cols + 1, 2)
+
+
 def _logit_blocks(model: SharedModel, task_id: str, X: np.ndarray):
     """Yield (rows, Z) per row block of X: rows a slice, Z the block's logits,
     valid until the next block is drawn (the blocks share their buffers)."""
@@ -163,7 +171,7 @@ def _logit_blocks(model: SharedModel, task_id: str, X: np.ndarray):
         )
     head = model.head(task_id)
     n, k = X.shape[0], head.n_classes
-    blocks = max(n // (SMALL_GEMM_LIMIT // min(k, model.hidden_dim) + 1), 1)
+    blocks = max(n // _gemm_floor(min(k, model.hidden_dim)), 1)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     H = np.empty((-(-n // blocks), model.hidden_dim))
     Z = np.empty((H.shape[0], k))
@@ -172,6 +180,32 @@ def _logit_blocks(model: SharedModel, task_id: str, X: np.ndarray):
         Zb = np.matmul(Hb, head.W2.T, out=Z[: stop - start])
         Zb += head.b2
         yield slice(start, stop), Zb
+
+
+def hidden_batches(model: SharedModel, X: np.ndarray, order: np.ndarray, batch_size: int):
+    """Yield (idx, Hb) per minibatch idx = order[start : start + batch_size],
+    Hb bitwise rows idx of hidden_batch(model, X) and valid until the next draw.
+
+    A batch's rows come from one reused buffer, computed over a window of
+    order that holds the batch and at least the floor of rows, widened back
+    into the previous batch (forward for the first). Below the floor the
+    one-shot product is itself on the small-matrix path, whose bits depend
+    on the row count and order, so X is computed whole, in order.
+    """
+    n, floor = len(order), _gemm_floor(model.hidden_dim)
+    if n < floor:
+        H = hidden_batch(model, X)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            yield idx, H[idx]
+        return
+    H = np.empty((max(min(batch_size, n), floor), model.hidden_dim))
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
+        lo = max(min(start, start + len(idx) - floor), 0)
+        rows = order[lo : max(lo + floor, start + len(idx))]
+        Hw = hidden_batch(model, X[rows], out=H[: len(rows)])
+        yield idx, Hw[start - lo : start - lo + len(idx)]
 
 
 def logits_batch(model: SharedModel, task_id: str, X: np.ndarray) -> np.ndarray:

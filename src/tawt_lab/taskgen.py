@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,18 +196,23 @@ def fit_family_teachers(
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Uncompressed np.savez archive of features (n, d) float64, labels (n,)
-    int64 and n_classes, written to path as given.
+    """Uncompressed .npz archive of features (n, d) float64, labels (n,)
+    int64 and n_classes, written to path as given: byte for byte np.savez's,
+    each member the .npy header then the array's own buffer, without the
+    whole-array copy np.savez makes.
 
-    The arrays are stored as raw float64/int64, so load_dataset gives back
-    the same bits, -0.0 and subnormals included. The zip members carry
-    zipfile's fixed default timestamp, so equal datasets give equal bytes.
+    load_dataset gives back the same bits, -0.0 and subnormals included.
+    The members carry zipfile's fixed default timestamp, so equal datasets
+    give equal bytes.
     """
-    with open(path, "wb") as fh:  # a path np.savez would suffix with .npz
-        np.savez(
-            fh, features=dataset.features, labels=dataset.labels,
-            n_classes=np.int64(dataset.n_classes),
-        )
+    arrays = {"features": dataset.features, "labels": dataset.labels,
+              "n_classes": np.asarray(dataset.n_classes, dtype=np.int64)}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                header = np.lib.format.header_data_from_array_1_0(arr)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_dataset(path, task_id: str | None = None) -> Dataset:

@@ -60,7 +60,7 @@ from .model import (
     accuracy_and_loss,
     apply_update,
     example_rep_grads,
-    hidden_batch,
+    hidden_batches,
     init_model,
     rep_gradient_flat,
     task_loss,
@@ -180,9 +180,9 @@ class FamilyConfig:
     teacher_lr: float = 3e-3
     teacher_batch: int = 100
     teacher_accuracy_threshold: float = 1.0
-    flip_grid: list = field(default_factory=lambda: [0.0])
+    flip_grid: list[float] = field(default_factory=lambda: [0.0])
     source_n: int = 2000
-    target_sizes: list = field(default_factory=lambda: [100])
+    target_sizes: list[int] = field(default_factory=lambda: [100])
     eval_n: int = 1000
 
     def fit_teachers(self, teacher_seed: int, rng: Rng) -> dict:
@@ -334,17 +334,9 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
         train_step(model, task_id, data.features[idx], data.labels[idx], opt, **scale)
 
 
-def _frozen_hidden(model, task_id, data, opt):
-    """data's hidden matrix for head-only steps on task_id's head.
-
-    The head's optimizer slot is created first: see OptimizerState.grad_buffer.
-    """
-    opt.grad_buffer(f"head.{task_id}", model.head(task_id).params)
-    return hidden_batch(model, data.features)
-
-
-def _head_only_epoch(model, task_id, data, H, cfg, opt, rng):
-    """One epoch of minibatch steps on one head over data's frozen hidden matrix H."""
+def _head_only_epoch(model, task_id, data, cfg, opt, rng):
+    """One epoch of minibatch steps on one head over the frozen representation.
+    The head's slot is created before hidden_batches' buffer (see grad_buffer)."""
     if data.n == 0:
         return
     head = model.head(task_id)
@@ -352,9 +344,7 @@ def _head_only_epoch(model, task_id, data, H, cfg, opt, rng):
     grad = opt.grad_buffer(key, head.params)
     dW2, db2 = grad[: head.W2.size].reshape(head.W2.shape), grad[head.W2.size :]
     order = rng.permutation(data.n)
-    for start in range(0, data.n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        Hb = H[idx]
+    for idx, Hb in hidden_batches(model, data.features, order, cfg.batch_size):
         Y = data.labels[idx]
         Z = Hb @ head.W2.T + head.b2
         P = softmax_rows(Z)
@@ -499,9 +489,7 @@ def _train_weighted_phase(
         _weighted_epoch(model, entries, w, cfg, opt, streams)
         if head_fit_data is not None:
             _head_only_epoch(
-                model, TARGET_TASK_ID, head_fit_data,
-                _frozen_hidden(model, TARGET_TASK_ID, head_fit_data, opt),
-                cfg, opt, streams.get("head-shuffle"),
+                model, TARGET_TASK_ID, head_fit_data, cfg, opt, streams.get("head-shuffle")
             )
         _record_epoch(
             record, model, entries, eval_data, epoch, "rep",
@@ -517,28 +505,23 @@ def _train_weighted_phase(
 def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
     """Pretrain phase 2: fit the target on its own data, full or frozen rep.
 
-    A frozen representation gives the same hidden matrix H every epoch, so it
-    is built once. H is released after the last head-only epoch, before the
-    final evaluation builds its own forward block.
+    A frozen representation is fit head-only, each minibatch's hidden rows
+    recomputed when the batch needs them: no (n, hidden) matrix is held.
     """
     epochs = cfg.resolved_finetune_epochs()
     opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
     entries = [(TARGET_TASK_ID, data)]
     w_one = SimplexWeights(np.ones(1))
-    frozen = cfg.finetune_rep == "frozen" and epochs > 0
-    H = _frozen_hidden(model, TARGET_TASK_ID, data, opt) if frozen else None
     for epoch in range(epochs):
-        last = epoch == epochs - 1
-        if frozen:
+        if cfg.finetune_rep == "frozen":
             _head_only_epoch(
-                model, TARGET_TASK_ID, data, H, cfg, opt, streams.get("finetune-shuffle")
+                model, TARGET_TASK_ID, data, cfg, opt, streams.get("finetune-shuffle")
             )
-            if last:
-                H = None
         else:
             _weighted_epoch(model, entries, w_one, cfg, opt, streams)
         _record_epoch(
-            record, model, entries, eval_data, epoch_offset + epoch, "finetune", cfg, final=last
+            record, model, entries, eval_data, epoch_offset + epoch, "finetune", cfg,
+            final=epoch == epochs - 1,
         )
 
 

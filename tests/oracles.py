@@ -10,6 +10,8 @@ fd_rep_hessian assembles the representation Hessian of a weighted loss by
 central differences of that gradient, one column per parameter. The FD
 Hessian is only right where no pre-activation lies within the step of
 zero: a step that crosses a ReLU kink measures a jump, not a curvature.
+savez_dataset is save_dataset as np.savez wrote it, whose bytes the
+copy-free writer must match.
 """
 
 from dataclasses import dataclass
@@ -125,3 +127,12 @@ def dense_solve(H, b, ridge=None) -> np.ndarray:
 
 def min_abs_preactivation(model, X) -> float:
     return float(np.min(np.abs(X @ model.W1.T + model.b1)))
+
+
+def savez_dataset(dataset, path) -> None:
+    """save_dataset's archive written by np.savez through an open file."""
+    with open(path, "wb") as fh:
+        np.savez(
+            fh, features=dataset.features, labels=dataset.labels,
+            n_classes=np.int64(dataset.n_classes),
+        )

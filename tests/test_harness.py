@@ -217,12 +217,20 @@ class TestConfigParsing:
             (("family", "flip_grid"), "0.5", "family.flip_grid"),
             (("seeds",), ["a"], "seeds[0]"), (("seeds",), [0, 1.0], "seeds[1]"),
             (("master_seed",), 1.5, "master_seed"), (("master_seed",), "11", "master_seed"),
+            (("distance", "oracle_n"), "10", "distance.oracle_n"),
+            (("distance", "head_fit_n"), 2.5, "distance.head_fit_n"),
+            (("distance", "lr"), "x", "distance.lr"),
+            (("family", "teacher_lr"), "x", "family.teacher_lr"),
+            (("family", "teacher_accuracy_threshold"), "1", "family.teacher_accuracy_threshold"),
+            (("arms", 0, "name"), 5, "arms[0].name"),
+            (("arms", 1, "source_flips"), "0.0", "arms[1].source_flips"),
+            (("arms", 1, "source_flips"), ["0.0"], "arms[1].source_flips[0]"),
         ]
     ])
     def test_value_of_the_wrong_type_fails_at_parse(self, tmp_path, capsys, path, value, named):
         """A wrongly typed value is a config error naming its field, never a
         traceback and never silently converted (master_seed 1.5 is not 1)."""
-        raw = tiny_config(tmp_path / "out")
+        raw = tiny_config(tmp_path / "out", distance={})
         node = raw
         for key in path[:-1]:
             node = node[key]

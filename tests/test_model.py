@@ -23,7 +23,7 @@ from tawt_lab.numerics import (
 )
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import (
-    EvalResult, TrainConfig, _frozen_hidden, _head_only_epoch, evaluate,
+    EvalResult, TrainConfig, _head_only_epoch, evaluate,
 )
 
 from conftest import random_dataset
@@ -424,8 +424,7 @@ class TestTrainStep:
                 order = Rng(9).permutation(23)
                 _ref_head_only_epoch(ref, "a", data["a"].features, data["a"].labels,
                                      order, 10, state, kind, lr)
-                H = _frozen_hidden(m, "a", data["a"], opt)
-                _head_only_epoch(m, "a", data["a"], H, TrainConfig(batch_size=10), opt, Rng(9))
+                _head_only_epoch(m, "a", data["a"], TrainConfig(batch_size=10), opt, Rng(9))
             else:
                 tid, rows, scale = entry
                 idx = rng.permutation(23)[:rows]
@@ -442,6 +441,30 @@ class TestTrainStep:
             assert np.array_equal(m.W1, ref["W1"]) and np.array_equal(m.b1, ref["b1"])
             for tid, h in m.heads.items():
                 assert np.array_equal(h.W2, ref[tid][0]) and np.array_equal(h.b2, ref[tid][1])
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    @pytest.mark.parametrize("d, hidden, n, batch", [
+        (64, 256, 2003, 100),  # 3-row tail below the floor (5), widened back
+        (40, 8, 400, 100),    # every batch below the floor (151), the first widened forward
+        (20, 256, 2000, 100),  # the distance benchmark's head fit
+        (20, 256, 4, 100),    # one batch, n below the floor
+    ])
+    def test_head_only_epochs_match_one_shot_hidden_matrix_bitwise(self, kind, d, hidden, n, batch):
+        """Head-only epochs compute each batch's hidden rows on their own,
+        bitwise the rows of the one-shot (n, hidden) matrix."""
+        lr = 3e-2
+        m = init_model(d, hidden, {"a": 10}, seed=23)
+        head = m.heads["a"]
+        ref = {"W1": m.W1.copy(), "b1": m.b1.copy(), "a": (head.W2.copy(), head.b2.copy())}
+        state = {"m": {}, "v": {}, "t": {}}
+        opt = OptimizerState(kind=kind, lr=lr)
+        data = random_dataset(n, d, 10, hash64(6, n))
+        ref_rng, rng = Rng(9), Rng(9)
+        for _ in range(3):
+            _ref_head_only_epoch(ref, "a", data.features, data.labels, ref_rng.permutation(n),
+                                 batch, state, kind, lr)
+            _head_only_epoch(m, "a", data, TrainConfig(batch_size=batch), opt, rng)
+        assert np.array_equal(head.W2, ref["a"][0]) and np.array_equal(head.b2, ref["a"][1])
 
     def test_apply_update_is_in_place(self):
         p = [np.array([1.0, 2.0])]

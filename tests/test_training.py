@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import tawt_lab.model as model_module
 import tawt_lab.training as training
 from tawt_lab.model import (
     EXAMPLE_BLOCK_BYTES,
@@ -208,19 +209,66 @@ class TestPretrain:
             model.heads["target"].W2, before.heads["target"].W2
         )
 
-    def test_frozen_finetune_builds_hidden_matrix_once(self, tiny_family, monkeypatch):
-        calls, original = [], training.hidden_batch
+    @pytest.mark.parametrize("hidden, per_epoch", [
+        # floor 5: 8 batches of 7, the 4-row tail in a 5-row window
+        pytest.param(256, [7] * 8 + [5], id="windows"),
+        # floor 76 > 60 rows: one product over all rows, in stored order
+        pytest.param(16, [60], id="below_floor"),
+    ])
+    def test_head_only_epochs_compute_batch_rows_in_gate_sized_windows(
+        self, tiny_family, monkeypatch, hidden, per_epoch
+    ):
+        """Every head-only epoch (the rep phase's head fits and the frozen
+        fine-tune) computes its hidden rows batch by batch, each hidden_batch
+        call covering at most max(batch, floor) rows, floor = 1200 // hidden + 1,
+        once there are floor rows; no (n, hidden) matrix is held."""
+        rows, inside = [], []
+        head_only_epoch, hidden_batch = training._head_only_epoch, model_module.hidden_batch
+
+        def flagged(*args):
+            inside.append(True)
+            try:
+                head_only_epoch(*args)
+            finally:
+                inside.pop()
 
         def counting(model, X, out=None):
-            calls.append(len(X))
-            return original(model, X, out=out)
+            if inside:
+                rows.append(len(X))
+            return hidden_batch(model, X, out=out)
 
-        monkeypatch.setattr(training, "hidden_batch", counting)
+        monkeypatch.setattr(training, "_head_only_epoch", flagged)
+        monkeypatch.setattr(model_module, "hidden_batch", counting)
         target, copy = tiny_family["target"], tiny_family["copy"]
-        cfg = base_cfg(paradigm="pretrain", epochs=2, finetune_epochs=5, finetune_rep="frozen")
+        cfg = base_cfg(
+            paradigm="pretrain", epochs=2, finetune_epochs=3, finetune_rep="frozen",
+            hidden=hidden, batch_size=7,
+        )
         pretrain_then_finetune([copy], target, SimplexWeights(np.ones(1)), cfg)
-        # one head fit per rep epoch, then one matrix for the whole fine-tune
-        assert calls == [target.n] * 3
+        assert target.n == 60 and rows == per_epoch * 5
+
+    def test_frozen_finetune_holds_no_hidden_matrix(self):
+        """One frozen fine-tune at 2,000 x 256 peaks far below the (2,000, 256)
+        matrix it held before (4.1 MB): one batch window, the final scoring
+        block and the head's optimizer slot."""
+        data = random_dataset(2_000, 20, 10, seed=61)
+        cfg = TrainConfig(
+            paradigm="pretrain", finetune_epochs=2, finetune_rep="frozen", metrics_every=0,
+        )
+        model = init_model(20, 256, {"target": 10}, seed=62)
+
+        def finetune():
+            record = RunRecord(config={}, weight_task_ids=["target"])
+            training._finetune_phase(model, data, cfg, training._Streams(3), record, data, 0)
+
+        finetune()  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            finetune()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"a frozen fine-tune peaked at {peak / 1e6:.2f} MB"
 
     def test_records_the_pinned_paradigm(self, tiny_family):
         """The entry point pins pretrain and the weight step off, and
