@@ -66,6 +66,14 @@ class DistanceConfig:
     batch_size: int = 100
     hidden: int = 256
 
+    def validate(self) -> None:
+        """Every fit draws and trains on examples, with a TrainConfig it accepts."""
+        for name in ("head_fit_n", "oracle_n", "rep_epochs", "head_fit_epochs", "oracle_epochs"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        self.estimator_train_config(0).validate(1)
+        self.oracle_train_config(0).validate(0)
+
     def estimator_train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
             paradigm="pretrain",
@@ -132,8 +140,8 @@ def distance_curve(
     The oracle sample and each source are freed after their one fit, so no
     draw overlaps the previous one.
     """
-    if any(not 0.0 <= q <= 1.0 for q in fam.flip_grid):
-        raise ValueError("flip rates must lie in [0, 1]")
+    fam.validate()
+    cfg.validate()
     d = fam.input_dim
     estimates = []
     for seed in seeds:

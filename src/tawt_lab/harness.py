@@ -9,17 +9,15 @@ and report emission, behind a four-subcommand CLI.
 Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
 codes: 0 success; 1 config error, reported before anything is written; 2
 all jobs failed; 3 IO/integrity error. Config errors include a value of
-the wrong type in any block (checked against its field's annotation,
-never coerced) or a family size that is not positive, a
-seed in a train block, --jobs below 1, a teacher that misses its accuracy
-threshold, and an arm that TrainConfig.validate rejects: a weighted
-single arm, a single arm with sources or another paradigm without any,
-sample weights off pretrain or on other than one source, or
-sample_split off pretrain. `run` builds one Job per (arm, seed, target
-size), its TrainConfig merged once, and a worker trains it with one tawt
-call. --jobs (default 1) sets how many jobs may run concurrently; results
-are identical either way because every job derives its own seed stream
-from the master seed.
+the wrong type or outside its range in any block, a seed in a train
+block, --jobs below 1, a teacher that misses its accuracy threshold, and
+an arm that TrainConfig.validate rejects: a weighted single arm, a single
+arm with sources or another paradigm without any, sample weights off
+pretrain or on other than one source, or sample_split off pretrain. `run`
+builds one Job per (arm, seed, target size), its TrainConfig merged once,
+and a worker trains it with one tawt call. --jobs (default 1) sets how
+many jobs may run concurrently; results are identical either way because
+every job derives its own seed stream from the master seed.
 """
 
 from __future__ import annotations
@@ -68,149 +66,127 @@ class ConfigError(ValueError):
 @dataclass
 class ArmConfig:
     name: str
-    source_flips: list = field(default_factory=list)
+    source_flips: list[float] = field(default_factory=list)
     overrides: dict = field(default_factory=dict)
 
 
 @dataclass
 class ExperimentConfig:
-    master_seed: int
-    seeds: list
+    seeds: list[int]
     out_dir: str
-    family: FamilyConfig
-    train: dict
-    arms: list
+    arms: list[ArmConfig]
+    family: FamilyConfig = field(default_factory=FamilyConfig)
+    train: dict = field(default_factory=dict)
+    master_seed: int = 0
     distance: DistanceConfig = field(default_factory=DistanceConfig)
 
+    def validate(self) -> None:
+        for name in ("seeds", "out_dir", "arms"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
 
-def _dataclass_from_dict(cls, raw: dict, where: str):
-    """cls(**raw), each value checked against its field's annotation first."""
+
+_BLOCKS = {cls.__name__: cls for cls in (ArmConfig, DistanceConfig, FamilyConfig)}
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
+          "None": type(None)}
+
+
+def _checked_fields(cls, raw, where: str) -> dict:
+    """raw as keyword arguments of cls: a JSON object of cls's fields only,
+    each value checked against its field's annotation."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {raw!r}")
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-    for name, value in raw.items():
-        _check_type(value, types[name], f"{where}.{name}")
+    return {name: _checked(value, types[name], f"{where}.{name}") for name, value in raw.items()}
+
+
+def _dataclass_from_dict(cls, raw, where: str):
+    """The one schema walk: cls built from raw's checked fields, then held
+    to its own validate() rules. Each validate message starts with the field
+    at fault, so the error names it."""
+    kwargs = _checked_fields(cls, raw, where)
     try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
+        block = cls(**kwargs)
+    except TypeError as exc:  # a required field is missing
         raise ConfigError(f"{where}: {exc}") from None
+    if hasattr(block, "validate"):
+        try:
+            block.validate()
+        except ValueError as exc:
+            raise ConfigError(f"{where}.{exc}") from None
+    return block
 
 
-_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
-          "list": list, "None": type(None)}
-_FAMILY_COUNTS = (
-    "base_n", "source_n", "eval_n", "input_dim", "n_classes", "teacher_hidden",
-    "teacher_epochs", "teacher_batch",
-)
-_TOP_LEVEL_FIELDS = {f.name for f in fields(ExperimentConfig)} | {"schema_version"}
-
-
-def _check_type(value, annotation: str, where: str) -> None:
-    """ConfigError unless value has the type annotation names ("float | None",
-    "list[int]" nonempty, ...); a bool is no number, an int is a float."""
+def _checked(value, annotation: str, where: str):
+    """value if it has the type annotation names ("float | None", "list[int]",
+    a block such as "FamilyConfig", ...), lists and blocks walked in turn;
+    never coerced. A bool is no number, an int is a float, and a float is
+    finite."""
     if annotation.startswith("list["):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{where}: must be a nonempty list, got {value!r}")
-        for i, item in enumerate(value):
-            _check_type(item, annotation[5:-1], f"{where}[{i}]")
-        return
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: must be a list, got {value!r}")
+        item_type = annotation[5:-1]
+        return [_checked(item, item_type, f"{where}[{i}]") for i, item in enumerate(value)]
+    if annotation in _BLOCKS:
+        return _dataclass_from_dict(_BLOCKS[annotation], value, where)
     if not any(
         isinstance(value, _TYPES.get(kind, ())) and (kind == "bool") == isinstance(value, bool)
         for kind in annotation.split(" | ")
     ):
         raise ConfigError(f"{where}: must be {annotation}, got {value!r}")
+    if isinstance(value, float) and not abs(value) < float("inf"):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return value
 
 
-def _check_train_dict(raw: dict, where: str) -> dict:
-    if "seed" in raw:
-        raise ConfigError(f"{where}.seed: each job's seed derives from master_seed and seeds")
-    _dataclass_from_dict(TrainConfig, raw, where)  # the fields' types; validate checks the rest
-    return dict(raw)
-
-
-def parse_config(raw: dict, where: str = "config") -> ExperimentConfig:
+def parse_config(raw, where: str = "config") -> ExperimentConfig:
+    """The experiment raw describes. The schema walk checks every block;
+    here are only the rules that span blocks."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be a JSON object")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{where}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    unknown = set(raw) - _TOP_LEVEL_FIELDS
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-    _check_type(raw.get("master_seed", 0), "int", f"{where}.master_seed")
-    _check_type(raw.get("seeds"), "list[int]", f"{where}.seeds")
-    out_dir = raw.get("out_dir")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"{where}: 'out_dir' must be a nonempty string")
-    family = _dataclass_from_dict(FamilyConfig, raw.get("family", {}), f"{where}.family")
-    if any(not 0.0 <= q <= 1.0 for q in family.flip_grid):
-        raise ConfigError(f"{where}.family.flip_grid: flip rates must lie in [0, 1]")
-    counts = [(name, getattr(family, name)) for name in _FAMILY_COUNTS]
-    for name, value in counts + [("target_sizes", n) for n in family.target_sizes]:
-        if value <= 0:
-            raise ConfigError(f"{where}.family.{name}: must be a positive integer, got {value!r}")
-    train = _check_train_dict(raw.get("train", {}), f"{where}.train")
-    _check_type(raw.get("arms"), "list[dict]", f"{where}.arms")
-    arms = []
-    names = set()
-    for i, arm_raw in enumerate(raw["arms"]):
-        arm = _dataclass_from_dict(ArmConfig, arm_raw, f"{where}.arms[{i}]")
+        raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    body = {key: value for key, value in raw.items() if key not in ("schema_version", "distance")}
+    cfg = _dataclass_from_dict(ExperimentConfig, body, where)
+    train_blocks = [("train", cfg.train)] + [
+        (f"arms[{i}].overrides", arm.overrides) for i, arm in enumerate(cfg.arms)
+    ]
+    for name, block in train_blocks:
+        if "seed" in block:
+            raise ConfigError(
+                f"{where}.{name}.seed: each job's seed derives from master_seed and seeds"
+            )
+        _checked_fields(TrainConfig, block, f"{where}.{name}")  # validate checks each merged arm
+    for i, arm in enumerate(cfg.arms):
+        at = f"{where}.arms[{i}]"
         if not arm.name:
-            raise ConfigError(f"{where}.arms[{i}].name: must be nonempty")
-        if arm.name in names:
-            raise ConfigError(f"{where}.arms[{i}].name: duplicate arm name {arm.name!r}")
-        names.add(arm.name)
-        _check_train_dict(arm.overrides, f"{where}.arms[{i}].overrides")
-        for j, q in enumerate(arm.source_flips):
-            _check_type(q, "float", f"{where}.arms[{i}].source_flips[{j}]")
-            if q not in family.flip_grid:
-                raise ConfigError(
-                    f"{where}.arms[{i}].source_flips: flip {q} not in family.flip_grid"
-                )
+            raise ConfigError(f"{at}.name: must be nonempty")
+        if arm.name in [earlier.name for earlier in cfg.arms[:i]]:
+            raise ConfigError(f"{at}.name: duplicate arm name {arm.name!r}")
+        stray = [q for q in arm.source_flips if q not in cfg.family.flip_grid]
+        if stray:
+            raise ConfigError(f"{at}.source_flips: flip {stray[0]} not in family.flip_grid")
         try:
-            _arm_train_config(train, arm, seed=0).validate(len(arm.source_flips))
+            _arm_train_config(cfg.train, arm, seed=0).validate(len(arm.source_flips))
         except ValueError as exc:
-            raise ConfigError(f"{where}.arms[{i}]: {exc}") from None
-        arms.append(arm)
-    distance = _distance_config(raw.get("distance", {}), train, f"{where}.distance")
-    return ExperimentConfig(
-        master_seed=raw.get("master_seed", 0),
-        seeds=list(raw["seeds"]),
-        out_dir=out_dir,
-        family=family,
-        train=train,
-        arms=arms,
-        distance=distance,
-    )
-
-
-_NOT_DISTANCE_FIELDS = {f.name for f in fields(FamilyConfig)} | {"seeds", "master_seed"}
-
-
-def _distance_config(raw, train: dict, where: str) -> DistanceConfig:
-    """The distance block: DistanceConfig fields. The student width defaults
-    to the train block's. weights_mode is still accepted and checked, but
-    has no effect: each grid point has one source, whose weight is 1 under
-    any mode. It becomes a config error once no shipped config sets it
-    (ROADMAP item 1(a))."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
-    misplaced = sorted(set(raw) & _NOT_DISTANCE_FIELDS)
-    if misplaced:
-        raise ConfigError(f"{where}: {misplaced} belong in the family block or at the top level")
-    block = {"hidden": train.get("hidden", TrainConfig.hidden), **raw}
-    weights_mode = block.pop("weights_mode", "uniform")
-    dist = _dataclass_from_dict(DistanceConfig, block, where)
-    try:
-        init_weights(weights_mode, [1])
-        dist.estimator_train_config(0).validate(1)
-        dist.oracle_train_config(0).validate(0)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return dist
+            raise ConfigError(f"{at}: {exc}") from None
+    # The student width defaults to the train block's. weights_mode is still
+    # accepted and checked, but has no effect: each grid point has one source,
+    # whose weight is 1 under any mode. It becomes a config error once no
+    # shipped config sets it (ROADMAP item 1(a)).
+    distance = raw.get("distance", {})
+    if isinstance(distance, dict):
+        distance = {"hidden": cfg.train.get("hidden", TrainConfig.hidden), **distance}
+        try:
+            init_weights(distance.pop("weights_mode", "uniform"), [1])
+        except ValueError as exc:
+            raise ConfigError(f"{where}.distance.weights_mode: {exc}") from None
+    cfg.distance = _dataclass_from_dict(DistanceConfig, distance, f"{where}.distance")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

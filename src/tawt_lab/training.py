@@ -138,15 +138,13 @@ class TrainConfig:
             )
         if self.sample_split is not None and self.paradigm != "pretrain":
             raise ValueError("sample_split applies to the pretrain paradigm only")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        for name in ("subset_size", "epochs", "batch_size", "hidden"):
+        positive = ("c", "identity_hessian_scale", "subset_size", "epochs", "batch_size", "hidden")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        for name in ("eta", "lr", "weight_floor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.weight_update_period is not None and self.weight_update_period < 1:
             raise ValueError("weight_update_period must be >= 1")
         if self.finetune_epochs is not None and self.finetune_epochs < 0:
@@ -184,6 +182,22 @@ class FamilyConfig:
     source_n: int = 2000
     target_sizes: list[int] = field(default_factory=lambda: [100])
     eval_n: int = 1000
+
+    def validate(self) -> None:
+        """Every range rule of a family: positive counts, nonempty lists, flip
+        rates in [0, 1], a teacher threshold in (0, 1] and a teacher lr >= 0."""
+        for name in ("base_n", "input_dim", "n_classes", "teacher_hidden", "teacher_epochs",
+                     "teacher_batch", "source_n", "eval_n"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if not self.target_sizes or min(self.target_sizes) <= 0:
+            raise ValueError(f"target_sizes must be nonempty and positive, got {self.target_sizes}")
+        if not self.flip_grid or not all(0.0 <= q <= 1.0 for q in self.flip_grid):
+            raise ValueError(f"flip_grid must be nonempty rates in [0, 1], got {self.flip_grid}")
+        if not 0.0 < self.teacher_accuracy_threshold <= 1.0:
+            raise ValueError("teacher_accuracy_threshold must lie in (0, 1]")
+        if self.teacher_lr < 0:
+            raise ValueError("teacher_lr must be nonnegative")
 
     def fit_teachers(self, teacher_seed: int, rng: Rng) -> dict:
         """One teacher per flip rate (and q = 0), all fit with this family's recipe."""

@@ -152,6 +152,15 @@ class TestDistanceCurve:
         with pytest.raises(ValueError):
             small_curve([0.0, 1.5])
 
+    @pytest.mark.parametrize(
+        "kw, named", [({"head_fit_n": 0}, "head_fit_n"), ({"oracle_n": -5}, "oracle_n"),
+                      ({"head_fit_epochs": 0}, "head_fit_epochs"), ({"lr": -1.0}, "lr")],
+    )
+    def test_rejects_a_distance_config_its_fits_cannot_use(self, kw, named):
+        """A library caller gets the rules the CLI applies, before any fit."""
+        with pytest.raises(ValueError, match=named):
+            distance_curve(FamilyConfig(), DistanceConfig(**kw), [0], master_seed=0)
+
     def test_no_spent_dataset_or_frozen_activation_outlives_its_fit(self):
         """At MB-scale sizes the peak is the live datasets alone: the oracle
         sample and the previous source are gone before the next dataset is

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -10,12 +11,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tawt_lab import harness, taskgen
 from tawt_lab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
     ConfigError,
+    _config_key,
     cmd_distance,
     cmd_generate,
     cmd_report,
@@ -113,7 +117,9 @@ class TestConfigParsing:
         "block, named",
         [("x", "distance"), ([1], "distance"), ({"rep_epoch": 3}, "rep_epoch"),
          ({"source_n": 300}, "source_n"), ({"seeds": [0]}, "seeds"),
-         ({"optimizer": "rmsprop"}, "optimizer"), ({"weights_mode": "random"}, "random")],
+         ({"optimizer": "rmsprop"}, "optimizer"), ({"weights_mode": "random"}, "random"),
+         ({"head_fit_n": 0}, "head_fit_n"), ({"head_fit_n": -5}, "head_fit_n"),
+         ({"oracle_n": 0}, "oracle_n"), ({"head_fit_epochs": 0}, "head_fit_epochs")],
     )
     def test_bad_distance_block_fails_at_parse(self, tmp_path, capsys, block, named):
         raw = tiny_config(tmp_path / "out")
@@ -190,11 +196,15 @@ class TestConfigParsing:
         [("target_sizes", [40, -5]), ("target_sizes", [0]), ("target_sizes", 40),
          ("base_n", 0), ("source_n", -200), ("eval_n", 200.5), ("n_classes", "4"),
          ("input_dim", True), ("teacher_hidden", -1), ("teacher_epochs", 0),
-         ("teacher_batch", 0.0)],
+         ("teacher_batch", 0.0), ("teacher_accuracy_threshold", -1.0),
+         ("teacher_accuracy_threshold", 2.0), ("teacher_lr", -0.001), ("flip_grid", [0.0, 1.5]),
+         ("flip_grid", []), ("target_sizes", [])],
     )
     def test_family_size_must_be_a_positive_integer(self, tmp_path, capsys, name, value):
         """A size such as -5 is a config error naming the field, not a row
-        trained on the wrong number of examples."""
+        trained on the wrong number of examples; so is a teacher recipe that
+        cannot be met (a threshold outside (0, 1], a negative lr) and a flip
+        rate outside [0, 1]."""
         raw = tiny_config(tmp_path / "out")
         raw["family"][name] = value
         with pytest.raises(ConfigError, match=f"family.{name}"):
@@ -225,11 +235,19 @@ class TestConfigParsing:
             (("arms", 0, "name"), 5, "arms[0].name"),
             (("arms", 1, "source_flips"), "0.0", "arms[1].source_flips"),
             (("arms", 1, "source_flips"), ["0.0"], "arms[1].source_flips[0]"),
+            (("train",), None, "train"), (("train",), [], "train"), (("train",), "abc", "train"),
+            (("family",), None, "family"), (("arms",), [None], "arms[0]"),
+            (("train", "lr"), math.nan, "train.lr"), (("train", "c"), -math.inf, "train.c"),
+            (("family", "flip_grid"), [0.0, math.inf], "family.flip_grid[1]"),
+            (("distance", "lr"), math.nan, "distance.lr"),
+            (("arms", 1, "overrides", "eta"), math.nan, "overrides.eta"),
         ]
     ])
     def test_value_of_the_wrong_type_fails_at_parse(self, tmp_path, capsys, path, value, named):
         """A wrongly typed value is a config error naming its field, never a
-        traceback and never silently converted (master_seed 1.5 is not 1)."""
+        traceback and never silently converted (master_seed 1.5 is not 1).
+        Python's json reads NaN and Infinity, and a float field takes
+        neither, so no sweep writes a NumericError row for every job."""
         raw = tiny_config(tmp_path / "out", distance={})
         node = raw
         for key in path[:-1]:
@@ -611,16 +629,107 @@ class TestDistanceCommand:
         assert recipes == [("adam", 3e-3, 30, 400, 0.9)] * 2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(ROOT.glob("scripts/configs/**/*.json")) + sorted(
+    ROOT.glob("perfbench/configs/**/*.json")
+)
+
+
 def test_shipped_configs_parse():
     """Every reference and benchmark config passes parse_config, distance
     block included (perfbench/ is read, not changed)."""
-    root = Path(__file__).resolve().parents[1]
-    paths = sorted(root.glob("scripts/configs/**/*.json")) + sorted(
-        root.glob("perfbench/configs/**/*.json")
-    )
-    assert len(paths) >= 7
-    for path in paths:
+    assert len(SHIPPED) >= 7
+    for path in SHIPPED:
         load_config(path)
+
+
+def _nodes(value, path=()):
+    """The key path of every block and leaf in a JSON value, its root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(item, path + (key,))
+
+
+SHIPPED_NODES = [(path, node) for path in SHIPPED for node in _nodes(json.loads(path.read_text()))]
+BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, "x", [], {}, [None], {"x": 1}, 1.5, math.nan, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9),
+)
+
+
+@settings(max_examples=500, database=None)
+@example(site=(ROOT / "scripts/configs/flip_sweep.json", ("train",)), value=None)
+@given(site=st.sampled_from(SHIPPED_NODES), value=BAD_VALUES)
+def test_one_bad_value_anywhere_is_accepted_or_a_config_error(site, value):
+    """Any one block or leaf of a shipped config, replaced by a value of
+    another type, null, a negative number or NaN, gives a config or a
+    ConfigError; never another exception, which the CLI would print as a
+    traceback."""
+    path, node = site
+    raw = json.loads(path.read_text())
+    if node:
+        parent = raw
+        for key in node[:-1]:
+            parent = parent[key]
+        parent[node[-1]] = value
+    else:
+        raw = value
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass
+
+
+# Per shipped config: its job count, the SHA-256 of its job keys in cmd_run's
+# order (one per line) and its config key, recorded before the schema walk
+# replaced the hand-written checks. Resume trusts both keys, so a parse that
+# coerces or reorders a value fails here instead of rerunning every job.
+PINNED_KEYS = {
+    "scripts/configs/distance_curve.json": (
+        5, "57919879fdb74e2af00d95e03bfd781df07ff06b80930762cd041f9a9bf99249",
+        "c01abe6a71c75095c74f6461b105903e913a6e466178ce51ead790b30e17f714"),
+    "scripts/configs/flip_sweep.json": (
+        100, "8c0b598778e0d83ea861ccd43471270037499cca92ac7de570e20d8f17ee5f4e",
+        "b5a296c3d1a7ce479879499eec5f188ca90dc23b275451b759c696b087a9d6d4"),
+    "scripts/configs/weight_identification.json": (
+        10, "3863ecb4d2fb7c3ba00cd69df85f4f31d639e58f0be7214ca45468af0306e9a9",
+        "50917159c0b20d5de6c45bfe0252983771209bb219c3285802a1af18824bda71"),
+    "perfbench/configs/distance_curve.json": (
+        1, "7a939707849e300a83ecdb4aae5bc226e99d478c7b03dd63f5fddc2aae223e7f",
+        "ca98902f7277dfc38d2365368415f11819db58d91239923f6b9cc4fad57b1ff9"),
+    "perfbench/configs/sample_weighting.json": (
+        1, "1a9a0db650663ce235bee7d6191f94d3e6ea391ad264e203e7cb74174b5ce1db",
+        "ec6ba42eb1f07660fb43b37a17c65c9bce35f7869d8e5be42884a58837ed4bff"),
+    "perfbench/configs/task_weighting.json": (
+        2, "2322383ec64bd1d839b3a4a9f5fdd1497d5ad303d45570efa3aa7f83d064b90e",
+        "6d939f925b56b88adc472730dfc5b72ef49d8f9835497c97b86f464040dccef4"),
+    "perfbench/configs/transfer_sweep.json": (
+        5, "5a17d9a8035505fac4cab44bf0a0beace0f761eebd4390f5f41e96b93fec514d",
+        "8f4cda4109ea0797ff743c7388d22abae4f23ed85a56df3e480932de82bd2892"),
+}
+
+
+def test_shipped_job_and_config_keys_are_pinned(tmp_path, monkeypatch):
+    """cmd_run builds each shipped config's jobs with the keys they had when
+    recorded; no job runs and no family is generated."""
+    keys = []
+
+    def stored_row(job):
+        keys.append(job.key)
+        return job.row()
+
+    monkeypatch.setattr(harness, "_verify_family", lambda cfg, _: {"config_key": _config_key(cfg)})
+    monkeypatch.setattr(harness, "_stored_row", stored_row)
+    found = {}
+    for path in SHIPPED:
+        cfg = load_config(path)
+        keys.clear()
+        cmd_run(cfg, tmp_path)
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        found[path.relative_to(ROOT).as_posix()] = (len(keys), digest, _config_key(cfg))
+    assert found == PINNED_KEYS
 
 
 def test_cli_help_documents_columns(capsys):

@@ -73,6 +73,9 @@ class TestTrainConfig:
             {"paradigm": "single", "weighted": True},
             {"paradigm": "joint", "weighted": True, "weight_granularity": "sample"},
             {"paradigm": "joint", "sample_split": 0.5},
+            {"identity_hessian_scale": 0.0},
+            {"identity_hessian_scale": -5.0},
+            {"weight_floor": -0.1},
         ],
     )
     def test_validation_rejects(self, kw):
