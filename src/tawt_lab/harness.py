@@ -10,14 +10,17 @@ Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
 codes: 0 success; 1 config error, reported before anything is written; 2
 all jobs failed; 3 IO/integrity error. Config errors include a value of
 the wrong type or outside its range in any block, a seed in a train
-block, --jobs below 1, a teacher that misses its accuracy threshold, and
-an arm that TrainConfig.validate rejects: a weighted single arm, a single
-arm with sources or another paradigm without any, sample weights off
-pretrain or on other than one source, or sample_split off pretrain. `run`
-builds one Job per (arm, seed, target size), its TrainConfig merged once,
-and a worker trains it with one tawt call. --jobs (default 1) sets how
-many jobs may run concurrently; results are identical either way because
-every job derives its own seed stream from the master seed.
+block, --jobs below 1, a teacher that misses its accuracy threshold, an
+arm name that is empty, "." or ".." or has a character outside
+[A-Za-z0-9._+-], and an arm that TrainConfig.validate rejects: a weighted
+single arm, a single arm with sources or another paradigm without any,
+sample weights off pretrain or on other than one source, or sample_split
+off pretrain. So is a sample_split that leaves a part empty at some
+family.target_sizes entry. `run` builds one Job per (arm, seed, target
+size), its TrainConfig merged once, and a worker trains it with one tawt
+call. --jobs (default 1) sets how many jobs may run concurrently; results
+are identical either way because every job derives its own seed stream
+from the master seed.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -37,7 +41,7 @@ import numpy as np
 from .distance import DistanceConfig, distance_curve, write_distance_csv
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
-from .training import FamilyConfig, TrainConfig, atomic_write_text, tawt
+from .training import FamilyConfig, TrainConfig, atomic_write_text, split_size, tawt
 from .weighting import init_weights
 
 SCHEMA_VERSION = 1
@@ -68,6 +72,15 @@ class ArmConfig:
     name: str
     source_flips: list[float] = field(default_factory=list)
     overrides: dict = field(default_factory=dict)
+
+    def validate(self) -> None:
+        """The name is a directory under runs/ and a summary.csv field, so it
+        is nonempty, of [A-Za-z0-9._+-] only, and not "." or ".."."""
+        if not re.fullmatch(r"[A-Za-z0-9._+-]+", self.name) or self.name in (".", ".."):
+            raise ValueError(
+                f"name: must be nonempty, of [A-Za-z0-9._+-] only and not '.' or '..', "
+                f"got {self.name!r}"
+            )
 
 
 @dataclass
@@ -163,17 +176,21 @@ def parse_config(raw, where: str = "config") -> ExperimentConfig:
         _checked_fields(TrainConfig, block, f"{where}.{name}")  # validate checks each merged arm
     for i, arm in enumerate(cfg.arms):
         at = f"{where}.arms[{i}]"
-        if not arm.name:
-            raise ConfigError(f"{at}.name: must be nonempty")
         if arm.name in [earlier.name for earlier in cfg.arms[:i]]:
             raise ConfigError(f"{at}.name: duplicate arm name {arm.name!r}")
         stray = [q for q in arm.source_flips if q not in cfg.family.flip_grid]
         if stray:
             raise ConfigError(f"{at}.source_flips: flip {stray[0]} not in family.flip_grid")
+        train = _arm_train_config(cfg.train, arm, seed=0)
         try:
-            _arm_train_config(cfg.train, arm, seed=0).validate(len(arm.source_flips))
+            train.validate(len(arm.source_flips))
         except ValueError as exc:
             raise ConfigError(f"{at}: {exc}") from None
+        for n in cfg.family.target_sizes if train.sample_split is not None else ():
+            try:
+                split_size(n, train.sample_split)
+            except ValueError as exc:
+                raise ConfigError(f"{at}.sample_split: {exc}") from None
     # The student width defaults to the train block's. weights_mode is still
     # accepted and checked, but has no effect: each grid point has one source,
     # whose weight is 1 under any mode. It becomes a config error once no

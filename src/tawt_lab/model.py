@@ -33,6 +33,13 @@ spread over the blocks, never left as a short tail; one-class logits can
 differ in the last bit, but their softmax is exactly 1 either way).
 Head-only training takes each minibatch's hidden rows from hidden_batches,
 in windows of at least the floor at hidden (5 at hidden 256).
+
+The rule holds where a row of the (n, hidden) product does not depend on n:
+on OpenBLAS 0.3.31 (Haswell/SkylakeX kernels) that is hidden <= 248 or a
+multiple of 8, and for hidden_batches hidden >= 2 (at hidden 1 a window is
+a gemv). At other widths (250, 252, 260, 300, 500, 1,300 were probed) both
+paths can differ from the one-shot pass in the last bits. Every shipped
+width, 16, 32 and 256, meets it.
 """
 
 from __future__ import annotations
@@ -190,7 +197,8 @@ def hidden_batches(model: SharedModel, X: np.ndarray, order: np.ndarray, batch_s
     order that holds the batch and at least the floor of rows, widened back
     into the previous batch (forward for the first). Below the floor the
     one-shot product is itself on the small-matrix path, whose bits depend
-    on the row count and order, so X is computed whole, in order.
+    on the row count and order, so X is computed whole, in order. Bitwise
+    only at the widths the module docstring names (hidden 256 does, 250 not).
     """
     n, floor = len(order), _gemm_floor(model.hidden_dim)
     if n < floor:
@@ -471,25 +479,37 @@ class RepHessian:
         return total
 
 
+# Adam's defaults (Kingma & Ba, arXiv:1412.6980); every Adam step uses them.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+class _Slot:
+    """One parameter slot's state: the Adam moments m, v (None under SGD) and
+    step count t, then the gradient, scratch, step and finite-flag buffers,
+    allocated in that order and reused by every update."""
+
+    __slots__ = ("m", "v", "t", "grad", "scratch", "step", "finite")
+
+    def __init__(self, p: np.ndarray, adam: bool):
+        self.m, self.v = (np.zeros_like(p), np.zeros_like(p)) if adam else (None, None)
+        self.t = 0
+        self.grad, self.scratch, self.step = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+        self.finite = np.empty(p.shape, dtype=bool)
+
+
 @dataclass
 class OptimizerState:
     """SGD or Adam over named parameter slots.
 
-    Adam keeps per-slot moments and step counts, so a slot that receives no
-    gradient on some steps (an idle task head) is left untouched. Each slot
-    also owns preallocated scratch and gradient buffers, and the state
-    keeps train_step's activation workspaces keyed by batch shape, so a
-    step allocates no parameter-sized or batch-sized arrays of its own.
+    Each slot is one record, _Slot, of its own Adam moments, step count and
+    preallocated buffers, so a slot that gets no gradient on some steps (an
+    idle task head) is left untouched. The state also keeps train_step's
+    activation workspaces keyed by batch shape, so a step allocates no
+    parameter-sized or batch-sized arrays of its own.
     """
 
     kind: str = "adam"
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    _m: dict = field(default_factory=dict, repr=False)
-    _v: dict = field(default_factory=dict, repr=False)
-    _t: dict = field(default_factory=dict, repr=False)
     _slots: dict = field(default_factory=dict, repr=False)
     _work: dict = field(default_factory=dict, repr=False)
 
@@ -497,31 +517,20 @@ class OptimizerState:
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
-    def _slot(self, key: str, p: np.ndarray) -> tuple:
-        """(grad, scratch, step, finite) buffers of slot key, created with the
-        Adam moments on first use."""
-        slot = self._slots.get(key)
-        if slot is None:
-            if self.kind == "adam":
-                self._m[key] = np.zeros_like(p)
-                self._v[key] = np.zeros_like(p)
-            slot = self._slots[key] = (
-                np.empty_like(p), np.empty_like(p), np.empty_like(p),
-                np.empty(p.shape, dtype=bool),
-            )
-        elif slot[0].shape != p.shape:
-            raise DimensionError(
-                f"slot {key} holds shape {slot[0].shape}, got parameters of {p.shape}"
-            )
-        return slot
-
-    def grad_buffer(self, key: str, params: np.ndarray) -> np.ndarray:
-        """Slot key's gradient buffer, shaped like params and reused every step.
+    def slot(self, key: str, params: np.ndarray) -> _Slot:
+        """Slot key's state, shaped like params, created on first use.
 
         Creating a slot allocates all of its long-lived buffers at once; do it
         before any large temporary so they don't end up above it in the heap.
         """
-        return self._slot(key, params)[0]
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = _Slot(params, self.kind == "adam")
+        elif slot.grad.shape != params.shape:
+            raise DimensionError(
+                f"slot {key} holds shape {slot.grad.shape}, got parameters of {params.shape}"
+            )
+        return slot
 
     def workspace(self, n: int, hidden: int, k: int) -> _Workspace:
         """train_step's activation buffers for a batch of n rows, shared by every slot."""
@@ -552,26 +561,26 @@ def apply_update(
     for key, p, g in zip(keys, params, grads):
         if p.shape != g.shape:
             raise DimensionError(f"shape mismatch for {key}: {p.shape} vs {g.shape}")
-        _, s, step, finite = state._slot(key, p)
+        slot = state.slot(key, p)
+        s, step = slot.scratch, slot.step
         if state.kind == "sgd":
             np.multiply(g, state.lr, out=step)
         else:
-            t = state._t.get(key, 0) + 1
-            state._t[key] = t
-            m, v = state._m[key], state._v[key]
-            m *= state.beta1
-            m += np.multiply(g, 1.0 - state.beta1, out=s)
-            v *= state.beta2
-            np.multiply(g, 1.0 - state.beta2, out=s)
+            slot.t += 1
+            t, m, v = slot.t, slot.m, slot.v
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
             v += np.multiply(s, g, out=s)
-            np.divide(v, 1.0 - state.beta2**t, out=s)
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
             np.sqrt(s, out=s)
-            s += state.eps
-            np.divide(m, 1.0 - state.beta1**t, out=step)
+            s += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
             step *= state.lr
             step /= s
         p -= step
-        if not np.isfinite(p, out=finite).all():
+        if not np.isfinite(p, out=slot.finite).all():
             raise NumericError(f"parameters became non-finite in slot {key}")
     return params
 
@@ -593,8 +602,8 @@ def train_step(
     """
     head = model.head(task_id)
     head_key = f"head.{task_id}"
-    rep_grad = opt.grad_buffer("rep", model.rep_params)
-    head_grad = opt.grad_buffer(head_key, head.params)
+    rep_grad = opt.slot("rep", model.rep_params).grad
+    head_grad = opt.slot(head_key, head.params).grad
     work = opt.workspace(len(Y), model.hidden_dim, head.n_classes)
     backward_arrays(
         model, task_id, X, Y, loss_scale=loss_scale, row_weights=row_weights,

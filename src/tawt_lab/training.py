@@ -265,15 +265,20 @@ def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
     return EvalResult(*accuracy_and_loss(model, task_id, data))
 
 
+def split_size(n: int, fraction: float) -> int:
+    """|B1| = round(fraction * n) of a split of n examples; ValueError if
+    either part would be empty."""
+    n1 = round_half_up(fraction * n)
+    if n1 == 0 or n1 == n:
+        raise ValueError(f"split of {n} examples at fraction {fraction} leaves a part empty")
+    return n1
+
+
 def split_target(target: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, Dataset]:
-    """Disjoint partition of the target data; |B1| = round(fraction * n)."""
+    """Disjoint partition of the target data; |B1| = split_size(n, fraction)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly inside (0, 1), got {fraction}")
-    n1 = round_half_up(fraction * target.n)
-    if n1 == 0 or n1 == target.n:
-        raise ValueError(
-            f"split of {target.n} examples at fraction {fraction} leaves a part empty"
-        )
+    n1 = split_size(target.n, fraction)
     perm = rng.permutation(target.n)
     parts = []
     for idx in (perm[:n1], perm[n1:]):
@@ -350,12 +355,12 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
 
 def _head_only_epoch(model, task_id, data, cfg, opt, rng):
     """One epoch of minibatch steps on one head over the frozen representation.
-    The head's slot is created before hidden_batches' buffer (see grad_buffer)."""
+    The head's slot is created before hidden_batches' buffer (see OptimizerState.slot)."""
     if data.n == 0:
         return
     head = model.head(task_id)
     key = f"head.{task_id}"
-    grad = opt.grad_buffer(key, head.params)
+    grad = opt.slot(key, head.params).grad
     dW2, db2 = grad[: head.W2.size].reshape(head.W2.shape), grad[head.W2.size :]
     order = rng.permutation(data.n)
     for idx, Hb in hidden_batches(model, data.features, order, cfg.batch_size):
@@ -484,16 +489,15 @@ def _apply_floor(w, g, cfg, record, step):
     return new
 
 
-def _train_weighted_phase(
-    model, entries, w0, cfg, streams, record, *, adapt, head_fit_data, estimator_target, eval_data
-):
+def _train_weighted_phase(model, entries, w0, cfg, streams, record, fit_target, eval_data):
     """The shared rep-learning loop behind every paradigm.
 
-    Runs cfg.epochs epochs; every weight_update_period epochs closes one
-    outer round, recording a weight snapshot (and, when adapt is set, taking
-    one mirror-descent step on the weights first). The adaptive and
-    fixed-weight variants are the same code path, so an adaptive run with
-    eta = 0 is bitwise identical to its fixed-weight counterpart.
+    Runs cfg.epochs epochs, under pretrain each with a head-only epoch on
+    fit_target; every weight_update_period epochs closes one outer round,
+    recording a weight snapshot (and, when cfg.weighted is set, taking one
+    mirror-descent step first, its target gradient from fit_target). The
+    adaptive and fixed-weight variants are the same code path, so an
+    adaptive run with eta = 0 is bitwise identical to its fixed-weight one.
     """
     opt = OptimizerState(kind=cfg.optimizer, lr=cfg.lr)
     period = cfg.resolved_weight_update_period()
@@ -501,23 +505,24 @@ def _train_weighted_phase(
     record.add_weight_snapshot(0, w)
     for epoch in range(cfg.epochs):
         _weighted_epoch(model, entries, w, cfg, opt, streams)
-        if head_fit_data is not None:
+        if cfg.paradigm == "pretrain":
             _head_only_epoch(
-                model, TARGET_TASK_ID, head_fit_data, cfg, opt, streams.get("head-shuffle")
+                model, TARGET_TASK_ID, fit_target, cfg, opt, streams.get("head-shuffle")
             )
         _record_epoch(
             record, model, entries, eval_data, epoch, "rep",
             cfg, final=epoch == cfg.epochs - 1,
         )
         if (epoch + 1) % period == 0:
-            if adapt:
-                g = _estimate_task_gradients(model, entries, w, estimator_target, cfg, streams)
+            if cfg.weighted:
+                g = _estimate_task_gradients(model, entries, w, fit_target, cfg, streams)
                 w = _apply_floor(w, g, cfg, record, epoch + 1)
             record.add_weight_snapshot(epoch + 1, w)
 
 
-def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
-    """Pretrain phase 2: fit the target on its own data, full or frozen rep.
+def _finetune_phase(model, data, cfg, streams, record, eval_data):
+    """Pretrain phase 2: fit the target on its own data, full or frozen rep;
+    its epochs are numbered on from the cfg.epochs of phase 1.
 
     A frozen representation is fit head-only, each minibatch's hidden rows
     recomputed when the batch needs them: no (n, hidden) matrix is held.
@@ -534,7 +539,7 @@ def _finetune_phase(model, data, cfg, streams, record, eval_data, epoch_offset):
         else:
             _weighted_epoch(model, entries, w_one, cfg, opt, streams)
         _record_epoch(
-            record, model, entries, eval_data, epoch_offset + epoch, "finetune", cfg,
+            record, model, entries, eval_data, cfg.epochs + epoch, "finetune", cfg,
             final=epoch == epochs - 1,
         )
 
@@ -597,13 +602,9 @@ def _train(sources, target, cfg, eval_data, w0):
 
     model = _build_model(sources, target, cfg)
     record = RunRecord(config=asdict(cfg), weight_task_ids=weight_ids)
-    _train_weighted_phase(
-        model, entries, w0, cfg, streams, record,
-        adapt=adapt, head_fit_data=fit_target if pretrain else None,
-        estimator_target=fit_target, eval_data=eval_data,
-    )
+    _train_weighted_phase(model, entries, w0, cfg, streams, record, fit_target, eval_data)
     if pretrain:
-        _finetune_phase(model, tune_target, cfg, streams, record, eval_data, cfg.epochs)
+        _finetune_phase(model, tune_target, cfg, streams, record, eval_data)
     record.wall_clock = time.perf_counter() - started
     return model, record
 

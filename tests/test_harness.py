@@ -148,6 +148,11 @@ class TestConfigParsing:
             ({"source_flips": [0.0], "overrides": {
                 "paradigm": "joint", "weighted": True, "sample_split": 0.5}},
              "sample_split"),
+            # tiny_config's one target size, 40, would split into 0 + 40 and 40 + 0
+            ({"source_flips": [0.0], "overrides": {"paradigm": "pretrain", "sample_split": 0.01}},
+             r"sample_split: split of 40 examples .* leaves a part empty"),
+            ({"source_flips": [0.0], "overrides": {"paradigm": "pretrain", "sample_split": 0.99}},
+             r"sample_split: split of 40 examples .* leaves a part empty"),
         ],
     )
     def test_contradictory_arm_fails_at_parse(self, tmp_path, capsys, arm, named):
@@ -233,6 +238,10 @@ class TestConfigParsing:
             (("family", "teacher_lr"), "x", "family.teacher_lr"),
             (("family", "teacher_accuracy_threshold"), "1", "family.teacher_accuracy_threshold"),
             (("arms", 0, "name"), 5, "arms[0].name"),
+            # an arm name is a directory under runs/ and a summary.csv field
+            *[(("arms", 1, "name"), name, "arms[1].name: must be nonempty")
+              for name in ["", ".", "..", "joint,fixed", "../../escaped", "a/b", "two words",
+                           'q"0']],
             (("arms", 1, "source_flips"), "0.0", "arms[1].source_flips"),
             (("arms", 1, "source_flips"), ["0.0"], "arms[1].source_flips[0]"),
             (("train",), None, "train"), (("train",), [], "train"), (("train",), "abc", "train"),
@@ -245,7 +254,8 @@ class TestConfigParsing:
     ])
     def test_value_of_the_wrong_type_fails_at_parse(self, tmp_path, capsys, path, value, named):
         """A wrongly typed value is a config error naming its field, never a
-        traceback and never silently converted (master_seed 1.5 is not 1).
+        traceback and never silently converted (master_seed 1.5 is not 1);
+        so is an arm name that would misread as a CSV row or leave out_dir.
         Python's json reads NaN and Infinity, and a float field takes
         neither, so no sweep writes a NumericError row for every job."""
         raw = tiny_config(tmp_path / "out", distance={})

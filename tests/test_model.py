@@ -117,7 +117,7 @@ class TestBlockedForward:
     # (rows, d) @ (d, hidden), to the small-matrix kernel.
     @pytest.mark.parametrize("d, hidden, k, n", [
         (d, hidden, k, n)
-        for d, hidden in [(20, 8), (20, 256), (40, 8)]
+        for d, hidden in [(20, 8), (20, 16), (20, 32), (20, 256), (40, 8)]
         for k in (2, 3, 10)
         for floor in [SMALL_GEMM_LIMIT // min(k, hidden) + 1]
         for n in [floor - 1, floor, 2 * floor - 1, 2 * floor, 2 * floor + 1, 2000, 10_000]
@@ -297,11 +297,17 @@ class TestOptimizers:
         assert out[0][0] == pytest.approx(1.0 - 3e-4, abs=1e-10)
 
     def test_adam_per_slot_step_counts(self):
-        state = OptimizerState(kind="adam", lr=1e-2)
-        apply_update([np.zeros(1)], [np.ones(1)], state, keys=["a"])
-        apply_update([np.zeros(1)], [np.ones(1)], state, keys=["a"])
-        apply_update([np.zeros(1)], [np.ones(1)], state, keys=["b"])
-        assert state._t == {"a": 2, "b": 1}
+        """Interleaved slots a, a, b, a: each slot's moments and bias
+        correction follow its own steps only, bitwise the reference."""
+        state, ref_state = OptimizerState(kind="adam", lr=1e-2), {"m": {}, "v": {}, "t": {}}
+        rng = Rng(4)
+        params = {"a": rng.uniform(-1.0, 1.0, size=3), "b": rng.uniform(-1.0, 1.0, size=3)}
+        ref = {key: p.copy() for key, p in params.items()}
+        for key in ["a", "a", "b", "a"]:
+            g = rng.uniform(-1.0, 1.0, size=3)
+            apply_update([params[key]], [g], state, keys=[key])
+            (ref[key],) = _ref_update([ref[key]], [g], [key], ref_state, "adam", 1e-2)
+            assert np.array_equal(params[key], ref[key])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -448,6 +454,7 @@ class TestTrainStep:
         (40, 8, 400, 100),    # every batch below the floor (151), the first widened forward
         (20, 256, 2000, 100),  # the distance benchmark's head fit
         (20, 256, 4, 100),    # one batch, n below the floor
+        (20, 32, 200, 20),    # the harness tests' width and batch (floor 38)
     ])
     def test_head_only_epochs_match_one_shot_hidden_matrix_bitwise(self, kind, d, hidden, n, batch):
         """Head-only epochs compute each batch's hidden rows on their own,

@@ -262,7 +262,7 @@ class TestPretrain:
 
         def finetune():
             record = RunRecord(config={}, weight_task_ids=["target"])
-            training._finetune_phase(model, data, cfg, training._Streams(3), record, data, 0)
+            training._finetune_phase(model, data, cfg, training._Streams(3), record, data)
 
         finetune()  # warm up lazy allocations
         tracemalloc.start()
