@@ -4,23 +4,23 @@ and report emission, behind a four-subcommand CLI.
     tawt-lab generate --config cfg.json    cache the task family + manifest
     tawt-lab run      --config cfg.json    execute every (arm x seed x size) job
     tawt-lab distance --config cfg.json    task-distance curve -> distance.csv
-    tawt-lab report   --config cfg.json    aggregate results -> figure-ready CSVs
+    tawt-lab report   --config cfg.json    summary.csv's jobs -> figure-ready CSVs
 
 Configs are versioned JSON; scripts/configs/ holds complete ones. Exit
-codes: 0 success; 1 config error, reported before anything is written; 2
-all jobs failed; 3 IO/integrity error. Config errors include a value of
-the wrong type or outside its range in any block, a seed in a train
-block, --jobs below 1, a teacher that misses its accuracy threshold, an
-arm name that is empty, "." or ".." or has a character outside
-[A-Za-z0-9._+-], and an arm that TrainConfig.validate rejects: a weighted
-single arm, a single arm with sources or another paradigm without any,
-sample weights off pretrain or on other than one source, or sample_split
-off pretrain. So is a sample_split that leaves a part empty at some
-family.target_sizes entry. `run` builds one Job per (arm, seed, target
-size), its TrainConfig merged once, and a worker trains it with one tawt
-call. --jobs (default 1) sets how many jobs may run concurrently; results
-are identical either way because every job derives its own seed stream
-from the master seed.
+codes: 0 success; 1 config or usage error, reported before anything is
+written; 2 all jobs failed; 3 IO/integrity error. Config errors include
+a value of the wrong type or outside its range in any block, a seed in a
+train block, --jobs below 1, a teacher that misses its accuracy
+threshold, an arm name that is empty, "." or ".." or has a character
+outside [A-Za-z0-9._+-], and an arm that TrainConfig.validate rejects: a
+weighted single arm, a single arm with sources or another paradigm
+without any, sample weights off pretrain or on other than one source, or
+sample_split off pretrain. So is a sample_split that leaves a part empty
+at some family.target_sizes entry. `run` builds one Job per (arm, seed,
+target size), its TrainConfig merged once, and a worker trains it with
+one tawt call. --jobs (default 1) sets how many jobs may run
+concurrently; results are identical either way because every job derives
+its own seed stream from the master seed.
 """
 
 from __future__ import annotations
@@ -372,6 +372,12 @@ def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
     return hash64(master_seed, "job", seed, target_size)
 
 
+def _job_dir(out_dir: Path, arm: str, seed: int | str, target_size: int | str) -> Path:
+    """runs/<arm>/seed<k>/n<size>: where a job writes, where resume looks and
+    where report reads its weights.csv."""
+    return out_dir / "runs" / arm / f"seed{seed}" / f"n{target_size}"
+
+
 @dataclass(frozen=True)
 class Job:
     """One (arm, seed, target_size) run, built once by cmd_run and handed to a
@@ -386,8 +392,7 @@ class Job:
 
     @property
     def dir(self) -> Path:
-        """runs/<arm>/seed<k>/n<size>: where the job writes and where resume looks."""
-        return self.out_dir / "runs" / self.arm.name / f"seed{self.seed}" / f"n{self.target_size}"
+        return _job_dir(self.out_dir, self.arm.name, self.seed, self.target_size)
 
     @cached_property
     def key(self) -> str:
@@ -494,12 +499,7 @@ def _stored_row(job: Job) -> dict | None:
         return None
 
 
-def cmd_run(
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    jobs: int = 1,
-    arm_filter: str | None = None,
-) -> dict:
+def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
     """Execute every (arm x seed x target_size) job and write summary.csv.
 
     A completed job is reused on rerun only if its stored job key (see
@@ -510,16 +510,13 @@ def cmd_run(
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     manifest = _verify_family(cfg, out_dir)
-    arms = [a for a in cfg.arms if arm_filter is None or a.name == arm_filter]
-    if not arms:
-        raise ConfigError(f"--arm {arm_filter!r} matches no configured arm")
     todo = [
         Job(
             out_dir, arm, seed, target_size,
             _arm_train_config(cfg.train, arm, _job_seed(cfg.master_seed, seed, target_size)),
             manifest["config_key"],
         )
-        for arm in arms
+        for arm in cfg.arms
         for seed in cfg.seeds
         for target_size in cfg.family.target_sizes
     ]
@@ -567,32 +564,30 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
-    """Aggregate summary.csv into curves.csv plus per-arm weight trajectories."""
+def cmd_report(results_dir: Path) -> dict:
+    """Aggregate the successful jobs summary.csv lists into curves.csv (mean
+    and stderr per arm and sweep point) and weights_<arm>.csv (the mean
+    trajectory over the arm's seeds and target sizes), under report/. Only
+    those jobs' weights.csv files are read, so files of jobs a config edit
+    dropped never count; a listed job's missing file is an IO error."""
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
         raise IntegrityError(f"no summary.csv under {results_dir}")
     with open(summary_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    rows = [r for r in rows if not r["error"] and (arm_filter is None or r["arm"] == arm_filter)]
+        rows = [row for row in csv.DictReader(fh) if not row["error"]]
     if not rows:
         raise IntegrityError(f"{summary_path}: no successful rows to report")
     report_dir = results_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
     groups: dict[tuple, list[dict]] = {}
-    order = []
     for row in rows:
         key = (row["arm"], row["target_size"], row["flip_rate"], row["ratio"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
     lines = ["arm,target_size,flip_rate,ratio,n_seeds,mean_acc,stderr_acc,mean_loss,stderr_loss"]
-    for key in order:
-        arm, size, flip, ratio = key
-        accs = [float(r["final_target_acc"]) for r in groups[key]]
-        losses = [float(r["final_target_loss"]) for r in groups[key]]
+    for (arm, size, flip, ratio), group in groups.items():
+        accs = [float(r["final_target_acc"]) for r in group]
+        losses = [float(r["final_target_loss"]) for r in group]
         mean_acc, se_acc = _mean_stderr(accs)
         mean_loss, se_loss = _mean_stderr(losses)
         lines.append(
@@ -604,12 +599,12 @@ def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
     atomic_write_text(curves_path, "\n".join(lines) + "\n")
 
     trajectory_paths = []
-    runs_dir = results_dir / "runs"
-    arm_names = sorted({row["arm"] for row in rows})
-    for arm in arm_names:
-        weight_files = sorted((runs_dir / arm).glob("seed*/n*/weights.csv"))
-        if not weight_files:
-            continue
+    for arm in sorted({row["arm"] for row in rows}):
+        # Sorted paths, so np.mean adds the trajectories in one fixed order.
+        weight_files = sorted(
+            {_job_dir(results_dir, arm, r["seed"], r["target_size"]) / "weights.csv"
+             for r in rows if r["arm"] == arm}
+        )
         stacks = []
         steps = None
         for path in weight_files:
@@ -631,8 +626,17 @@ def cmd_report(results_dir: Path, arm_filter: str | None = None) -> dict:
     return {"curves": curves_path, "trajectories": trajectory_paths}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on a usage error, where argparse would exit 2, which
+    here means that every job failed. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tawt-lab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -652,25 +656,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override the config's out_dir")
         if name == "run":
             p.add_argument("--jobs", type=int, default=1, help="max concurrent jobs (default 1)")
-            p.add_argument("--arm", default=None, help="run only the named arm")
-        if name == "report":
-            p.add_argument("--arm", default=None, help="report only the named arm")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not (args.config or args.out):  # only report leaves --config optional
+        parser.error("report needs --config or --out to locate results")
     try:
         if args.command == "report":
-            if args.out:
-                results_dir = Path(args.out)
-            elif args.config:
-                results_dir = Path(load_config(args.config).out_dir)
-            else:
-                print("report: need --config or --out to locate results", file=sys.stderr)
-                return EXIT_CONFIG
-            result = cmd_report(results_dir, arm_filter=args.arm)
+            result = cmd_report(Path(args.out or load_config(args.config).out_dir))
             print(f"wrote {result['curves']} and {len(result['trajectories'])} trajectory files")
             return EXIT_OK
 
@@ -682,7 +678,7 @@ def main(argv=None) -> int:
             print(f"family under {out_dir} ({state})")
             return EXIT_OK
         if args.command == "run":
-            result = cmd_run(cfg, out_dir, jobs=args.jobs, arm_filter=args.arm)
+            result = cmd_run(cfg, out_dir, jobs=args.jobs)
             print(
                 f"{result['n_jobs']} jobs ({result['n_skipped']} reused, "
                 f"{result['n_failed']} failed) -> {result['summary']}"

@@ -8,7 +8,10 @@ one-arm run pins the identity-Hessian estimator at sample granularity, the
 other alignment path of the per-example kernel, with its own digests. A
 third, one task-level joint arm at hidden 32, pins the exact-Hessian
 estimator (one CG solve per round). A fourth, cmd_distance on a
-three-point flip grid, pins distance.csv. Float64
+three-point flip grid, pins distance.csv. A fifth, cmd_run then
+cmd_report on test_harness's tiny_config, pins every report/ file: the
+weights_<arm>.csv means depend on the order in which the trajectories
+are summed. Float64
 results depend on the numpy and BLAS build, so the stored digests are keyed
 on that build; on another build the test skips and names it.
 
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tawt_lab.harness import cmd_distance, cmd_generate, cmd_run, parse_config
+from tawt_lab.harness import cmd_distance, cmd_generate, cmd_report, cmd_run, parse_config
 
 from test_harness import tiny_config
 
@@ -54,6 +57,15 @@ GOLDEN = {
     },
     "distance_digests": {
         "distance.csv": "abe703801bb6742cf004ebfaf2793a936bf052ad9ead09aa0f43e5deea0d04b6",
+    },
+    "report_digests": {
+        "report/curves.csv": "cb260f120f955ccabdeb7cd8225664673525e0a95d92986cb75a928e24799b12",
+        "report/weights_adaptive.csv":
+            "bbc833abcef3d8f713562cd88f5b2483b4815434aff7af0f255c64f4d8271cfc",
+        "report/weights_fixed.csv":
+            "134d469dff8b11c98fd0a179236880210d02e9017633a2c58bd44f2bcb6aa518",
+        "report/weights_single.csv":
+            "f9e9ffe20ecbcfeee7cb5a42cf6bbdd99ba2a53e54418f694a185a0c4ac046ea",
     },
 }
 
@@ -160,6 +172,15 @@ def build() -> dict:
 def run_digests(out_dir: Path, key: str = "digests") -> dict:
     if key == "distance_digests":
         cmd_distance(parse_config(distance_config(out_dir)), out_dir)
+    elif key == "report_digests":
+        # Seed 10 sorts between 0 and 2, so its path order is not the summary's.
+        raw = tiny_config(out_dir, seeds=[0, 2, 10])
+        assert cmd_run(parse_config(raw), out_dir)["n_failed"] == 0
+        cmd_report(out_dir)
+        return {
+            path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((out_dir / "report").iterdir())
+        }
     else:
         raw = golden_config(out_dir)
         if key in SINGLE_ARM_RUNS:
@@ -200,6 +221,10 @@ def test_exact_hessian_task_arm_matches_golden_digests(tmp_path):
 
 def test_distance_curve_matches_golden_digests(tmp_path):
     _check(tmp_path / "out", "distance_digests")
+
+
+def test_report_on_a_clean_directory_matches_golden_digests(tmp_path):
+    _check(tmp_path / "out", "report_digests")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -18,6 +19,8 @@ from tawt_lab import harness, taskgen
 from tawt_lab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_JOBS,
+    EXIT_OK,
     ConfigError,
     _config_key,
     cmd_distance,
@@ -456,17 +459,6 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == EXIT_IO
         assert "manifest" in capsys.readouterr().err
 
-    def test_arm_filter(self, tmp_path):
-        cfg = parse_config(tiny_config(tmp_path / "out"))
-        result = cmd_run(cfg, Path(cfg.out_dir), arm_filter="single")
-        rows = list(csv.DictReader(open(result["summary"])))
-        assert {row["arm"] for row in rows} == {"single"}
-
-    def test_unknown_arm_filter(self, tmp_path):
-        cfg = parse_config(tiny_config(tmp_path / "out"))
-        with pytest.raises(ConfigError):
-            cmd_run(cfg, Path(cfg.out_dir), arm_filter="ghost")
-
     def test_end_to_end_determinism(self, tmp_path):
         """Two fresh runs of the same config produce byte-identical summaries
         once the isolated timestamp column is dropped."""
@@ -598,6 +590,48 @@ class TestReport:
 
     def test_empty_results_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == EXIT_IO
+
+    def test_run_has_no_arm_filter(self, tmp_path, capsys):
+        """A results directory holds one sweep: --arm, which rewrote
+        summary.csv with one arm's rows, is a usage error."""
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path), "--arm", "single"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --arm" in capsys.readouterr().err
+        assert (tmp_path / "out" / "summary.csv").read_text() == summary
+
+    @pytest.mark.parametrize("train_edit", [{}, {"epochs": 3}])
+    def test_report_reads_only_the_jobs_summary_lists(self, tmp_path, train_edit):
+        """After the seed list shrinks, with or without an epochs edit, seed
+        1's files stay under runs/ but leave the report: the arm's trajectory
+        is seed 0's alone."""
+        raw = tiny_config(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        cmd_run(parse_config(raw), out)
+        raw["seeds"] = [0]
+        raw["train"].update(train_edit)
+        cmd_run(parse_config(raw), out)
+        assert (out / "runs" / "adaptive" / "seed1" / "n40" / "weights.csv").exists()
+        cmd_report(out)
+
+        def trajectory(path):
+            return [[float(x) for x in row] for row in list(csv.reader(open(path)))[1:]]
+
+        only_job = out / "runs" / "adaptive" / "seed0" / "n40" / "weights.csv"
+        assert trajectory(out / "report" / "weights_adaptive.csv") == trajectory(only_job)
+        curves = list(csv.DictReader(open(out / "report" / "curves.csv")))
+        assert {row["n_seeds"] for row in curves} == {"1"}
+
+    def test_listed_job_without_weights_is_an_io_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        victim = tmp_path / "out" / "runs" / "fixed" / "seed1" / "n40" / "weights.csv"
+        victim.unlink()
+        assert main(["report", "--config", str(path)]) == EXIT_IO
+        assert str(victim) in capsys.readouterr().err
 
 
 class TestDistanceCommand:
@@ -747,3 +781,49 @@ def test_cli_help_documents_columns(capsys):
         main(["run", "--help"])
     out = capsys.readouterr().out
     assert "final_target_acc" in out
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["run"], EXIT_CONFIG),  # no --config
+        (["run", "--config", "{cfg}", "--bogus"], EXIT_CONFIG),
+        (["run", "--config", "{cfg}", "--jobs", "x"], EXIT_CONFIG),
+        (["run", "--config", "{cfg}", "--arm", "single"], EXIT_CONFIG),
+        (["report", "--config", "{cfg}", "--arm", "single"], EXIT_CONFIG),
+        (["report"], EXIT_CONFIG),  # neither --config nor --out
+        (["run", "--help"], EXIT_OK),
+    ],
+)
+def test_usage_errors_exit_as_config_errors(tmp_path, args, code):
+    """argparse's own usage exit, 2, would read as EXIT_JOBS (all jobs failed)."""
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tawt_lab", *(a.format(cfg=path) for a in args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "usage: tawt-lab" in (proc.stdout if code == EXIT_OK else proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_cli_section_matches_parser():
+    """Every --flag README's CLI section names exists on some subcommand and
+    every subcommand flag is named there; its exit-code sentence lists the
+    EXIT_* codes with their meanings."""
+    parser = harness._build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        opt for sub in subcommands.choices.values() for action in sub._actions
+        for opt in action.option_strings if opt.startswith("--") and opt != "--help"
+    }
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
+    sentence = " ".join(section.split("Exit codes: ", 1)[1].split(".", 1)[0].split())
+    codes = {int(n): meaning for n, meaning in re.findall(r"(\d) ([^,]+)", sentence)}
+    assert sorted(codes) == [EXIT_OK, EXIT_CONFIG, EXIT_JOBS, EXIT_IO]
+    assert codes[EXIT_OK] == "success"
+    assert codes[EXIT_CONFIG] == "config or usage error"
+    assert codes[EXIT_JOBS] == "all jobs failed"
+    assert codes[EXIT_IO] == "IO/integrity error"
