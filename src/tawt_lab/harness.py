@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, task-family caching, sweep execution,
 and report emission, behind a four-subcommand CLI.
 
-    tawt-lab generate --config cfg.json    cache the task family + manifest
+    tawt-lab generate --config cfg.json    cache the task family, a manifest per seed
     tawt-lab run      --config cfg.json    execute every (arm x seed x size) job
     tawt-lab distance --config cfg.json    task-distance curve -> distance.csv
     tawt-lab report   --config cfg.json    summary.csv's jobs -> figure-ready CSVs
@@ -16,11 +16,19 @@ outside [A-Za-z0-9._+-], and an arm that TrainConfig.validate rejects: a
 weighted single arm, a single arm with sources or another paradigm
 without any, sample weights off pretrain or on other than one source, or
 sample_split off pretrain. So is a sample_split that leaves a part empty
-at some family.target_sizes entry. `run` builds one Job per (arm, seed,
-target size), its TrainConfig merged once, and a worker trains it with
-one tawt call. --jobs (default 1) sets how many jobs may run
-concurrently; results are identical either way because every job derives
-its own seed stream from the master seed.
+at some family.target_sizes entry, and a repeat in seeds, target_sizes,
+flip_grid (as {q:g}, its file name) or an arm's source_flips. `run` builds
+one Job per (arm, seed, target size), its TrainConfig merged once, and a
+worker trains it with one tawt call. --jobs (default 1) sets how many
+jobs may run concurrently; results are identical either way because
+every job derives its own seed stream from the master seed.
+
+One cache rule serves the family and the jobs: each is keyed by the
+hashes of what it reads. A seed's key covers master_seed, the seed and
+the family block, target_sizes only as their max; family/seed<k>/
+manifest.json holds it and the seed's file digests. A job's key covers
+its merged TrainConfig, source flips, target size and the digests of the
+files it loads. So a sweep that grows pays only for what it adds.
 """
 
 from __future__ import annotations
@@ -81,6 +89,8 @@ class ArmConfig:
                 f"name: must be nonempty, of [A-Za-z0-9._+-] only and not '.' or '..', "
                 f"got {self.name!r}"
             )
+        if len(set(self.source_flips)) < len(self.source_flips):
+            raise ValueError(f"source_flips must not repeat, got {self.source_flips}")
 
 
 @dataclass
@@ -97,6 +107,8 @@ class ExperimentConfig:
         for name in ("seeds", "out_dir", "arms"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds}")
 
 
 _BLOCKS = {cls.__name__: cls for cls in (ArmConfig, DistanceConfig, FamilyConfig)}
@@ -225,6 +237,7 @@ def _arm_train_config(train: dict, arm: ArmConfig, seed: int) -> TrainConfig:
 
 
 _HASH_CHUNK_BYTES = 1 << 20
+MANIFEST = "manifest.json"
 
 
 def _sha256_file(path: Path) -> str:
@@ -235,36 +248,30 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _config_key(cfg: ExperimentConfig) -> str:
-    payload = json.dumps(
-        {"master_seed": cfg.master_seed, "seeds": cfg.seeds, "family": asdict(cfg.family)},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _family_dir(out_dir: Path) -> Path:
-    return out_dir / "family"
-
-
 def _seed_dir(out_dir: Path, seed: int) -> Path:
-    return _family_dir(out_dir) / f"seed{seed}"
+    return out_dir / "family" / f"seed{seed}"
 
 
 def _source_name(q: float) -> str:
     return f"source_q{q:g}"
 
 
-def _dataset_file(name: str) -> str:
-    return f"{name}.npz"
+def _seed_files(flips: list[float]) -> list[str]:
+    """The family files of one seed that a reader of these source flips loads."""
+    return [f"{name}.npz" for name in ["target_train", "target_eval", *map(_source_name, flips)]]
 
 
-def _family_files(cfg: ExperimentConfig, seed: int) -> list[str]:
-    names = ["target_train", "target_eval"] + [_source_name(q) for q in cfg.family.flip_grid]
-    return [f"seed{seed}/{_dataset_file(name)}" for name in names]
+def _seed_key(cfg: ExperimentConfig, seed: int) -> str:
+    """SHA-256 of what a seed's draws read: master_seed, the seed and the
+    family block, whose target_sizes enter only as the target draw's rows."""
+    family = {**asdict(cfg.family), "target_sizes": max(cfg.family.target_sizes)}
+    blob = json.dumps({"master_seed": cfg.master_seed, "seed": seed, "family": family},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> None:
+def _draw_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict[str, str]:
+    """Draw one seed's datasets and write its manifest; returns their digests."""
     fam = cfg.family
     family_seed = hash64(cfg.master_seed, "family", seed)
     rng = Rng(family_seed)
@@ -283,86 +290,67 @@ def _generate_family_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> No
     for name, q, n, key, task_id in draws:
         save_dataset(
             sample_task_data(teachers[q], n, fam.input_dim, rng.spawn(*key), task_id),
-            seed_dir / _dataset_file(name),
+            seed_dir / f"{name}.npz",
         )
-
-
-def _manifest_path(out_dir: Path) -> Path:
-    return _family_dir(out_dir) / "manifest.json"
-
-
-def _load_manifest(out_dir: Path) -> dict | None:
-    path = _manifest_path(out_dir)
-    if not path.exists():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _manifest_current(manifest: dict | None, cfg: ExperimentConfig) -> bool:
-    """The manifest was written for this config and lists exactly the files
-    _family_files names, so a family in an earlier layout is regenerated."""
-    if not manifest or manifest.get("config_key") != _config_key(cfg):
-        return False
-    expected = {relpath for seed in cfg.seeds for relpath in _family_files(cfg, seed)}
-    return set(manifest.get("files", {})) == expected
-
-
-def _family_fault(manifest: dict, out_dir: Path) -> str | None:
-    """Why the files the manifest lists are not intact, or None if they are."""
-    for relpath, digest in manifest.get("files", {}).items():
-        path = _family_dir(out_dir) / relpath
-        if not path.exists():
-            return f"cached dataset missing: {path}"
-        if _sha256_file(path) != digest:
-            return (
-                f"cached dataset {path} does not match its manifest hash; "
-                "delete the family directory to regenerate"
-            )
-    return None
-
-
-def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Cache the task family on disk; reuses an intact matching cache."""
-    manifest = _load_manifest(out_dir)
-    if _manifest_current(manifest, cfg) and _family_fault(manifest, out_dir) is None:
-        return {"cache_hit": True, "manifest": manifest}
-    files = {}
-    for seed in cfg.seeds:
-        _generate_family_seed(cfg, seed, out_dir)
-        named = _family_files(cfg, seed)
-        for path in _seed_dir(out_dir, seed).iterdir():  # files of an earlier layout
-            if path.is_file() and f"seed{seed}/{path.name}" not in named:
-                path.unlink()
-        for relpath in named:
-            files[relpath] = _sha256_file(_family_dir(out_dir) / relpath)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config_key": _config_key(cfg),
-        "master_seed": cfg.master_seed,
-        "seeds": cfg.seeds,
-        "family": asdict(cfg.family),
-        "files": files,
-    }
-    _family_dir(out_dir).mkdir(parents=True, exist_ok=True)
-    atomic_write_text(_manifest_path(out_dir), json.dumps(manifest, indent=2, sort_keys=True))
-    return {"cache_hit": False, "manifest": manifest}
+    names = _seed_files(fam.flip_grid)
+    for path in seed_dir.iterdir():  # files of an earlier layout
+        if path.is_file() and path.name not in names and path.name != MANIFEST:
+            path.unlink()
+    files = {name: _sha256_file(seed_dir / name) for name in names}
+    manifest = {"key": _seed_key(cfg, seed), "files": files}
+    atomic_write_text(seed_dir / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
+    return files
 
 
 class IntegrityError(RuntimeError):
     """A cached dataset no longer matches the manifest hash."""
 
 
-def _verify_family(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    manifest = _load_manifest(out_dir)
-    if not _manifest_current(manifest, cfg):
-        return cmd_generate(cfg, out_dir)["manifest"]
-    fault = _family_fault(manifest, out_dir)
-    if fault:
-        raise IntegrityError(fault)
-    return manifest
+def _fault(seed_dir: Path, files: dict) -> Path | None:
+    """The first file a manifest lists that is missing or fails its hash."""
+    for name, digest in files.items():
+        path = seed_dir / name
+        if not path.is_file() or _sha256_file(path) != digest:
+            return path
+    return None
+
+
+def _family(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> tuple[dict, list[int]]:
+    """The one cache rule of generate and run: each seed's {file: digest} and
+    the seeds drawn to get them. A seed is reused when its manifest holds its
+    key and names exactly its files, and each file passes its hash; otherwise
+    it is drawn again. Under strict, a current manifest whose file is missing
+    or fails its hash is an IntegrityError instead."""
+    names = _seed_files(cfg.family.flip_grid)
+    family, drawn = {}, []
+    for seed in cfg.seeds:
+        seed_dir = _seed_dir(out_dir, seed)
+        try:
+            manifest = json.loads((seed_dir / MANIFEST).read_text())
+        except (OSError, ValueError):  # absent, unreadable or not JSON
+            manifest = None
+        files = manifest.get("files") if isinstance(manifest, dict) else None
+        if (isinstance(files, dict) and set(files) == set(names)
+                and manifest.get("key") == _seed_key(cfg, seed)):
+            fault = _fault(seed_dir, files)
+            if fault is None:
+                family[seed] = files
+                continue
+            if strict:
+                raise IntegrityError(
+                    f"cached dataset {fault} is missing or does not match its manifest hash; "
+                    "`tawt-lab generate` draws its seed again"
+                )
+        family[seed] = _draw_seed(cfg, seed, out_dir)
+        drawn.append(seed)
+    return family, drawn
+
+
+def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """Cache the task family on disk, drawing only the seeds whose cache is
+    not current; returns each seed's file digests and the seeds drawn."""
+    family, drawn = _family(cfg, out_dir, strict=False)
+    return {"files": family, "drawn": drawn}
 
 
 def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
@@ -381,14 +369,15 @@ def _job_dir(out_dir: Path, arm: str, seed: int | str, target_size: int | str) -
 @dataclass(frozen=True)
 class Job:
     """One (arm, seed, target_size) run, built once by cmd_run and handed to a
-    worker as is. train is the arm's merged TrainConfig at the job seed."""
+    worker as is. train is the arm's merged TrainConfig at the job seed, and
+    inputs the {file: digest} of the family files the job loads."""
 
     out_dir: Path
     arm: ArmConfig
     seed: int
     target_size: int
     train: TrainConfig
-    manifest_key: str
+    inputs: dict
 
     @property
     def dir(self) -> Path:
@@ -397,15 +386,15 @@ class Job:
     @cached_property
     def key(self) -> str:
         """SHA-256 of everything that decides the job's row: the merged
-        TrainConfig, the arm's source flips, the job seed, the target size and
-        the family."""
+        TrainConfig (job seed included), the arm's source flips, the target
+        size and the digests of the files it loads, so a sweep that grows
+        reruns only the jobs it adds."""
         blob = json.dumps(
             {
                 "train": asdict(self.train),
                 "source_flips": self.arm.source_flips,
-                "job_seed": self.train.seed,
                 "target_size": self.target_size,
-                "manifest_key": self.manifest_key,
+                "inputs": self.inputs,
             },
             sort_keys=True,
         )
@@ -468,11 +457,11 @@ def _run_in_pool(todo: list[Job], jobs: int) -> list[dict]:
 def _execute_job(job: Job) -> dict:
     """Run one job from cached datasets; writes its files and returns its row."""
     seed_dir = _seed_dir(job.out_dir, job.seed)
-    target = load_dataset(seed_dir / _dataset_file("target_train"), TARGET_TASK_ID)
+    target = load_dataset(seed_dir / "target_train.npz", TARGET_TASK_ID)
     target = target.take(job.target_size)
-    eval_data = load_dataset(seed_dir / _dataset_file("target_eval"), TARGET_TASK_ID)
+    eval_data = load_dataset(seed_dir / "target_eval.npz", TARGET_TASK_ID)
     sources = [
-        load_dataset(seed_dir / _dataset_file(_source_name(q)), _source_name(q))
+        load_dataset(seed_dir / f"{_source_name(q)}.npz", _source_name(q))
         for q in job.arm.source_flips
     ]
     _, record = tawt(sources, target, job.train, eval_data=eval_data)
@@ -509,12 +498,12 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    manifest = _verify_family(cfg, out_dir)
+    family, _ = _family(cfg, out_dir, strict=True)
     todo = [
         Job(
             out_dir, arm, seed, target_size,
             _arm_train_config(cfg.train, arm, _job_seed(cfg.master_seed, seed, target_size)),
-            manifest["config_key"],
+            {name: family[seed][name] for name in _seed_files(arm.source_flips)},
         )
         for arm in cfg.arms
         for seed in cfg.seeds
@@ -643,7 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [
-        ("generate", "Generate and cache the task family plus its manifest."),
+        ("generate", "Generate and cache the task family, each seed with its manifest."),
         ("run", "Run every configured (arm x seed x target size) job; write summary.csv "
                 "with columns " + ",".join(SUMMARY_COLUMNS) + "."),
         ("distance", "Estimate the task-distance curve; write distance.csv with columns "
@@ -673,9 +662,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "generate":
-            result = cmd_generate(cfg, out_dir)
-            state = "cache hit" if result["cache_hit"] else "generated"
-            print(f"family under {out_dir} ({state})")
+            drawn = cmd_generate(cfg, out_dir)["drawn"]
+            print(f"family under {out_dir} ({len(drawn)} of {len(cfg.seeds)} seeds drawn)")
             return EXIT_OK
         if args.command == "run":
             result = cmd_run(cfg, out_dir, jobs=args.jobs)

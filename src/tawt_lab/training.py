@@ -184,16 +184,21 @@ class FamilyConfig:
     eval_n: int = 1000
 
     def validate(self) -> None:
-        """Every range rule of a family: positive counts, nonempty lists, flip
-        rates in [0, 1], a teacher threshold in (0, 1] and a teacher lr >= 0."""
+        """Every range rule of a family: positive counts, nonempty lists
+        without repeats, flip rates in [0, 1] that each name one source file,
+        a teacher threshold in (0, 1] and a teacher lr >= 0."""
         for name in ("base_n", "input_dim", "n_classes", "teacher_hidden", "teacher_epochs",
                      "teacher_batch", "source_n", "eval_n"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
-        if not self.target_sizes or min(self.target_sizes) <= 0:
-            raise ValueError(f"target_sizes must be nonempty and positive, got {self.target_sizes}")
-        if not self.flip_grid or not all(0.0 <= q <= 1.0 for q in self.flip_grid):
-            raise ValueError(f"flip_grid must be nonempty rates in [0, 1], got {self.flip_grid}")
+        sizes, grid = self.target_sizes, self.flip_grid
+        if not sizes or min(sizes) <= 0 or len(set(sizes)) < len(sizes):
+            raise ValueError(f"target_sizes must be nonempty, positive and distinct, got {sizes}")
+        if not grid or not all(0.0 <= q <= 1.0 for q in grid):
+            raise ValueError(f"flip_grid must be nonempty rates in [0, 1], got {grid}")
+        # Each rate names its source file source_q{q:g}.npz and its summary.csv flip_rate.
+        if not len(set(grid)) == len({f"{q:g}" for q in grid}) == len(grid):
+            raise ValueError(f"flip_grid must hold distinct rates, distinct as {{q:g}}, got {grid}")
         if not 0.0 < self.teacher_accuracy_threshold <= 1.0:
             raise ValueError("teacher_accuracy_threshold must lie in (0, 1]")
         if self.teacher_lr < 0:

@@ -6,13 +6,15 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
+import uuid
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tawt_lab import harness, taskgen
@@ -22,7 +24,6 @@ from tawt_lab.harness import (
     EXIT_JOBS,
     EXIT_OK,
     ConfigError,
-    _config_key,
     cmd_distance,
     cmd_generate,
     cmd_report,
@@ -206,13 +207,17 @@ class TestConfigParsing:
          ("input_dim", True), ("teacher_hidden", -1), ("teacher_epochs", 0),
          ("teacher_batch", 0.0), ("teacher_accuracy_threshold", -1.0),
          ("teacher_accuracy_threshold", 2.0), ("teacher_lr", -0.001), ("flip_grid", [0.0, 1.5]),
-         ("flip_grid", []), ("target_sizes", [])],
+         ("flip_grid", []), ("target_sizes", []), ("target_sizes", [40, 40]),
+         ("flip_grid", [0.0, 0.0, 1.0]), ("flip_grid", [0.0, -0.0, 1.0]),
+         ("flip_grid", [0.0, 0.1, 0.10000001])],
     )
     def test_family_size_must_be_a_positive_integer(self, tmp_path, capsys, name, value):
         """A size such as -5 is a config error naming the field, not a row
         trained on the wrong number of examples; so is a teacher recipe that
         cannot be met (a threshold outside (0, 1], a negative lr) and a flip
-        rate outside [0, 1]."""
+        rate outside [0, 1]. So is a repeat: a size would run its jobs twice
+        into one directory, and two rates that print alike (0.1 and
+        0.10000001) would share one source file and one flip_rate."""
         raw = tiny_config(tmp_path / "out")
         raw["family"][name] = value
         with pytest.raises(ConfigError, match=f"family.{name}"):
@@ -253,12 +258,15 @@ class TestConfigParsing:
             (("family", "flip_grid"), [0.0, math.inf], "family.flip_grid[1]"),
             (("distance", "lr"), math.nan, "distance.lr"),
             (("arms", 1, "overrides", "eta"), math.nan, "overrides.eta"),
+            (("seeds",), [0, 1, 0], "seeds must not repeat"),
+            (("arms", 1, "source_flips"), [0.0, 0.0], "arms[1].source_flips must not repeat"),
         ]
     ])
     def test_value_of_the_wrong_type_fails_at_parse(self, tmp_path, capsys, path, value, named):
         """A wrongly typed value is a config error naming its field, never a
         traceback and never silently converted (master_seed 1.5 is not 1);
-        so is an arm name that would misread as a CSV row or leave out_dir.
+        so is an arm name that would misread as a CSV row or leave out_dir,
+        and a repeated seed or source flip, which would run a job twice.
         Python's json reads NaN and Infinity, and a float field takes
         neither, so no sweep writes a NumericError row for every job."""
         raw = tiny_config(tmp_path / "out", distance={})
@@ -316,28 +324,44 @@ class TestConfigParsing:
         assert err.startswith("config error: ") and "accuracy after 1 epochs" in err
 
 
+def _manifests(out):
+    return {p.relative_to(out): p.read_bytes() for p in (out / "family").glob("seed*/manifest.json")}
+
+
+def _strip_timestamp(path):
+    return [line.rsplit(",", 1)[0] for line in Path(path).read_text().splitlines()]
+
+
 class TestGenerate:
     def test_generate_then_cache_hit(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "out"))
         out = Path(cfg.out_dir)
-        first = cmd_generate(cfg, out)
-        assert not first["cache_hit"]
-        manifest_bytes = (out / "family" / "manifest.json").read_bytes()
-        second = cmd_generate(cfg, out)
-        assert second["cache_hit"]
-        assert (out / "family" / "manifest.json").read_bytes() == manifest_bytes
+        assert cmd_generate(cfg, out)["drawn"] == [0, 1]
+        manifests = _manifests(out)
+        assert len(manifests) == 2
+        assert cmd_generate(cfg, out)["drawn"] == []
+        assert _manifests(out) == manifests
 
     def test_creates_missing_directories(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "deep" / "nested" / "out"))
         cmd_generate(cfg, Path(cfg.out_dir))
         assert (Path(cfg.out_dir) / "family" / "seed0" / "target_train.npz").exists()
 
-    def test_manifest_lists_all_files_with_hashes(self, tmp_path):
+    def test_each_manifest_lists_its_seed_files_with_hashes(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "out"))
         result = cmd_generate(cfg, Path(cfg.out_dir))
-        files = result["manifest"]["files"]
-        assert len(files) == 2 * (2 + 2)  # 2 seeds x (2 target files + 2 sources)
-        assert all(len(digest) == 64 for digest in files.values())
+        for seed in cfg.seeds:
+            seed_dir = Path(cfg.out_dir) / "family" / f"seed{seed}"
+            files = json.loads((seed_dir / "manifest.json").read_text())["files"]
+            assert files == result["files"][seed]
+            assert sorted(files) == sorted(
+                ["target_train.npz", "target_eval.npz", "source_q0.npz", "source_q1.npz"]
+            )
+            assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in files.values())
+            assert all(
+                hashlib.sha256((seed_dir / name).read_bytes()).hexdigest() == digest
+                for name, digest in files.items()
+            )
 
     def test_file_hash_matches_whole_file_sha256(self, tmp_path):
         path = tmp_path / "blob.npz"
@@ -358,37 +382,69 @@ class TestGenerate:
         second = parse_config(tiny_config(tmp_path / "b"))
         cmd_generate(second, Path(second.out_dir))
         a, b = family_bytes(tmp_path / "a"), family_bytes(tmp_path / "b")
-        assert len(a) == 1 + 2 * 4 and a == b
+        assert len(a) == 2 * (1 + 4) and a == b  # per seed: a manifest and 4 datasets
 
     def test_family_in_csv_layout_is_regenerated(self, tmp_path):
-        """A family cached as CSVs, under a manifest with the same config key,
-        is regenerated to the same datasets instead of failing every job, and
+        """A seed cached as CSVs, under a manifest with the same seed key, is
+        drawn again to the same datasets instead of failing every job, and
         the CSVs are removed."""
         cfg = parse_config(tiny_config(tmp_path / "out"))
         out = Path(cfg.out_dir)
-        family = out / "family"
-        manifest = cmd_generate(cfg, out)["manifest"]
-        binary = {relpath: (family / relpath).read_bytes() for relpath in manifest["files"]}
+        seed_dir = out / "family" / "seed0"
+        cmd_generate(cfg, out)
+        manifest = json.loads((seed_dir / "manifest.json").read_text())
+        binary = {name: (seed_dir / name).read_bytes() for name in manifest["files"]}
         csv_files = {}
-        for relpath in binary:
-            csv_path = (family / relpath).with_suffix(".csv")
-            save_dataset_csv(load_dataset(family / relpath), csv_path)
-            (family / relpath).unlink()
-            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-            csv_files[str(csv_path.relative_to(family))] = digest
+        for name in binary:
+            csv_path = (seed_dir / name).with_suffix(".csv")
+            save_dataset_csv(load_dataset(seed_dir / name), csv_path)
+            (seed_dir / name).unlink()
+            csv_files[csv_path.name] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
         manifest["files"] = csv_files
-        (family / "manifest.json").write_text(json.dumps(manifest))
+        (seed_dir / "manifest.json").write_text(json.dumps(manifest))
 
         result = cmd_run(cfg, out)
         assert result["n_jobs"] == 6 and result["n_failed"] == 0
-        regenerated = json.loads((family / "manifest.json").read_text())["files"]
+        regenerated = json.loads((seed_dir / "manifest.json").read_text())["files"]
         assert sorted(regenerated) == sorted(binary)
-        assert all((family / relpath).read_bytes() == data for relpath, data in binary.items())
-        on_disk = {
-            str(path.relative_to(family)) for seed in cfg.seeds
-            for path in (family / f"seed{seed}").iterdir()
-        }
-        assert on_disk == set(regenerated)  # the CSVs of the old layout are gone
+        assert all((seed_dir / name).read_bytes() == data for name, data in binary.items())
+        on_disk = {path.name for path in seed_dir.iterdir()}
+        assert on_disk == set(regenerated) | {"manifest.json"}  # the old layout's CSVs are gone
+
+    def test_a_grown_sweep_pays_only_for_what_it_adds(self, tmp_path):
+        """Adding a seed reuses every old job and rewrites no file of the old
+        seeds; adding a target size below the largest reuses the old size's
+        jobs. The grown directory holds the bytes of a fresh run."""
+        raw = tiny_config(tmp_path / "grown")
+        out = Path(raw["out_dir"])
+        cmd_run(parse_config(raw), out)
+        old_files = sorted((out / "family").glob("seed[01]/*"))
+        stamps = [path.stat().st_mtime_ns for path in old_files]
+
+        raw["seeds"] = [0, 1, 2]
+        result = cmd_run(parse_config(raw), out)
+        assert (result["n_jobs"], result["n_skipped"]) == (9, 6)
+        assert sorted((out / "family").glob("seed[01]/*")) == old_files
+        assert [path.stat().st_mtime_ns for path in old_files] == stamps
+
+        raw["family"]["target_sizes"] = [20, 40]
+        result = cmd_run(parse_config(raw), out)
+        assert (result["n_jobs"], result["n_skipped"]) == (18, 9)
+        assert [path.stat().st_mtime_ns for path in old_files] == stamps
+        cmd_report(out)
+
+        fresh = tmp_path / "fresh"
+        cmd_run(parse_config({**raw, "out_dir": str(fresh)}), fresh)
+        cmd_report(fresh)
+        assert _strip_timestamp(out / "summary.csv") == _strip_timestamp(fresh / "summary.csv")
+        grown_files = sorted(
+            path.relative_to(out) for path in out.rglob("*.csv")
+            if path.name == "weights.csv" or path.parent.name == "report"
+        )
+        assert len(grown_files) == 18 + 4  # every job's weights, curves.csv and 3 trajectories
+        for relpath in grown_files:
+            assert (out / relpath).read_bytes() == (fresh / relpath).read_bytes(), relpath
+
 
 
 class TestRun:
@@ -726,53 +782,113 @@ def test_one_bad_value_anywhere_is_accepted_or_a_config_error(site, value):
         pass
 
 
+@pytest.fixture(scope="module")
+def drawn_seed(tmp_path_factory):
+    """A one-seed, one-arm family, drawn once and copied for each example."""
+    raw = tiny_config(tmp_path_factory.mktemp("drawn") / "out", seeds=[0])
+    raw["arms"] = raw["arms"][:1]
+    cmd_generate(parse_config(raw), Path(raw["out_dir"]))
+    return raw
+
+
+MANIFEST_NODES = list(_nodes({"key": "k", "files": dict.fromkeys(
+    ["target_train.npz", "target_eval.npz", "source_q0.npz", "source_q1.npz"], "d")}))
+
+
+@settings(max_examples=30, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(node=(), value=[1])
+@example(node=("files", "source_q1.npz"), value=None)
+@given(node=st.sampled_from(MANIFEST_NODES), value=BAD_VALUES)
+def test_one_bad_manifest_value_is_redrawn_or_an_io_error(drawn_seed, tmp_path, capsys, node, value):
+    """Any one node of a seed manifest, replaced by a value of another type,
+    null, a negative number or NaN: generate draws the seed again to the
+    same bytes, and run draws it again or exits 3 naming the file; neither
+    prints a traceback."""
+    template = Path(drawn_seed["out_dir"])
+    for command in ("generate", "run"):
+        out = tmp_path / f"{command}-{uuid.uuid4().hex}"
+        shutil.copytree(template, out)
+        path = out / "family" / "seed0" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if node:
+            parent = manifest
+            for key in node[:-1]:
+                parent = parent[key]
+            parent[node[-1]] = value
+        else:
+            manifest = value
+        path.write_text(json.dumps(manifest))
+        cfg_path = write_config(tmp_path, {**drawn_seed, "out_dir": str(out)})
+        code = main([command, "--config", str(cfg_path)])
+        if command == "run" and code == EXIT_IO:
+            err = capsys.readouterr().err
+            assert err.startswith("error: cached dataset ") and str(out / "family") in err
+            continue
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out
+        assert command == "run" or "(1 of 1 seeds drawn)" in printed
+        for name in ["manifest.json", *json.loads(path.read_text())["files"]]:
+            expected = (template / "family" / "seed0" / name).read_bytes()
+            assert (out / "family" / "seed0" / name).read_bytes() == expected
+
+
 # Per shipped config: its job count, the SHA-256 of its job keys in cmd_run's
-# order (one per line) and its config key, recorded before the schema walk
-# replaced the hand-written checks. Resume trusts both keys, so a parse that
-# coerces or reorders a value fails here instead of rerunning every job.
+# order (one per line) and the SHA-256 of its seed keys in seed order, with
+# each family file's digest stubbed by the SHA-256 of its seed and name.
+# Resume trusts both keys, so a parse that coerces or reorders a value fails
+# here instead of rerunning every job or drawing every seed again.
 PINNED_KEYS = {
     "scripts/configs/distance_curve.json": (
-        5, "57919879fdb74e2af00d95e03bfd781df07ff06b80930762cd041f9a9bf99249",
-        "c01abe6a71c75095c74f6461b105903e913a6e466178ce51ead790b30e17f714"),
+        5, "624fa728dfa1c05e40f338f7dbe6f5fc68b1cc988cd8f84950977e80b8283ab8",
+        "7773387e5aea05c5b5a21ed2b1dec11261b9c874bcbfc0dcdf10b5ed7ef9592b"),
     "scripts/configs/flip_sweep.json": (
-        100, "8c0b598778e0d83ea861ccd43471270037499cca92ac7de570e20d8f17ee5f4e",
-        "b5a296c3d1a7ce479879499eec5f188ca90dc23b275451b759c696b087a9d6d4"),
+        100, "4307e37e199ad03183e9100cb8417561bcaccb0549a27a9ee377ceddc8e8c90c",
+        "a1613265eff1b28eb4000c7f7c6bfef4d4ecb62482b164b9168499397f17358b"),
     "scripts/configs/weight_identification.json": (
-        10, "3863ecb4d2fb7c3ba00cd69df85f4f31d639e58f0be7214ca45468af0306e9a9",
-        "50917159c0b20d5de6c45bfe0252983771209bb219c3285802a1af18824bda71"),
+        10, "bcb0f1ee79b22d52fe1cbc78c148985f078c1685292b3b398d3f6e1aa6e05a8a",
+        "be163dbe908fbfba6620ec8312eec97afdc1e060c0ba10db180b1706783e40e6"),
     "perfbench/configs/distance_curve.json": (
-        1, "7a939707849e300a83ecdb4aae5bc226e99d478c7b03dd63f5fddc2aae223e7f",
-        "ca98902f7277dfc38d2365368415f11819db58d91239923f6b9cc4fad57b1ff9"),
+        1, "47d054eb1581afc1b07ad1a73c913ad3767da6a12e599cf9d350811fb83564b2",
+        "3c3a1c02e5a5b81da9ea8989004efccd814b16c0d70354b7bbef3fc84993086a"),
     "perfbench/configs/sample_weighting.json": (
-        1, "1a9a0db650663ce235bee7d6191f94d3e6ea391ad264e203e7cb74174b5ce1db",
-        "ec6ba42eb1f07660fb43b37a17c65c9bce35f7869d8e5be42884a58837ed4bff"),
+        1, "847c7ae007b901a8fdd893fb7356477a8936aa693d4559a5c210af4b2c5eb8db",
+        "2d36748cdde17f6e362ecdd5502be12875e9a976e9941d0ee122d7635f658c56"),
     "perfbench/configs/task_weighting.json": (
-        2, "2322383ec64bd1d839b3a4a9f5fdd1497d5ad303d45570efa3aa7f83d064b90e",
-        "6d939f925b56b88adc472730dfc5b72ef49d8f9835497c97b86f464040dccef4"),
+        2, "be95af1ea34a7840b86b3fb7654e7887ceb040be422f392cced484669b1a3d3d",
+        "9a076859d4c84d80ddf5f40c40f464118bc9cd3ebf371186bb89baf782722df6"),
     "perfbench/configs/transfer_sweep.json": (
-        5, "5a17d9a8035505fac4cab44bf0a0beace0f761eebd4390f5f41e96b93fec514d",
-        "8f4cda4109ea0797ff743c7388d22abae4f23ed85a56df3e480932de82bd2892"),
+        5, "6fd602bb45c7a289d5fedd45102acbf96ffded39b1ee6dd8e0cd51b027668028",
+        "b594ac75d762824b2326c1efe795651298bc330c2d54e98b8f015543f0123603"),
 }
 
 
-def test_shipped_job_and_config_keys_are_pinned(tmp_path, monkeypatch):
+def test_shipped_job_and_seed_keys_are_pinned(tmp_path, monkeypatch):
     """cmd_run builds each shipped config's jobs with the keys they had when
-    recorded; no job runs and no family is generated."""
+    recorded; no job runs and no family is drawn."""
     keys = []
 
     def stored_row(job):
         keys.append(job.key)
         return job.row()
 
-    monkeypatch.setattr(harness, "_verify_family", lambda cfg, _: {"config_key": _config_key(cfg)})
+    def stub_family(cfg, out_dir, strict):
+        return {seed: {name: hashlib.sha256(f"{seed}/{name}".encode()).hexdigest()
+                       for name in harness._seed_files(cfg.family.flip_grid)}
+                for seed in cfg.seeds}, []
+
+    monkeypatch.setattr(harness, "_family", stub_family)
     monkeypatch.setattr(harness, "_stored_row", stored_row)
     found = {}
     for path in SHIPPED:
         cfg = load_config(path)
         keys.clear()
         cmd_run(cfg, tmp_path)
-        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
-        found[path.relative_to(ROOT).as_posix()] = (len(keys), digest, _config_key(cfg))
+        seed_keys = "\n".join(harness._seed_key(cfg, seed) for seed in cfg.seeds)
+        found[path.relative_to(ROOT).as_posix()] = (
+            len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest(),
+            hashlib.sha256(seed_keys.encode()).hexdigest(),
+        )
     assert found == PINNED_KEYS
 
 
