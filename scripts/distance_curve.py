@@ -4,9 +4,10 @@
 For each flip rate, trains a representation on 10000 source examples,
 freezes it, fits a target head, and subtracts the risk of a model trained
 on abundant target data. Distance should start near zero at flip 0.0 and
-grow with the flip rate. ~3 minutes.
+grow with the flip rate. ~3 minutes on one core; --jobs N runs up to N
+seeds at once, with the same distance.csv.
 
-    python scripts/distance_curve.py [--out DIR]
+    python scripts/distance_curve.py [--jobs N] [--out DIR]
 """
 
 import argparse
@@ -20,12 +21,13 @@ CONFIG = Path(__file__).parent / "configs" / "distance_curve.json"
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
     from tawt_lab.harness import main as lab
 
-    run_args = ["distance", "--config", str(CONFIG)]
+    run_args = ["distance", "--config", str(CONFIG), "--jobs", str(args.jobs)]
     if args.out:
         run_args += ["--out", args.out]
     rc = lab(run_args)

@@ -17,18 +17,18 @@ weighted single arm, a single arm with sources or another paradigm
 without any, sample weights off pretrain or on other than one source, or
 sample_split off pretrain. So is a sample_split that leaves a part empty
 at some family.target_sizes entry, and a repeat in seeds, target_sizes,
-flip_grid (as {q:g}, its file name) or an arm's source_flips. `run` builds
-one Job per (arm, seed, target size), its TrainConfig merged once, and a
-worker trains it with one tawt call. --jobs (default 1) sets how many
-jobs may run concurrently; results are identical either way because
-every job derives its own seed stream from the master seed.
+flip_grid (as {q:g}, its file name, or round(q * 10000), its streams' key)
+or an arm's source_flips.
 
-One cache rule serves the family and the jobs: each is keyed by the
-hashes of what it reads. A seed's key covers master_seed, the seed and
-the family block, target_sizes only as their max; family/seed<k>/
-manifest.json holds it and the seed's file digests. A job's key covers
-its merged TrainConfig, source flips, target size and the digests of the
-files it loads. So a sweep that grows pays only for what it adds.
+One runner, _run_units, serves run's jobs (one tawt call per arm, seed
+and target size) and distance's seeds: it reuses each unit whose row.json
+holds its key and runs the rest, --jobs at once (default 1), with the same
+results at any --jobs, since every unit derives its seeds from master_seed.
+
+One cache rule serves the family seeds (family/seed<k>/manifest.json),
+the jobs and the distance seeds (row.json): each is keyed by the hashes
+of what it reads (_seed_key, Job.key, DistanceSeed.key), so a sweep that
+grows pays only for what it adds.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import DistanceConfig, distance_curve, write_distance_csv
+from .distance import DistanceConfig, TaskDistanceEstimate, distance_curve, write_distance_csv
 from .numerics import Rng, float_repr17, hash64
 from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
 from .training import FamilyConfig, TrainConfig, atomic_write_text, split_size, tawt
@@ -261,13 +261,16 @@ def _seed_files(flips: list[float]) -> list[str]:
     return [f"{name}.npz" for name in ["target_train", "target_eval", *map(_source_name, flips)]]
 
 
+def _key(**parts) -> str:
+    """SHA-256 of parts as sorted-key JSON: the key of one cached result."""
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+
+
 def _seed_key(cfg: ExperimentConfig, seed: int) -> str:
     """SHA-256 of what a seed's draws read: master_seed, the seed and the
     family block, whose target_sizes enter only as the target draw's rows."""
     family = {**asdict(cfg.family), "target_sizes": max(cfg.family.target_sizes)}
-    blob = json.dumps({"master_seed": cfg.master_seed, "seed": seed, "family": family},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _key(master_seed=cfg.master_seed, seed=seed, family=family)
 
 
 def _draw_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict[str, str]:
@@ -389,16 +392,34 @@ class Job:
         TrainConfig (job seed included), the arm's source flips, the target
         size and the digests of the files it loads, so a sweep that grows
         reruns only the jobs it adds."""
-        blob = json.dumps(
-            {
-                "train": asdict(self.train),
-                "source_flips": self.arm.source_flips,
-                "target_size": self.target_size,
-                "inputs": self.inputs,
-            },
-            sort_keys=True,
+        return _key(train=asdict(self.train), source_flips=self.arm.source_flips,
+                    target_size=self.target_size, inputs=self.inputs)
+
+    load = staticmethod(dict)
+
+    def execute(self) -> dict:
+        """Run the job from cached datasets; writes its files and returns its row."""
+        seed_dir = _seed_dir(self.out_dir, self.seed)
+        target = load_dataset(seed_dir / "target_train.npz", TARGET_TASK_ID).take(self.target_size)
+        eval_data = load_dataset(seed_dir / "target_eval.npz", TARGET_TASK_ID)
+        sources = [
+            load_dataset(seed_dir / f"{_source_name(q)}.npz", _source_name(q))
+            for q in self.arm.source_flips
+        ]
+        _, record = tawt(sources, target, self.train, eval_data=eval_data)
+        final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
+        self.dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(self.dir / "record.json", record.to_json())
+        record.write_metrics_csv(self.dir / "metrics.csv")
+        record.write_weights_csv(self.dir / "weights.csv")
+        return self.row(
+            ratio=float_repr17(sources[0].n / self.target_size) if sources else "0",
+            final_target_acc=float_repr17(final["target_accuracy"]),
+            final_target_loss=float_repr17(final["target_loss"]),
         )
-        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def failed(self, exc: BaseException) -> dict:
+        return self.row(error=f"{type(exc).__name__}: {exc}")
 
     def row(self, **cols) -> dict:
         """The job's summary row, cols filled in; cmd_run adds the timestamp."""
@@ -409,83 +430,95 @@ class Job:
         return row
 
 
-def _failure(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+@dataclass(frozen=True)
+class DistanceSeed:
+    """One seed of the distance curve, the unit of cmd_distance. Its draws,
+    teachers and oracle derive from (master_seed, seed) alone, so its
+    estimates are bitwise its share of the whole curve."""
+
+    out_dir: Path
+    cfg: ExperimentConfig
+    seed: int
+
+    @property
+    def dir(self) -> Path:
+        return self.out_dir / "distance" / f"seed{self.seed}"
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 of what the seed reads: master_seed, the seed, the family
+        block but target_sizes, and the resolved distance block."""
+        family = {k: v for k, v in asdict(self.cfg.family).items() if k != "target_sizes"}
+        return _key(master_seed=self.cfg.master_seed, seed=self.seed, family=family,
+                    distance=asdict(self.cfg.distance))
+
+    def load(self, row) -> list[TaskDistanceEstimate]:
+        estimates = [TaskDistanceEstimate(**est) for est in row]
+        if [est.flip_rate for est in estimates] != self.cfg.family.flip_grid:
+            raise ValueError("stored estimates do not cover the flip grid")
+        return estimates
+
+    def execute(self) -> list[dict]:
+        """The seed's estimates as JSON objects, whose floats round-trip."""
+        cfg = self.cfg
+        return [asdict(est) for est in
+                distance_curve(cfg.family, cfg.distance, [self.seed], cfg.master_seed)]
+
+    def failed(self, exc: BaseException) -> BaseException:
+        return exc
 
 
-def _execute_job_safe(job: Job) -> dict:
-    """_execute_job, with failures folded into an error-tagged summary row."""
+def _stored(unit):
+    """The result a finished run of this exact unit left in its row.json, if any."""
     try:
-        return _execute_job(job)
-    except Exception as exc:  # error rows keep the sweep going
-        return job.row(error=_failure(exc))
+        stored = json.loads((unit.dir / "row.json").read_text())
+        return unit.load(stored["row"]) if stored["job_key"] == unit.key else None
+    except (OSError, ValueError, KeyError, TypeError):  # absent, unreadable or malformed
+        return None
 
 
-def _run_in_pool(todo: list[Job], jobs: int) -> list[dict]:
-    """_execute_job_safe over todo in worker processes, one row each.
+def _execute_safe(unit):
+    """unit.execute()'s row, stored in row.json with the unit's key for
+    _stored to find, and returned as unit.load reads it; a failure is
+    folded into unit.failed(exc)."""
+    try:
+        row = unit.execute()
+        unit.dir.mkdir(parents=True, exist_ok=True)
+        stored = {"job_key": unit.key, "row": row}
+        atomic_write_text(unit.dir / "row.json", json.dumps(stored, indent=2))
+        return unit.load(row)
+    except Exception as exc:  # one unit's failure never costs another's result
+        return unit.failed(exc)
 
-    A worker that dies (killed, crashed interpreter) breaks the whole pool
-    and fails every job still in it. Those jobs are rerun one at a time,
-    each in a fresh single-worker pool, so only a job that kills its own
-    worker again is lost, as an error row. The pool starts every worker at
-    once, so it gets no more workers than jobs; multiprocessing is imported
-    only here, so a serial run never loads it.
-    """
+
+def _run_units(units: list, jobs: int) -> tuple[list, int]:
+    """The one runner of run's jobs and distance's seeds (units with a dir,
+    key, load, execute and failed): each unit's result, in order, and how
+    many were reused from their row.json. The rest run here, or in at most
+    `jobs` worker processes when more than one is left. A worker that dies
+    breaks the pool and fails every unit in it; those rerun one at a time
+    in fresh pools, so only a unit that kills its worker again is lost, as
+    unit.failed(BrokenProcessPool). A serial run never imports multiprocessing."""
+    results = [_stored(unit) for unit in units]
+    pending = [i for i, result in enumerate(results) if result is None]
+    if jobs < 2 or len(pending) < 2:
+        for i in pending:
+            results[i] = _execute_safe(units[i])
+        return results, len(units) - len(pending)
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    rows: list = [None] * len(todo)
-    broken = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-        futures = [pool.submit(_execute_job_safe, job) for job in todo]
-        for i, future in enumerate(futures):
-            try:
-                rows[i] = future.result()
-            except BrokenProcessPool:
-                broken.append(i)
-            except Exception as exc:  # the job or row failed to cross processes
-                rows[i] = todo[i].row(error=_failure(exc))
-    for i in broken:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            try:
-                rows[i] = pool.submit(_execute_job_safe, todo[i]).result()
-            except Exception as exc:
-                rows[i] = todo[i].row(error=_failure(exc))
-    return rows
-
-
-def _execute_job(job: Job) -> dict:
-    """Run one job from cached datasets; writes its files and returns its row."""
-    seed_dir = _seed_dir(job.out_dir, job.seed)
-    target = load_dataset(seed_dir / "target_train.npz", TARGET_TASK_ID)
-    target = target.take(job.target_size)
-    eval_data = load_dataset(seed_dir / "target_eval.npz", TARGET_TASK_ID)
-    sources = [
-        load_dataset(seed_dir / f"{_source_name(q)}.npz", _source_name(q))
-        for q in job.arm.source_flips
-    ]
-    _, record = tawt(sources, target, job.train, eval_data=eval_data)
-    final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
-    job.dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(job.dir / "record.json", record.to_json())
-    record.write_metrics_csv(job.dir / "metrics.csv")
-    record.write_weights_csv(job.dir / "weights.csv")
-    row = job.row(
-        ratio=float_repr17(sources[0].n / job.target_size) if sources else "0",
-        final_target_acc=float_repr17(final["target_accuracy"]),
-        final_target_loss=float_repr17(final["target_loss"]),
-    )
-    atomic_write_text(job.dir / "row.json", json.dumps({"job_key": job.key, "row": row}, indent=2))
-    return row
-
-
-def _stored_row(job: Job) -> dict | None:
-    """The row a finished run of this exact job left behind, if any."""
-    try:
-        stored = json.loads((job.dir / "row.json").read_text())
-        return dict(stored["row"]) if stored["job_key"] == job.key else None
-    except (OSError, ValueError, KeyError, TypeError):  # absent, unreadable or malformed
-        return None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        futures = {i: pool.submit(_execute_safe, units[i]) for i in pending}
+    for i, future in futures.items():
+        if isinstance(future.exception(), BrokenProcessPool):
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                future = pool.submit(_execute_safe, units[i])
+        try:
+            results[i] = future.result()
+        except Exception as exc:  # the unit or its result failed to cross processes
+            results[i] = units[i].failed(exc)
+    return results, len(units) - len(pending)
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
@@ -496,8 +529,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
     it. A failing job contributes an error-tagged row; the command only
     counts as failed when every job fails.
     """
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     family, _ = _family(cfg, out_dir, strict=True)
     todo = [
         Job(
@@ -509,39 +540,34 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
         for seed in cfg.seeds
         for target_size in cfg.family.target_sizes
     ]
-
-    rows = [_stored_row(job) for job in todo]
-    pending = [i for i, row in enumerate(rows) if row is None]
-    if jobs > 1 and len(pending) > 1:
-        for i, row in zip(pending, _run_in_pool([todo[i] for i in pending], jobs)):
-            rows[i] = row
-    else:
-        for i in pending:
-            rows[i] = _execute_job_safe(todo[i])
+    rows, n_reused = _run_units(todo, jobs)
 
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        row = dict(row)
-        row.setdefault("timestamp", timestamp)
-        lines.append(",".join(row.get(col, "") for col in SUMMARY_COLUMNS))
+    lines = [",".join(SUMMARY_COLUMNS)] + [
+        ",".join({"timestamp": timestamp, **row}.get(col, "") for col in SUMMARY_COLUMNS)
+        for row in rows
+    ]
     atomic_write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
     n_failed = sum(1 for row in rows if row.get("error"))
     return {
         "summary": out_dir / "summary.csv",
         "n_jobs": len(rows),
         "n_failed": n_failed,
-        "n_skipped": len(rows) - len(pending),
+        "n_skipped": n_reused,
     }
 
 
-def cmd_distance(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Distance-curve sweep; writes distance.csv under the output directory."""
-    estimates = distance_curve(cfg.family, cfg.distance, cfg.seeds, cfg.master_seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_distance(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> Path:
+    """Distance-curve sweep, one unit per seed (DistanceSeed); writes
+    distance.csv under the output directory once every seed has its
+    estimates. Otherwise raises the first failure in seed order, after every
+    seed has run, so the seeds that finished are stored for a rerun."""
+    results, _ = _run_units([DistanceSeed(out_dir, cfg, seed) for seed in cfg.seeds], jobs)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
     path = out_dir / "distance.csv"
-    write_distance_csv(estimates, path)
+    write_distance_csv([est for estimates in results for est in estimates], path)
     return path
 
 
@@ -643,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc, description=doc)
         p.add_argument("--config", required=name != "report", help="experiment config JSON")
         p.add_argument("--out", help="override the config's out_dir")
-        if name == "run":
+        if name in ("run", "distance"):
             p.add_argument("--jobs", type=int, default=1, help="max concurrent jobs (default 1)")
     return parser
 
@@ -654,6 +680,8 @@ def main(argv=None) -> int:
     if not (args.config or args.out):  # only report leaves --config optional
         parser.error("report needs --config or --out to locate results")
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "report":
             result = cmd_report(Path(args.out or load_config(args.config).out_dir))
             print(f"wrote {result['curves']} and {len(result['trajectories'])} trajectory files")
@@ -673,7 +701,7 @@ def main(argv=None) -> int:
             )
             return EXIT_JOBS if result["n_failed"] == result["n_jobs"] else EXIT_OK
         if args.command == "distance":
-            path = cmd_distance(cfg, out_dir)
+            path = cmd_distance(cfg, out_dir, jobs=args.jobs)
             print(f"wrote {path}")
             return EXIT_OK
     except (ConfigError, FitFailureError) as exc:  # a teacher that misses needs more epochs

@@ -185,8 +185,8 @@ class FamilyConfig:
 
     def validate(self) -> None:
         """Every range rule of a family: positive counts, nonempty lists
-        without repeats, flip rates in [0, 1] that each name one source file,
-        a teacher threshold in (0, 1] and a teacher lr >= 0."""
+        without repeats, flip rates in [0, 1] that each name one source file and
+        one stream key, a teacher threshold in (0, 1] and a teacher lr >= 0."""
         for name in ("base_n", "input_dim", "n_classes", "teacher_hidden", "teacher_epochs",
                      "teacher_batch", "source_n", "eval_n"):
             if getattr(self, name) <= 0:
@@ -196,9 +196,11 @@ class FamilyConfig:
             raise ValueError(f"target_sizes must be nonempty, positive and distinct, got {sizes}")
         if not grid or not all(0.0 <= q <= 1.0 for q in grid):
             raise ValueError(f"flip_grid must be nonempty rates in [0, 1], got {grid}")
-        # Each rate names its source file source_q{q:g}.npz and its summary.csv flip_rate.
-        if not len(set(grid)) == len({f"{q:g}" for q in grid}) == len(grid):
-            raise ValueError(f"flip_grid must hold distinct rates, distinct as {{q:g}}, got {grid}")
+        # Each rate names its source file source_q{q:g}.npz and its summary.csv flip_rate,
+        # and keys its teacher, source draw and distance estimator as round(q * 10000).
+        if not len({f"{q:g}" for q in grid}) == len({round(q * 10000) for q in grid}) == len(grid):
+            raise ValueError(f"flip_grid must hold rates distinct as {{q:g}} and as "
+                             f"round(q * 10000), got {grid}")
         if not 0.0 < self.teacher_accuracy_threshold <= 1.0:
             raise ValueError("teacher_accuracy_threshold must lie in (0, 1]")
         if self.teacher_lr < 0:

@@ -54,8 +54,9 @@ def random_dataset(n, d, k, seed, task_id="target"):
     return Dataset(rng.uniform(-0.5, 0.5, (n, d)), rng.integers(0, k, n), k, task_id)
 
 
-# Results are bitwise across job counts, so the sweep fixtures use both cores
-# where there are two; criterion 8 checks that claim at this scale.
+# Results are bitwise across job counts, so the sweep fixtures and criterion 7
+# use both cores where there are two; criterion 8 checks that claim for `run`
+# at this scale.
 SWEEP_JOBS = min(2, os.cpu_count() or 1)
 
 
@@ -286,7 +287,7 @@ def test_criterion_6_weight_identification(weight_identification):
 def test_criterion_7_task_distance(tmp_path):
     started = time.perf_counter()
     cfg = parse_config(json.loads((CONFIGS / "distance_curve.json").read_text()))
-    path = cmd_distance(cfg, tmp_path)
+    path = cmd_distance(cfg, tmp_path, jobs=SWEEP_JOBS)
     by_q = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):

@@ -209,15 +209,16 @@ class TestConfigParsing:
          ("teacher_accuracy_threshold", 2.0), ("teacher_lr", -0.001), ("flip_grid", [0.0, 1.5]),
          ("flip_grid", []), ("target_sizes", []), ("target_sizes", [40, 40]),
          ("flip_grid", [0.0, 0.0, 1.0]), ("flip_grid", [0.0, -0.0, 1.0]),
-         ("flip_grid", [0.0, 0.1, 0.10000001])],
+         ("flip_grid", [0.0, 0.1, 0.10000001]), ("flip_grid", [0.0, 0.1, 0.10004])],
     )
     def test_family_size_must_be_a_positive_integer(self, tmp_path, capsys, name, value):
         """A size such as -5 is a config error naming the field, not a row
         trained on the wrong number of examples; so is a teacher recipe that
         cannot be met (a threshold outside (0, 1], a negative lr) and a flip
         rate outside [0, 1]. So is a repeat: a size would run its jobs twice
-        into one directory, and two rates that print alike (0.1 and
-        0.10000001) would share one source file and one flip_rate."""
+        into one directory, two rates that print alike (0.1 and 0.10000001)
+        would share one source file and one flip_rate, and two equal as
+        round(q * 10000) (0.1 and 0.10004) one teacher and one source draw."""
         raw = tiny_config(tmp_path / "out")
         raw["family"][name] = value
         with pytest.raises(ConfigError, match=f"family.{name}"):
@@ -547,14 +548,14 @@ class TestRun:
         reason="the crashing stand-in reaches the workers only through fork",
     )
     def test_crashed_worker_loses_only_its_own_row(self, tmp_path, monkeypatch):
-        run_job = harness._execute_job
+        run_job = harness.Job.execute
 
         def crash_one(job):
             if job.arm.name == "adaptive" and job.seed == 0:
                 os._exit(1)
             return run_job(job)
 
-        monkeypatch.setattr(harness, "_execute_job", crash_one)
+        monkeypatch.setattr(harness.Job, "execute", crash_one)
         raw = tiny_config(tmp_path / "out")
         result = cmd_run(parse_config(raw), Path(raw["out_dir"]), jobs=2)
         rows = list(csv.DictReader(open(result["summary"])))
@@ -565,10 +566,21 @@ class TestRun:
             assert bool(row["final_target_acc"]) != crashed
         assert "BrokenProcessPool" in next(r["error"] for r in rows if r["error"])
 
-    def test_pool_starts_no_more_workers_than_pending_jobs(self, monkeypatch):
+    def test_pool_starts_no_more_workers_than_pending_jobs(self, tmp_path, monkeypatch):
         import concurrent.futures
 
         started = []
+
+        class Unit:
+            """A unit with no stored row that returns its own name."""
+
+            load = staticmethod(dict)
+
+            def __init__(self, name):
+                self.name, self.dir, self.key = name, tmp_path / name, name
+
+            def execute(self):
+                return {"job": self.name}
 
         class InlinePool(concurrent.futures.Executor):
             """Records its worker count and runs each job in this process."""
@@ -582,10 +594,9 @@ class TestRun:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "_execute_job", lambda job: {"job": job})
-        rows = harness._run_in_pool(["a", "b", "c"], jobs=8)
-        assert started == [3]
-        assert rows == [{"job": job} for job in "abc"]
+        rows, n_reused = harness._run_units([Unit(name) for name in "abc"], jobs=8)
+        assert started == [3] and n_reused == 0
+        assert rows == [{"job": name} for name in "abc"]
 
     def test_serial_commands_never_load_the_process_pool(self, tmp_path):
         raw = tiny_config(tmp_path / "out")
@@ -729,6 +740,128 @@ class TestDistanceCommand:
         assert recipes == [("adam", 3e-3, 30, 400, 0.9)] * 2
 
 
+    @staticmethod
+    def quick(out_dir, **kw):
+        """tiny_config with a distance block that fits in well under a second."""
+        raw = tiny_config(out_dir, **kw)
+        raw["distance"] = {
+            "head_fit_n": 150, "oracle_n": 300, "rep_epochs": 2,
+            "head_fit_epochs": 2, "oracle_epochs": 2,
+        }
+        return raw
+
+    @staticmethod
+    def spy_seeds(monkeypatch) -> list:
+        """The seeds distance_curve is called for from here on, in call order."""
+        seeds, curve = [], harness.distance_curve
+
+        def spy(fam, cfg, run_seeds, master_seed):
+            seeds.extend(run_seeds)
+            return curve(fam, cfg, run_seeds, master_seed)
+
+        monkeypatch.setattr(harness, "distance_curve", spy)
+        return seeds
+
+    def test_growing_seeds_computes_only_the_new_seed(self, tmp_path, monkeypatch):
+        raw = self.quick(tmp_path / "out", seeds=[0])
+        out = Path(raw["out_dir"])
+        cmd_distance(parse_config(raw), out)
+        row0 = out / "distance" / "seed0" / "row.json"
+        mtime = row0.stat().st_mtime_ns
+        seeds = self.spy_seeds(monkeypatch)
+        raw["seeds"] = [0, 1]
+        grown = cmd_distance(parse_config(raw), out).read_bytes()
+        assert seeds == [1]
+        assert row0.stat().st_mtime_ns == mtime
+        fresh = self.quick(tmp_path / "fresh")
+        assert grown == cmd_distance(parse_config(fresh), Path(fresh["out_dir"])).read_bytes()
+
+    def test_distance_block_edit_reruns_every_seed(self, tmp_path, monkeypatch):
+        raw = self.quick(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        cmd_distance(parse_config(raw), out)
+        seeds = self.spy_seeds(monkeypatch)
+        cmd_distance(parse_config(raw), out)
+        assert seeds == []
+        raw["distance"]["rep_epochs"] = 3
+        cmd_distance(parse_config(raw), out)
+        assert seeds == [0, 1]
+
+    @pytest.mark.parametrize("tamper", [
+        lambda stored: "{not json",
+        lambda stored: json.dumps({**stored, "job_key": "0" * 64}),
+        lambda stored: json.dumps({"job_key": stored["job_key"]}),
+        lambda stored: json.dumps({**stored, "row": stored["row"][:1]}),
+        lambda stored: json.dumps({**stored, "row": [{"flip_rate": 0.0}]}),
+    ], ids=["not-json", "other-key", "no-row", "short-row", "bad-estimate"])
+    def test_bad_stored_seed_is_recomputed(self, tmp_path, monkeypatch, tamper):
+        raw = self.quick(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        before = cmd_distance(parse_config(raw), out).read_bytes()
+        row1 = out / "distance" / "seed1" / "row.json"
+        good = row1.read_text()
+        row1.write_text(tamper(json.loads(good)))
+        seeds = self.spy_seeds(monkeypatch)
+        assert cmd_distance(parse_config(raw), out).read_bytes() == before
+        assert seeds == [1]
+        assert row1.read_text() == good
+
+    def test_jobs_do_not_change_distance_csv(self, tmp_path):
+        paths = []
+        for jobs in (1, 2):
+            raw = self.quick(tmp_path / f"jobs{jobs}", seeds=[0, 1, 2])
+            paths.append(cmd_distance(parse_config(raw), Path(raw["out_dir"]), jobs=jobs))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing stand-in reaches the workers only through fork",
+    )
+    def test_crashed_worker_loses_only_its_own_seed(self, tmp_path, monkeypatch):
+        """Seed 1 kills its worker, in the pool and again alone; seeds 0 and 2
+        are stored, and the command raises the crash without a distance.csv."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        curve = harness.distance_curve
+
+        def crash_one(fam, cfg, seeds, master_seed):
+            if seeds == [1]:
+                os._exit(1)
+            return curve(fam, cfg, seeds, master_seed)
+
+        monkeypatch.setattr(harness, "distance_curve", crash_one)
+        raw = self.quick(tmp_path / "out", seeds=[0, 1, 2])
+        out = Path(raw["out_dir"])
+        with pytest.raises(BrokenProcessPool):
+            cmd_distance(parse_config(raw), out, jobs=2)
+        stored = sorted(path.parent.name for path in out.glob("distance/seed*/row.json"))
+        assert stored == ["seed0", "seed2"]
+        assert not (out / "distance.csv").exists()
+
+    def test_first_failure_in_seed_order_is_raised_after_every_seed(self, tmp_path, monkeypatch):
+        seeds, curve = [], harness.distance_curve
+
+        def fail_odd(fam, cfg, run_seeds, master_seed):
+            seeds.extend(run_seeds)
+            if run_seeds[0] % 2:
+                raise taskgen.FitFailureError(f"seed {run_seeds[0]}")
+            return curve(fam, cfg, run_seeds, master_seed)
+
+        monkeypatch.setattr(harness, "distance_curve", fail_odd)
+        raw = self.quick(tmp_path / "out", seeds=[0, 1, 2, 3])
+        with pytest.raises(taskgen.FitFailureError, match="seed 1"):
+            cmd_distance(parse_config(raw), Path(raw["out_dir"]))
+        assert seeds == [0, 1, 2, 3]
+        assert not (tmp_path / "out" / "distance.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_distance_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, self.quick(tmp_path / "out"))
+        assert main(["distance", "--config", str(path), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --jobs must be at least 1")
+        assert not (tmp_path / "out").exists()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("scripts/configs/**/*.json")) + sorted(
     ROOT.glob("perfbench/configs/**/*.json")
@@ -868,7 +1001,7 @@ def test_shipped_job_and_seed_keys_are_pinned(tmp_path, monkeypatch):
     recorded; no job runs and no family is drawn."""
     keys = []
 
-    def stored_row(job):
+    def stored(job):
         keys.append(job.key)
         return job.row()
 
@@ -878,7 +1011,7 @@ def test_shipped_job_and_seed_keys_are_pinned(tmp_path, monkeypatch):
                 for seed in cfg.seeds}, []
 
     monkeypatch.setattr(harness, "_family", stub_family)
-    monkeypatch.setattr(harness, "_stored_row", stored_row)
+    monkeypatch.setattr(harness, "_stored", stored)
     found = {}
     for path in SHIPPED:
         cfg = load_config(path)
