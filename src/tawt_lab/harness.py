@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, task-family caching, sweep execution,
 and report emission, behind a four-subcommand CLI.
 
-    tawt-lab generate --config cfg.json    cache the task family, a manifest per seed
+    tawt-lab generate --config cfg.json    cache the task family, a row.json per seed
     tawt-lab run      --config cfg.json    execute every (arm x seed x size) job
     tawt-lab distance --config cfg.json    task-distance curve -> distance.csv
     tawt-lab report   --config cfg.json    summary.csv's jobs -> figure-ready CSVs
@@ -20,15 +20,13 @@ at some family.target_sizes entry, and a repeat in seeds, target_sizes,
 flip_grid (as {q:g}, its file name, or round(q * 10000), its streams' key)
 or an arm's source_flips.
 
-One runner, _run_units, serves run's jobs (one tawt call per arm, seed
-and target size) and distance's seeds: it reuses each unit whose row.json
-holds its key and runs the rest, --jobs at once (default 1), with the same
-results at any --jobs, since every unit derives its seeds from master_seed.
-
-One cache rule serves the family seeds (family/seed<k>/manifest.json),
-the jobs and the distance seeds (row.json): each is keyed by the hashes
-of what it reads (_seed_key, Job.key, DistanceSeed.key), so a sweep that
-grows pays only for what it adds.
+One runner, _run_units, serves the family's seeds, run's jobs (one tawt
+call per arm, seed and target size) and distance's seeds. Each unit is
+keyed by the hashes of what it reads (FamilySeed.key, Job.key,
+DistanceSeed.key) and reused while its row.json holds that key, so a sweep
+that grows pays only for what it adds. The rest run --jobs at once
+(default 1), with the same results at any --jobs, since every unit derives
+its seeds from master_seed.
 """
 
 from __future__ import annotations
@@ -237,7 +235,6 @@ def _arm_train_config(train: dict, arm: ArmConfig, seed: int) -> TrainConfig:
 
 
 _HASH_CHUNK_BYTES = 1 << 20
-MANIFEST = "manifest.json"
 
 
 def _sha256_file(path: Path) -> str:
@@ -266,94 +263,101 @@ def _key(**parts) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
-def _seed_key(cfg: ExperimentConfig, seed: int) -> str:
-    """SHA-256 of what a seed's draws read: master_seed, the seed and the
-    family block, whose target_sizes enter only as the target draw's rows."""
-    family = {**asdict(cfg.family), "target_sizes": max(cfg.family.target_sizes)}
-    return _key(master_seed=cfg.master_seed, seed=seed, family=family)
-
-
-def _draw_seed(cfg: ExperimentConfig, seed: int, out_dir: Path) -> dict[str, str]:
-    """Draw one seed's datasets and write its manifest; returns their digests."""
-    fam = cfg.family
-    family_seed = hash64(cfg.master_seed, "family", seed)
-    rng = Rng(family_seed)
-    teachers = fam.fit_teachers(family_seed, rng)
-    seed_dir = _seed_dir(out_dir, seed)
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    # (file, teacher's flip rate, rows, stream key, task id) in draw order. Each
-    # draw goes straight to disk, so no two datasets are alive at once.
-    draws = [
-        ("target_train", 0.0, max(fam.target_sizes), ("target-draw",), TARGET_TASK_ID),
-        ("target_eval", 0.0, fam.eval_n, ("eval-draw",), TARGET_TASK_ID),
-    ] + [
-        (_source_name(q), q, fam.source_n, ("source-draw", round(q * 10000)), _source_name(q))
-        for q in fam.flip_grid
-    ]
-    for name, q, n, key, task_id in draws:
-        save_dataset(
-            sample_task_data(teachers[q], n, fam.input_dim, rng.spawn(*key), task_id),
-            seed_dir / f"{name}.npz",
-        )
-    names = _seed_files(fam.flip_grid)
-    for path in seed_dir.iterdir():  # files of an earlier layout
-        if path.is_file() and path.name not in names and path.name != MANIFEST:
-            path.unlink()
-    files = {name: _sha256_file(seed_dir / name) for name in names}
-    manifest = {"key": _seed_key(cfg, seed), "files": files}
-    atomic_write_text(seed_dir / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
-    return files
-
-
 class IntegrityError(RuntimeError):
-    """A cached dataset no longer matches the manifest hash."""
+    """A cached dataset no longer matches the hash its seed's row.json holds,
+    or summary.csv does not hold the rows report reads."""
 
 
-def _fault(seed_dir: Path, files: dict) -> Path | None:
-    """The first file a manifest lists that is missing or fails its hash."""
-    for name, digest in files.items():
-        path = seed_dir / name
-        if not path.is_file() or _sha256_file(path) != digest:
-            return path
-    return None
+@dataclass(frozen=True)
+class FamilySeed:
+    """One seed of the task family, the unit of generate and of run's set-up:
+    its row is the {file: digest} of its datasets. Under strict, a stored file
+    that is missing or fails its hash is an IntegrityError, not a redraw."""
+
+    out_dir: Path
+    cfg: ExperimentConfig
+    seed: int
+    strict: bool
+
+    @property
+    def dir(self) -> Path:
+        return _seed_dir(self.out_dir, self.seed)
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 of what the seed's draws read: master_seed, the seed and the
+        family block, whose target_sizes enter only as the target draw's rows."""
+        family = {**asdict(self.cfg.family), "target_sizes": max(self.cfg.family.target_sizes)}
+        return _key(master_seed=self.cfg.master_seed, seed=self.seed, family=family)
+
+    def load(self, row) -> dict:
+        """row if it names exactly the layout's files and each passes its hash."""
+        if not isinstance(row, dict) or set(row) != set(_seed_files(self.cfg.family.flip_grid)):
+            raise ValueError("stored files are not the current layout")
+        for name, digest in row.items():
+            path = self.dir / name
+            if not path.is_file() or _sha256_file(path) != digest:
+                raise (IntegrityError if self.strict else ValueError)(
+                    f"cached dataset {path} is missing or does not match its row.json hash; "
+                    "`tawt-lab generate` draws its seed again")
+        return row
+
+    def execute(self) -> dict[str, str]:
+        """Draw the seed's datasets; returns their digests."""
+        fam, seed_dir = self.cfg.family, self.dir
+        family_seed = hash64(self.cfg.master_seed, "family", self.seed)
+        rng = Rng(family_seed)
+        teachers = fam.fit_teachers(family_seed, rng)
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        # (file, teacher's flip rate, rows, stream key, task id) in draw order. Each
+        # draw goes straight to disk, so no two datasets are alive at once.
+        draws = [
+            ("target_train", 0.0, max(fam.target_sizes), ("target-draw",), TARGET_TASK_ID),
+            ("target_eval", 0.0, fam.eval_n, ("eval-draw",), TARGET_TASK_ID),
+        ] + [
+            (_source_name(q), q, fam.source_n, ("source-draw", round(q * 10000)), _source_name(q))
+            for q in fam.flip_grid
+        ]
+        for name, q, n, key, task_id in draws:
+            save_dataset(
+                sample_task_data(teachers[q], n, fam.input_dim, rng.spawn(*key), task_id),
+                seed_dir / f"{name}.npz",
+            )
+        names = _seed_files(fam.flip_grid)
+        for path in seed_dir.iterdir():  # files of an earlier layout
+            if path.is_file() and path.name not in names and path.name != "row.json":
+                path.unlink()
+        return {name: _sha256_file(seed_dir / name) for name in names}
+
+    def failed(self, exc: BaseException) -> BaseException:
+        return exc
 
 
-def _family(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> tuple[dict, list[int]]:
-    """The one cache rule of generate and run: each seed's {file: digest} and
-    the seeds drawn to get them. A seed is reused when its manifest holds its
-    key and names exactly its files, and each file passes its hash; otherwise
-    it is drawn again. Under strict, a current manifest whose file is missing
-    or fails its hash is an IntegrityError instead."""
-    names = _seed_files(cfg.family.flip_grid)
-    family, drawn = {}, []
-    for seed in cfg.seeds:
-        seed_dir = _seed_dir(out_dir, seed)
-        try:
-            manifest = json.loads((seed_dir / MANIFEST).read_text())
-        except (OSError, ValueError):  # absent, unreadable or not JSON
-            manifest = None
-        files = manifest.get("files") if isinstance(manifest, dict) else None
-        if (isinstance(files, dict) and set(files) == set(names)
-                and manifest.get("key") == _seed_key(cfg, seed)):
-            fault = _fault(seed_dir, files)
-            if fault is None:
-                family[seed] = files
-                continue
-            if strict:
-                raise IntegrityError(
-                    f"cached dataset {fault} is missing or does not match its manifest hash; "
-                    "`tawt-lab generate` draws its seed again"
-                )
-        family[seed] = _draw_seed(cfg, seed, out_dir)
-        drawn.append(seed)
-    return family, drawn
+def _cached_family(cfg: ExperimentConfig, out_dir: Path, jobs: int, strict: bool) -> dict:
+    """Each seed's file digests and the seeds drawn to get them, each seed a
+    unit of _run_units; once all have run, the first failure (a teacher that
+    misses its threshold, say) is raised."""
+    units = [FamilySeed(out_dir, cfg, seed, strict) for seed in cfg.seeds]
+    results, reused = _run_units(units, jobs)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return {"files": dict(zip(cfg.seeds, results)),
+            "drawn": [seed for seed, hit in zip(cfg.seeds, reused) if not hit]}
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Cache the task family on disk, drawing only the seeds whose cache is
     not current; returns each seed's file digests and the seeds drawn."""
-    family, drawn = _family(cfg, out_dir, strict=False)
-    return {"files": family, "drawn": drawn}
+    return _cached_family(cfg, out_dir, jobs=1, strict=False)
+
+
+def _finite(value) -> float:
+    """value, a decimal string, as a finite float; otherwise a ValueError."""
+    number = float(value) if isinstance(value, str) else float("nan")
+    if not abs(number) < float("inf"):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def _job_seed(master_seed: int, seed: int, target_size: int) -> int:
@@ -395,7 +399,15 @@ class Job:
         return _key(train=asdict(self.train), source_flips=self.arm.source_flips,
                     target_size=self.target_size, inputs=self.inputs)
 
-    load = staticmethod(dict)
+    def load(self, row) -> dict:
+        """row if it is this job's row: its own labels, and a finite number in
+        each result column; anything else is a ValueError, so the job reruns."""
+        results = dict.fromkeys(("ratio", "final_target_acc", "final_target_loss"), "")
+        if not isinstance(row, dict) or {**row, **results} != self.row():
+            raise ValueError(f"not the row of {self.dir}")
+        for col in results:
+            _finite(row[col])
+        return row
 
     def execute(self) -> dict:
         """Run the job from cached datasets; writes its files and returns its row."""
@@ -491,20 +503,22 @@ def _execute_safe(unit):
         return unit.failed(exc)
 
 
-def _run_units(units: list, jobs: int) -> tuple[list, int]:
-    """The one runner of run's jobs and distance's seeds (units with a dir,
-    key, load, execute and failed): each unit's result, in order, and how
-    many were reused from their row.json. The rest run here, or in at most
-    `jobs` worker processes when more than one is left. A worker that dies
-    breaks the pool and fails every unit in it; those rerun one at a time
-    in fresh pools, so only a unit that kills its worker again is lost, as
-    unit.failed(BrokenProcessPool). A serial run never imports multiprocessing."""
+def _run_units(units: list, jobs: int) -> tuple[list, list[bool]]:
+    """The one runner of the family's seeds, run's jobs and distance's seeds
+    (units with a dir, key, load, execute and failed): each unit's result, in
+    order, and whether it was reused from its row.json. The rest run here,
+    or in at most `jobs` worker processes when more than one is left. A
+    worker that dies breaks the pool and fails every unit in it; those rerun
+    one at a time in fresh pools, so only a unit that kills its worker again
+    is lost, as unit.failed(BrokenProcessPool). A serial run never imports
+    multiprocessing."""
     results = [_stored(unit) for unit in units]
+    reused = [result is not None for result in results]
     pending = [i for i, result in enumerate(results) if result is None]
     if jobs < 2 or len(pending) < 2:
         for i in pending:
             results[i] = _execute_safe(units[i])
-        return results, len(units) - len(pending)
+        return results, reused
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -518,7 +532,7 @@ def _run_units(units: list, jobs: int) -> tuple[list, int]:
             results[i] = future.result()
         except Exception as exc:  # the unit or its result failed to cross processes
             results[i] = units[i].failed(exc)
-    return results, len(units) - len(pending)
+    return results, reused
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
@@ -529,7 +543,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
     it. A failing job contributes an error-tagged row; the command only
     counts as failed when every job fails.
     """
-    family, _ = _family(cfg, out_dir, strict=True)
+    family = _cached_family(cfg, out_dir, jobs, strict=True)["files"]
     todo = [
         Job(
             out_dir, arm, seed, target_size,
@@ -540,7 +554,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
         for seed in cfg.seeds
         for target_size in cfg.family.target_sizes
     ]
-    rows, n_reused = _run_units(todo, jobs)
+    rows, reused = _run_units(todo, jobs)
 
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     lines = [",".join(SUMMARY_COLUMNS)] + [
@@ -553,7 +567,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
         "summary": out_dir / "summary.csv",
         "n_jobs": len(rows),
         "n_failed": n_failed,
-        "n_skipped": n_reused,
+        "n_skipped": sum(reused),
     }
 
 
@@ -584,12 +598,26 @@ def cmd_report(results_dir: Path) -> dict:
     and stderr per arm and sweep point) and weights_<arm>.csv (the mean
     trajectory over the arm's seeds and target sizes), under report/. Only
     those jobs' weights.csv files are read, so files of jobs a config edit
-    dropped never count; a listed job's missing file is an IO error."""
+    dropped never count; a listed job's missing file, or a row without a
+    column report reads or with a result that is not a finite number, is an
+    IO error."""
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
         raise IntegrityError(f"no summary.csv under {results_dir}")
+    rows = []
     with open(summary_path, newline="") as fh:
-        rows = [row for row in csv.DictReader(fh) if not row["error"]]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                missing = [col for col in SUMMARY_COLUMNS[:-1] if row.get(col) is None]
+                if missing:  # the timestamp is never read
+                    raise ValueError(f"no {missing[0]} column")
+                if not row["error"]:
+                    _finite(row["final_target_acc"])
+                    _finite(row["final_target_loss"])
+                    rows.append(row)
+            except ValueError as exc:
+                raise IntegrityError(f"{summary_path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise IntegrityError(f"{summary_path}: no successful rows to report")
     report_dir = results_dir / "report"
@@ -658,7 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [
-        ("generate", "Generate and cache the task family, each seed with its manifest."),
+        ("generate", "Generate and cache the task family, each seed with its file hashes."),
         ("run", "Run every configured (arm x seed x target size) job; write summary.csv "
                 "with columns " + ",".join(SUMMARY_COLUMNS) + "."),
         ("distance", "Estimate the task-distance curve; write distance.csv with columns "

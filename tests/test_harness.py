@@ -325,8 +325,8 @@ class TestConfigParsing:
         assert err.startswith("config error: ") and "accuracy after 1 epochs" in err
 
 
-def _manifests(out):
-    return {p.relative_to(out): p.read_bytes() for p in (out / "family").glob("seed*/manifest.json")}
+def _seed_rows(out):
+    return {p.relative_to(out): p.read_bytes() for p in (out / "family").glob("seed*/row.json")}
 
 
 def _strip_timestamp(path):
@@ -338,22 +338,22 @@ class TestGenerate:
         cfg = parse_config(tiny_config(tmp_path / "out"))
         out = Path(cfg.out_dir)
         assert cmd_generate(cfg, out)["drawn"] == [0, 1]
-        manifests = _manifests(out)
-        assert len(manifests) == 2
+        seed_rows = _seed_rows(out)
+        assert len(seed_rows) == 2
         assert cmd_generate(cfg, out)["drawn"] == []
-        assert _manifests(out) == manifests
+        assert _seed_rows(out) == seed_rows
 
     def test_creates_missing_directories(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "deep" / "nested" / "out"))
         cmd_generate(cfg, Path(cfg.out_dir))
         assert (Path(cfg.out_dir) / "family" / "seed0" / "target_train.npz").exists()
 
-    def test_each_manifest_lists_its_seed_files_with_hashes(self, tmp_path):
+    def test_each_seed_row_lists_its_files_with_hashes(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "out"))
         result = cmd_generate(cfg, Path(cfg.out_dir))
         for seed in cfg.seeds:
             seed_dir = Path(cfg.out_dir) / "family" / f"seed{seed}"
-            files = json.loads((seed_dir / "manifest.json").read_text())["files"]
+            files = json.loads((seed_dir / "row.json").read_text())["row"]
             assert files == result["files"][seed]
             assert sorted(files) == sorted(
                 ["target_train.npz", "target_eval.npz", "source_q0.npz", "source_q1.npz"]
@@ -383,34 +383,34 @@ class TestGenerate:
         second = parse_config(tiny_config(tmp_path / "b"))
         cmd_generate(second, Path(second.out_dir))
         a, b = family_bytes(tmp_path / "a"), family_bytes(tmp_path / "b")
-        assert len(a) == 2 * (1 + 4) and a == b  # per seed: a manifest and 4 datasets
+        assert len(a) == 2 * (1 + 4) and a == b  # per seed: a row.json and 4 datasets
 
     def test_family_in_csv_layout_is_regenerated(self, tmp_path):
-        """A seed cached as CSVs, under a manifest with the same seed key, is
+        """A seed cached as CSVs, under a row.json with the same seed key, is
         drawn again to the same datasets instead of failing every job, and
         the CSVs are removed."""
         cfg = parse_config(tiny_config(tmp_path / "out"))
         out = Path(cfg.out_dir)
         seed_dir = out / "family" / "seed0"
         cmd_generate(cfg, out)
-        manifest = json.loads((seed_dir / "manifest.json").read_text())
-        binary = {name: (seed_dir / name).read_bytes() for name in manifest["files"]}
+        stored = json.loads((seed_dir / "row.json").read_text())
+        binary = {name: (seed_dir / name).read_bytes() for name in stored["row"]}
         csv_files = {}
         for name in binary:
             csv_path = (seed_dir / name).with_suffix(".csv")
             save_dataset_csv(load_dataset(seed_dir / name), csv_path)
             (seed_dir / name).unlink()
             csv_files[csv_path.name] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-        manifest["files"] = csv_files
-        (seed_dir / "manifest.json").write_text(json.dumps(manifest))
+        stored["row"] = csv_files
+        (seed_dir / "row.json").write_text(json.dumps(stored))
 
         result = cmd_run(cfg, out)
         assert result["n_jobs"] == 6 and result["n_failed"] == 0
-        regenerated = json.loads((seed_dir / "manifest.json").read_text())["files"]
+        regenerated = json.loads((seed_dir / "row.json").read_text())["row"]
         assert sorted(regenerated) == sorted(binary)
         assert all((seed_dir / name).read_bytes() == data for name, data in binary.items())
         on_disk = {path.name for path in seed_dir.iterdir()}
-        assert on_disk == set(regenerated) | {"manifest.json"}  # the old layout's CSVs are gone
+        assert on_disk == set(regenerated) | {"row.json"}  # the old layout's CSVs are gone
 
     def test_a_grown_sweep_pays_only_for_what_it_adds(self, tmp_path):
         """Adding a seed reuses every old job and rewrites no file of the old
@@ -505,6 +505,31 @@ class TestRun:
         job_dir = Path(raw["out_dir"]) / "runs" / "single" / "seed0" / "n40"
         assert json.loads((job_dir / "record.json").read_text())["config"]["epochs"] == 2
 
+    @pytest.mark.parametrize("tamper", [
+        lambda stored, other: "{not json",
+        lambda stored, other: json.dumps({**stored, "job_key": "0" * 64}),
+        lambda stored, other: json.dumps({"job_key": stored["job_key"]}),
+        lambda stored, other: json.dumps({**stored, "row": {}}),
+        lambda stored, other: json.dumps({**stored, "row": other["row"]}),
+        lambda stored, other: json.dumps(
+            {**stored, "row": {**stored["row"], "final_target_acc": "x"}}),
+    ], ids=["not-json", "other-key", "no-row", "empty-row", "other-jobs-row", "bad-accuracy"])
+    def test_bad_stored_job_row_is_rerun(self, tmp_path, tamper):
+        """A job's row.json is reused only when it holds the job's key and the
+        job's own row with finite results; otherwise the job reruns, and
+        summary.csv comes out as before."""
+        raw = tiny_config(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        before = cmd_run(parse_config(raw), out)
+        victim = out / "runs" / "single" / "seed0" / "n40" / "row.json"
+        good = victim.read_text()
+        other = json.loads((out / "runs" / "single" / "seed1" / "n40" / "row.json").read_text())
+        victim.write_text(tamper(json.loads(good), other))
+        again = cmd_run(parse_config(raw), out)
+        assert (again["n_skipped"], again["n_failed"]) == (again["n_jobs"] - 1, 0)
+        assert victim.read_text() == good
+        assert _strip_timestamp(again["summary"]) == _strip_timestamp(before["summary"])
+
     def test_tampered_cache_refuses_to_run(self, tmp_path, capsys):
         raw = tiny_config(tmp_path / "out")
         path = write_config(tmp_path, raw)
@@ -514,7 +539,8 @@ class TestRun:
         data[len(data) // 2] ^= 0x01
         victim.write_bytes(bytes(data))
         assert main(["run", "--config", str(path)]) == EXIT_IO
-        assert "manifest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(victim) in err and "row.json" in err
 
     def test_end_to_end_determinism(self, tmp_path):
         """Two fresh runs of the same config produce byte-identical summaries
@@ -594,8 +620,8 @@ class TestRun:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        rows, n_reused = harness._run_units([Unit(name) for name in "abc"], jobs=8)
-        assert started == [3] and n_reused == 0
+        rows, reused = harness._run_units([Unit(name) for name in "abc"], jobs=8)
+        assert started == [3] and reused == [False] * 3
         assert rows == [{"job": name} for name in "abc"]
 
     def test_serial_commands_never_load_the_process_pool(self, tmp_path):
@@ -610,15 +636,63 @@ class TestRun:
             "from tawt_lab.harness import main\n"
             "assert main(['run', '--config', sys.argv[1], '--jobs', '1']) == 0\n"
             "assert main(['distance', '--config', sys.argv[1]]) == 0\n"
+            "assert main(['generate', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print('concurrent.futures.process' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)],
+            [sys.executable, "-c", code, str(path), str(tmp_path / "generated")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "generated" / "family" / "seed1" / "row.json").exists()
+
+    def test_jobs_do_not_change_family_rows_or_summary(self, tmp_path):
+        """run --jobs 2 draws the family seeds and runs the jobs in a pool, to
+        the bytes of --jobs 1: every family file, every row.json and
+        summary.csv but its timestamp."""
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            summary = cmd_run(parse_config(tiny_config(out)), out, jobs=jobs)["summary"]
+            files = sorted(path for path in out.rglob("*") if path.is_file()
+                           and ("family" in path.parts or path.name == "row.json"))
+            assert len(files) == 2 * (1 + 4) + 6  # per seed 4 datasets and a row.json; 6 jobs
+            outputs.append(({path.relative_to(out): path.read_bytes() for path in files},
+                            _strip_timestamp(summary)))
+        assert outputs[0] == outputs[1]
+
+    def test_directory_of_the_manifest_layout_is_redrawn_once(self, tmp_path, monkeypatch):
+        """A results directory whose family seeds hold manifest.json, the seed
+        record of earlier versions, and no row.json: run draws each seed once
+        more to the same bytes and removes the manifest, and reuses every job."""
+        raw = tiny_config(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        cmd_run(parse_config(raw), out)
+        family = {}
+        for seed_dir in sorted((out / "family").glob("seed*")):
+            stored = json.loads((seed_dir / "row.json").read_text())
+            manifest = {"key": stored["job_key"], "files": stored["row"]}
+            (seed_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            (seed_dir / "row.json").unlink()
+            family[seed_dir.name] = {p.name: p.read_bytes() for p in seed_dir.iterdir()
+                                     if p.suffix == ".npz"}
+        drawn, draw = [], harness.FamilySeed.execute
+
+        def spy(unit):
+            drawn.append(unit.seed)
+            return draw(unit)
+
+        monkeypatch.setattr(harness.FamilySeed, "execute", spy)
+        for expected_draws in ([0, 1], [0, 1]):  # the second run draws nothing new
+            result = cmd_run(parse_config(raw), out)
+            assert result["n_skipped"] == result["n_jobs"] == 6
+            assert drawn == expected_draws
+        for name, files in family.items():
+            seed_dir = out / "family" / name
+            assert {p.name for p in seed_dir.iterdir()} == set(files) | {"row.json"}
+            assert all((seed_dir / n).read_bytes() == data for n, data in files.items())
 
 
 
@@ -691,6 +765,26 @@ class TestReport:
         assert trajectory(out / "report" / "weights_adaptive.csv") == trajectory(only_job)
         curves = list(csv.DictReader(open(out / "report" / "curves.csv")))
         assert {row["n_seeds"] for row in curves} == {"1"}
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: [row[:6] + row[7:] for row in rows], 2),
+        (lambda rows: rows[:2] + [rows[2][:5]] + rows[3:], 3),
+        (lambda rows: rows[:2] + [rows[2][:5] + ["x"] + rows[2][6:]] + rows[3:], 3),
+        (lambda rows: rows[:2] + [rows[2][:6] + [""] + rows[2][7:]] + rows[3:], 3),
+    ], ids=["no-loss-column", "short-row", "bad-accuracy", "bad-loss"])
+    def test_hand_edited_summary_is_an_io_error(self, tmp_path, capsys, edit, line):
+        """A summary.csv row without a column report reads, or whose accuracy
+        or loss does not parse, exits 3 naming the file and the line."""
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        summary = tmp_path / "out" / "summary.csv"
+        with open(summary, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(summary, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+        assert main(["report", "--config", str(path)]) == EXIT_IO
+        assert f"error: {summary}, line {line}: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report").exists()
 
     def test_listed_job_without_weights_is_an_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -924,34 +1018,35 @@ def drawn_seed(tmp_path_factory):
     return raw
 
 
-MANIFEST_NODES = list(_nodes({"key": "k", "files": dict.fromkeys(
+SEED_ROW_NODES = list(_nodes({"job_key": "k", "row": dict.fromkeys(
     ["target_train.npz", "target_eval.npz", "source_q0.npz", "source_q1.npz"], "d")}))
 
 
 @settings(max_examples=30, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(node=(), value=[1])
-@example(node=("files", "source_q1.npz"), value=None)
-@given(node=st.sampled_from(MANIFEST_NODES), value=BAD_VALUES)
-def test_one_bad_manifest_value_is_redrawn_or_an_io_error(drawn_seed, tmp_path, capsys, node, value):
-    """Any one node of a seed manifest, replaced by a value of another type,
-    null, a negative number or NaN: generate draws the seed again to the
-    same bytes, and run draws it again or exits 3 naming the file; neither
-    prints a traceback."""
+@example(node=("row", "source_q1.npz"), value=None)
+@given(node=st.sampled_from(SEED_ROW_NODES), value=BAD_VALUES)
+def test_one_bad_seed_row_value_is_redrawn_or_an_io_error(drawn_seed, tmp_path, capsys, node,
+                                                           value):
+    """Any one node of a family seed's row.json, replaced by a value of
+    another type, null, a negative number or NaN: generate draws the seed
+    again to the same bytes, and run draws it again or exits 3 naming the
+    file; neither prints a traceback."""
     template = Path(drawn_seed["out_dir"])
     for command in ("generate", "run"):
         out = tmp_path / f"{command}-{uuid.uuid4().hex}"
         shutil.copytree(template, out)
-        path = out / "family" / "seed0" / "manifest.json"
-        manifest = json.loads(path.read_text())
+        path = out / "family" / "seed0" / "row.json"
+        stored = json.loads(path.read_text())
         if node:
-            parent = manifest
+            parent = stored
             for key in node[:-1]:
                 parent = parent[key]
             parent[node[-1]] = value
         else:
-            manifest = value
-        path.write_text(json.dumps(manifest))
+            stored = value
+        path.write_text(json.dumps(stored))
         cfg_path = write_config(tmp_path, {**drawn_seed, "out_dir": str(out)})
         code = main([command, "--config", str(cfg_path)])
         if command == "run" and code == EXIT_IO:
@@ -961,7 +1056,7 @@ def test_one_bad_manifest_value_is_redrawn_or_an_io_error(drawn_seed, tmp_path, 
         assert code == EXIT_OK
         printed = capsys.readouterr().out
         assert command == "run" or "(1 of 1 seeds drawn)" in printed
-        for name in ["manifest.json", *json.loads(path.read_text())["files"]]:
+        for name in ["row.json", *json.loads(path.read_text())["row"]]:
             expected = (template / "family" / "seed0" / name).read_bytes()
             assert (out / "family" / "seed0" / name).read_bytes() == expected
 
@@ -999,28 +1094,26 @@ PINNED_KEYS = {
 def test_shipped_job_and_seed_keys_are_pinned(tmp_path, monkeypatch):
     """cmd_run builds each shipped config's jobs with the keys they had when
     recorded; no job runs and no family is drawn."""
-    keys = []
+    keys, seed_keys = [], []
 
-    def stored(job):
-        keys.append(job.key)
-        return job.row()
+    def stored(unit):
+        if isinstance(unit, harness.FamilySeed):  # each family file's digest stubbed
+            seed_keys.append(unit.key)
+            return {name: hashlib.sha256(f"{unit.seed}/{name}".encode()).hexdigest()
+                    for name in harness._seed_files(unit.cfg.family.flip_grid)}
+        keys.append(unit.key)
+        return unit.row()
 
-    def stub_family(cfg, out_dir, strict):
-        return {seed: {name: hashlib.sha256(f"{seed}/{name}".encode()).hexdigest()
-                       for name in harness._seed_files(cfg.family.flip_grid)}
-                for seed in cfg.seeds}, []
-
-    monkeypatch.setattr(harness, "_family", stub_family)
     monkeypatch.setattr(harness, "_stored", stored)
     found = {}
     for path in SHIPPED:
         cfg = load_config(path)
         keys.clear()
+        seed_keys.clear()
         cmd_run(cfg, tmp_path)
-        seed_keys = "\n".join(harness._seed_key(cfg, seed) for seed in cfg.seeds)
         found[path.relative_to(ROOT).as_posix()] = (
             len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest(),
-            hashlib.sha256(seed_keys.encode()).hexdigest(),
+            hashlib.sha256("\n".join(seed_keys).encode()).hexdigest(),
         )
     assert found == PINNED_KEYS
 
@@ -1059,16 +1152,22 @@ def test_usage_errors_exit_as_config_errors(tmp_path, args, code):
 
 def test_readme_cli_section_matches_parser():
     """Every --flag README's CLI section names exists on some subcommand and
-    every subcommand flag is named there; its exit-code sentence lists the
-    EXIT_* codes with their meanings."""
+    every subcommand flag is named there; its flag table gives each flag
+    the subcommands that take it; its exit-code sentence lists the EXIT_*
+    codes with their meanings."""
     parser = harness._build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        opt for sub in subcommands.choices.values() for action in sub._actions
-        for opt in action.option_strings if opt.startswith("--") and opt != "--help"
-    }
+    taken = {}
+    for name, sub in subcommands.choices.items():
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt != "--help":
+                    taken.setdefault(opt, set()).add(name)
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == set(taken)
+    table = re.findall(r"^\| `(--[a-z-]+)[^`|]*` \| ([^|]*) \|", section, re.MULTILINE)
+    assert {flag: set(re.findall(r"`([a-z]+)`", subs)) for flag, subs in table} == taken
+    assert len(table) == len(taken)
     sentence = " ".join(section.split("Exit codes: ", 1)[1].split(".", 1)[0].split())
     codes = {int(n): meaning for n, meaning in re.findall(r"(\d) ([^,]+)", sentence)}
     assert sorted(codes) == [EXIT_OK, EXIT_CONFIG, EXIT_JOBS, EXIT_IO]
