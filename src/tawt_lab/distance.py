@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import Rng, float_repr17, hash64
-from .taskgen import TARGET_TASK_ID, Dataset, sample_task_data
+from .taskgen import TARGET_TASK_ID, Dataset, flip_key, sample_task_data, source_name
 from .training import (
     FamilyConfig, TrainConfig, atomic_write_text, pretrain_then_finetune, train_single_task,
 )
@@ -57,7 +57,7 @@ class DistanceConfig:
     """
 
     head_fit_n: int = 2000
-    oracle_n: int = 10000
+    oracle_n: int = 10_000
     rep_epochs: int = 60
     head_fit_epochs: int = 100
     oracle_epochs: int = 60
@@ -129,65 +129,62 @@ def estimate_oracle_target_risk(
 
 
 def distance_curve(
-    fam: FamilyConfig, cfg: DistanceConfig, seeds, master_seed: int
+    fam: FamilyConfig, cfg: DistanceConfig, seed: int, master_seed: int
 ) -> list[TaskDistanceEstimate]:
-    """One distance estimate per (flip rate in fam.flip_grid, seed), single
+    """One seed's distance estimate per flip rate in fam.flip_grid, single
     source per point.
 
-    Per seed, all teachers come from flips of one base dataset, fit with the
-    family's teacher recipe, and one oracle run is shared by every grid
-    point, so distances within a seed differ only through their source tasks.
-    The oracle sample and each source are freed after their one fit, so no
-    draw overlaps the previous one.
+    All teachers come from flips of one base dataset, fit with the family's
+    teacher recipe, and one oracle run is shared by every grid point, so the
+    seed's distances differ only through their source tasks. Every draw
+    derives from (master_seed, seed) alone, so a seed's estimates are the
+    same whatever other seeds a sweep holds. The oracle sample and each
+    source are freed after their one fit, so no draw overlaps the previous
+    one.
     """
     fam.validate()
     cfg.validate()
     d = fam.input_dim
+    family_rng = Rng(hash64(master_seed, "distance-family", seed))
+    teachers = fam.fit_teachers(hash64(master_seed, "distance-teacher", seed), family_rng)
+    target_teacher = teachers[0.0]
+    target_train = sample_task_data(
+        target_teacher, cfg.head_fit_n, d, family_rng.spawn("head-fit-draw"), TARGET_TASK_ID
+    )
+    target_eval = sample_task_data(
+        target_teacher, fam.eval_n, d, family_rng.spawn("eval-draw"), TARGET_TASK_ID
+    )
+    oracle_risk, oracle_acc = estimate_oracle_target_risk(
+        sample_task_data(
+            target_teacher, cfg.oracle_n, d, family_rng.spawn("oracle-draw"), TARGET_TASK_ID
+        ),
+        target_eval,
+        cfg.oracle_train_config(hash64(master_seed, "distance-oracle", seed)),
+    )
     estimates = []
-    for seed in seeds:
-        family_rng = Rng(hash64(master_seed, "distance-family", seed))
-        teachers = fam.fit_teachers(hash64(master_seed, "distance-teacher", seed), family_rng)
-        target_teacher = teachers[0.0]
-        target_train = sample_task_data(
-            target_teacher, cfg.head_fit_n, d, family_rng.spawn("head-fit-draw"), TARGET_TASK_ID
+    for q in fam.flip_grid:
+        source = sample_task_data(
+            teachers[q], fam.source_n, d, family_rng.spawn("source-draw", flip_key(q)),
+            source_name(q),
         )
-        target_eval = sample_task_data(
-            target_teacher, fam.eval_n, d, family_rng.spawn("eval-draw"), TARGET_TASK_ID
+        risk, acc = estimate_weighted_source_target_risk(
+            [source], SimplexWeights(np.ones(1)), target_train, target_eval,
+            cfg.estimator_train_config(hash64(master_seed, "distance-est", seed, flip_key(q))),
         )
-        oracle_risk, oracle_acc = estimate_oracle_target_risk(
-            sample_task_data(
-                target_teacher, cfg.oracle_n, d, family_rng.spawn("oracle-draw"), TARGET_TASK_ID
-            ),
-            target_eval,
-            cfg.oracle_train_config(hash64(master_seed, "distance-oracle", seed)),
+        del source
+        dist = risk - oracle_risk
+        estimates.append(
+            TaskDistanceEstimate(
+                flip_rate=q,
+                seed=seed,
+                weighted_source_target_risk=risk,
+                oracle_target_risk=oracle_risk,
+                distance=dist,
+                aux_accuracy=acc,
+                oracle_accuracy=oracle_acc,
+                negative=dist < 0.0,
+            )
         )
-        for q in fam.flip_grid:
-            source = sample_task_data(
-                teachers[q],
-                fam.source_n,
-                d,
-                family_rng.spawn("source-draw", round(q * 10000)),
-                f"source_q{q:g}",
-            )
-            est_seed = hash64(master_seed, "distance-est", seed, round(q * 10000))
-            risk, acc = estimate_weighted_source_target_risk(
-                [source], SimplexWeights(np.ones(1)), target_train, target_eval,
-                cfg.estimator_train_config(est_seed),
-            )
-            del source
-            dist = risk - oracle_risk
-            estimates.append(
-                TaskDistanceEstimate(
-                    flip_rate=q,
-                    seed=seed,
-                    weighted_source_target_risk=risk,
-                    oracle_target_risk=oracle_risk,
-                    distance=dist,
-                    aux_accuracy=acc,
-                    oracle_accuracy=oracle_acc,
-                    negative=dist < 0.0,
-                )
-            )
     return estimates
 
 

@@ -17,16 +17,19 @@ weighted single arm, a single arm with sources or another paradigm
 without any, sample weights off pretrain or on other than one source, or
 sample_split off pretrain. So is a sample_split that leaves a part empty
 at some family.target_sizes entry, and a repeat in seeds, target_sizes,
-flip_grid (as {q:g}, its file name, or round(q * 10000), its streams' key)
-or an arm's source_flips.
+flip_grid (as {q:g}, its file name, or as taskgen.flip_key, its streams'
+key) or an arm's source_flips.
 
 One runner, _run_units, serves the family's seeds, run's jobs (one tawt
-call per arm, seed and target size) and distance's seeds. Each unit is
-keyed by the hashes of what it reads (FamilySeed.key, Job.key,
-DistanceSeed.key) and reused while its row.json holds that key, so a sweep
-that grows pays only for what it adds. The rest run --jobs at once
-(default 1), with the same results at any --jobs, since every unit derives
-its seeds from master_seed.
+call per arm, seed and target size) and distance's seeds. A unit is keyed
+by the hashes of what it reads (FamilySeed.key, Job.key, DistanceSeed.key).
+Its result, what its execute returns, is stored in its row.json with that
+key and reused while the key matches and its load accepts the stored
+result, so a sweep that grows pays only for what it adds. The rest run
+--jobs at once (default 1), with the same results at any --jobs, since
+every unit derives its seeds from master_seed. A failed unit's result is
+its exception: run writes it as the job's error row, and generate and
+distance raise the first one.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import re
 import sys
@@ -46,7 +50,10 @@ import numpy as np
 
 from .distance import DistanceConfig, TaskDistanceEstimate, distance_curve, write_distance_csv
 from .numerics import Rng, float_repr17, hash64
-from .taskgen import TARGET_TASK_ID, FitFailureError, load_dataset, sample_task_data, save_dataset
+from .taskgen import (
+    TARGET_TASK_ID, FitFailureError, flip_key, load_dataset, sample_task_data, save_dataset,
+    source_name,
+)
 from .training import FamilyConfig, TrainConfig, atomic_write_text, split_size, tawt
 from .weighting import init_weights
 
@@ -249,13 +256,9 @@ def _seed_dir(out_dir: Path, seed: int) -> Path:
     return out_dir / "family" / f"seed{seed}"
 
 
-def _source_name(q: float) -> str:
-    return f"source_q{q:g}"
-
-
 def _seed_files(flips: list[float]) -> list[str]:
     """The family files of one seed that a reader of these source flips loads."""
-    return [f"{name}.npz" for name in ["target_train", "target_eval", *map(_source_name, flips)]]
+    return [f"{name}.npz" for name in ["target_train", "target_eval", *map(source_name, flips)]]
 
 
 def _key(**parts) -> str:
@@ -315,7 +318,7 @@ class FamilySeed:
             ("target_train", 0.0, max(fam.target_sizes), ("target-draw",), TARGET_TASK_ID),
             ("target_eval", 0.0, fam.eval_n, ("eval-draw",), TARGET_TASK_ID),
         ] + [
-            (_source_name(q), q, fam.source_n, ("source-draw", round(q * 10000)), _source_name(q))
+            (source_name(q), q, fam.source_n, ("source-draw", flip_key(q)), source_name(q))
             for q in fam.flip_grid
         ]
         for name, q, n, key, task_id in draws:
@@ -329,19 +332,13 @@ class FamilySeed:
                 path.unlink()
         return {name: _sha256_file(seed_dir / name) for name in names}
 
-    def failed(self, exc: BaseException) -> BaseException:
-        return exc
-
 
 def _cached_family(cfg: ExperimentConfig, out_dir: Path, jobs: int, strict: bool) -> dict:
     """Each seed's file digests and the seeds drawn to get them, each seed a
-    unit of _run_units; once all have run, the first failure (a teacher that
-    misses its threshold, say) is raised."""
+    unit of _run_units; the first failure (a teacher that misses its
+    threshold, say) is raised."""
     units = [FamilySeed(out_dir, cfg, seed, strict) for seed in cfg.seeds]
-    results, reused = _run_units(units, jobs)
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    results, reused = _run_or_raise(units, jobs)
     return {"files": dict(zip(cfg.seeds, results)),
             "drawn": [seed for seed, hit in zip(cfg.seeds, reused) if not hit]}
 
@@ -410,12 +407,13 @@ class Job:
         return row
 
     def execute(self) -> dict:
-        """Run the job from cached datasets; writes its files and returns its row."""
+        """Run the job from cached datasets; writes its files and returns its
+        row as load reads it, so a result that is not finite fails the job."""
         seed_dir = _seed_dir(self.out_dir, self.seed)
         target = load_dataset(seed_dir / "target_train.npz", TARGET_TASK_ID).take(self.target_size)
         eval_data = load_dataset(seed_dir / "target_eval.npz", TARGET_TASK_ID)
         sources = [
-            load_dataset(seed_dir / f"{_source_name(q)}.npz", _source_name(q))
+            load_dataset(seed_dir / f"{source_name(q)}.npz", source_name(q))
             for q in self.arm.source_flips
         ]
         _, record = tawt(sources, target, self.train, eval_data=eval_data)
@@ -424,14 +422,11 @@ class Job:
         atomic_write_text(self.dir / "record.json", record.to_json())
         record.write_metrics_csv(self.dir / "metrics.csv")
         record.write_weights_csv(self.dir / "weights.csv")
-        return self.row(
+        return self.load(self.row(
             ratio=float_repr17(sources[0].n / self.target_size) if sources else "0",
             final_target_acc=float_repr17(final["target_accuracy"]),
             final_target_loss=float_repr17(final["target_loss"]),
-        )
-
-    def failed(self, exc: BaseException) -> dict:
-        return self.row(error=f"{type(exc).__name__}: {exc}")
+        ))
 
     def row(self, **cols) -> dict:
         """The job's summary row, cols filled in; cmd_run adds the timestamp."""
@@ -465,19 +460,19 @@ class DistanceSeed:
                     distance=asdict(self.cfg.distance))
 
     def load(self, row) -> list[TaskDistanceEstimate]:
-        estimates = [TaskDistanceEstimate(**est) for est in row]
-        if [est.flip_rate for est in estimates] != self.cfg.family.flip_grid:
-            raise ValueError("stored estimates do not cover the flip grid")
+        """row's estimates if they are this seed's, one per flip rate of the
+        grid in its order, each field of its annotated type and each float
+        finite; anything else is a ValueError, so the seed is estimated again."""
+        estimates = [TaskDistanceEstimate(**_checked_fields(TaskDistanceEstimate, est, "estimate"))
+                     for est in row]
+        grid = [(q, self.seed) for q in self.cfg.family.flip_grid]
+        if [(est.flip_rate, est.seed) for est in estimates] != grid:
+            raise ValueError("stored estimates are not this seed's over the flip grid")
         return estimates
 
-    def execute(self) -> list[dict]:
-        """The seed's estimates as JSON objects, whose floats round-trip."""
+    def execute(self) -> list[TaskDistanceEstimate]:
         cfg = self.cfg
-        return [asdict(est) for est in
-                distance_curve(cfg.family, cfg.distance, [self.seed], cfg.master_seed)]
-
-    def failed(self, exc: BaseException) -> BaseException:
-        return exc
+        return distance_curve(cfg.family, cfg.distance, self.seed, cfg.master_seed)
 
 
 def _stored(unit):
@@ -490,27 +485,27 @@ def _stored(unit):
 
 
 def _execute_safe(unit):
-    """unit.execute()'s row, stored in row.json with the unit's key for
-    _stored to find, and returned as unit.load reads it; a failure is
-    folded into unit.failed(exc)."""
+    """unit.execute()'s result, stored in row.json with the unit's key for
+    _stored to find (a dataclass as its fields), and returned unchanged; a
+    failure is returned as the exception."""
     try:
-        row = unit.execute()
+        result = unit.execute()
         unit.dir.mkdir(parents=True, exist_ok=True)
-        stored = {"job_key": unit.key, "row": row}
-        atomic_write_text(unit.dir / "row.json", json.dumps(stored, indent=2))
-        return unit.load(row)
+        stored = {"job_key": unit.key, "row": result}
+        atomic_write_text(unit.dir / "row.json", json.dumps(stored, indent=2, default=asdict))
+        return result
     except Exception as exc:  # one unit's failure never costs another's result
-        return unit.failed(exc)
+        return exc
 
 
 def _run_units(units: list, jobs: int) -> tuple[list, list[bool]]:
     """The one runner of the family's seeds, run's jobs and distance's seeds
-    (units with a dir, key, load, execute and failed): each unit's result, in
-    order, and whether it was reused from its row.json. The rest run here,
-    or in at most `jobs` worker processes when more than one is left. A
-    worker that dies breaks the pool and fails every unit in it; those rerun
-    one at a time in fresh pools, so only a unit that kills its worker again
-    is lost, as unit.failed(BrokenProcessPool). A serial run never imports
+    (units with a dir, key, execute and load): each unit's result, in order,
+    and whether it was reused from its row.json. The rest run here, or in at
+    most `jobs` worker processes when more than one is left. A worker that
+    dies breaks the pool and fails every unit in it; those rerun one at a
+    time in fresh pools, so only a unit that kills its worker again is lost,
+    as a BrokenProcessPool result. A serial run never imports
     multiprocessing."""
     results = [_stored(unit) for unit in units]
     reused = [result is not None for result in results]
@@ -531,7 +526,17 @@ def _run_units(units: list, jobs: int) -> tuple[list, list[bool]]:
         try:
             results[i] = future.result()
         except Exception as exc:  # the unit or its result failed to cross processes
-            results[i] = units[i].failed(exc)
+            results[i] = exc
+    return results, reused
+
+
+def _run_or_raise(units: list, jobs: int) -> tuple[list, list[bool]]:
+    """_run_units, then the first failure in unit order raised, once every
+    unit has run and stored its result."""
+    results, reused = _run_units(units, jobs)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
     return results, reused
 
 
@@ -554,14 +559,18 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
         for seed in cfg.seeds
         for target_size in cfg.family.target_sizes
     ]
-    rows, reused = _run_units(todo, jobs)
+    results, reused = _run_units(todo, jobs)
+    rows = [job.row(error=f"{type(result).__name__}: {result}")
+            if isinstance(result, BaseException) else result
+            for job, result in zip(todo, results)]
 
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    lines = [",".join(SUMMARY_COLUMNS)] + [
-        ",".join({"timestamp": timestamp, **row}.get(col, "") for col in SUMMARY_COLUMNS)
-        for row in rows
-    ]
-    atomic_write_text(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # quotes an error that holds a comma
+    writer.writerow(SUMMARY_COLUMNS)
+    writer.writerows([{**row, "timestamp": timestamp}[col] for col in SUMMARY_COLUMNS]
+                     for row in rows)
+    atomic_write_text(out_dir / "summary.csv", buf.getvalue())
     n_failed = sum(1 for row in rows if row.get("error"))
     return {
         "summary": out_dir / "summary.csv",
@@ -576,10 +585,7 @@ def cmd_distance(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> Path:
     distance.csv under the output directory once every seed has its
     estimates. Otherwise raises the first failure in seed order, after every
     seed has run, so the seeds that finished are stored for a rerun."""
-    results, _ = _run_units([DistanceSeed(out_dir, cfg, seed) for seed in cfg.seeds], jobs)
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    results, _ = _run_or_raise([DistanceSeed(out_dir, cfg, seed) for seed in cfg.seeds], jobs)
     path = out_dir / "distance.csv"
     write_distance_csv([est for estimates in results for est in estimates], path)
     return path
@@ -598,9 +604,10 @@ def cmd_report(results_dir: Path) -> dict:
     and stderr per arm and sweep point) and weights_<arm>.csv (the mean
     trajectory over the arm's seeds and target sizes), under report/. Only
     those jobs' weights.csv files are read, so files of jobs a config edit
-    dropped never count; a listed job's missing file, or a row without a
-    column report reads or with a result that is not a finite number, is an
-    IO error."""
+    dropped never count. A listed job's missing or empty file is an IO
+    error, and so is a summary row without a column report reads, or a row
+    of either file that is ragged or holds a result or weight that is not a
+    finite number, named by its file and line."""
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
         raise IntegrityError(f"no summary.csv under {results_dir}")
@@ -651,14 +658,26 @@ def cmd_report(results_dir: Path) -> dict:
         stacks = []
         steps = None
         for path in weight_files:
+            file_steps, stack = [], []
             with open(path, newline="") as fh:
-                body = list(csv.reader(fh))[1:]
-            file_steps = [int(r[0]) for r in body]
-            stacks.append(np.array([[float(x) for x in r[1:]] for r in body]))
+                reader = csv.reader(fh)
+                width = len(next(reader, []))
+                for r in reader:
+                    try:
+                        if len(r) != width:
+                            raise ValueError(f"{len(r)} fields, the header has {width}")
+                        file_steps.append(int(r[0]))
+                        stack.append([_finite(x) for x in r[1:]])
+                    except ValueError as exc:
+                        raise IntegrityError(f"{path}, line {reader.line_num}: {exc}") from None
+            if not stack:  # a trajectory holds at least its initial weights
+                raise IntegrityError(f"{path}: no weight rows")
+            stacks.append(np.array(stack))
             if steps is None:
                 steps = file_steps
-            elif steps != file_steps:
-                raise IntegrityError(f"{path}: weight trajectory steps disagree within arm {arm}")
+            elif steps != file_steps or stacks[-1].shape != stacks[0].shape:
+                raise IntegrityError(
+                    f"{path}: weight trajectory steps or sources disagree within arm {arm}")
         mean_traj = np.mean(stacks, axis=0)
         lines = ["step," + ",".join(f"w_{i}" for i in range(mean_traj.shape[1]))]
         for step, row in zip(steps, mean_traj):

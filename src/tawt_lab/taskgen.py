@@ -8,9 +8,9 @@ rate. The flip rate controls how far a source task sits from the q = 0
 target task: at q = 0 the source shares the target's label function, at
 q = 1 it comes from a teacher fit to fully resampled labels.
 
-Every teacher for flip rate q derives its seeds from hash64(seed, q*10000),
-so teachers for different flip rates can be fit independently (or in
-parallel) without perturbing one another.
+Every teacher for flip rate q derives its seeds from hash64(seed,
+flip_key(q)), so teachers for different flip rates can be fit
+independently (or in parallel) without perturbing one another.
 """
 
 from __future__ import annotations
@@ -28,6 +28,17 @@ from .numerics import DimensionError, Rng, hash64
 
 TEACHER_TASK_ID = "teacher"
 TARGET_TASK_ID = "target"
+
+
+def flip_key(q: float) -> int:
+    """q to four decimals, as an integer: the key of flip rate q's teacher,
+    source draw and distance estimator streams."""
+    return round(q * 10000)
+
+
+def source_name(q: float) -> str:
+    """Flip rate q's source: its task id, and its family file's stem."""
+    return f"source_q{q:g}"
 
 
 class FitFailureError(RuntimeError):
@@ -180,14 +191,14 @@ def fit_family_teachers(
 
     Every teacher is fit on a flip of one base dataset drawn from
     rng.spawn("base"). The teacher for q is seeded from
-    hash64(teacher_seed, round(q * 10000)) alone, so it is the same whatever
+    hash64(teacher_seed, flip_key(q)) alone, so it is the same whatever
     else the grid holds. Callers draw task data from the teachers under their
     own stream keys.
     """
     base = generate_base_dataset(base_n, d, k, rng.spawn("base"))
     teachers: dict[float, SharedModel] = {}
     for q in sorted(set(flip_grid) | {0.0}):
-        seed = hash64(teacher_seed, round(q * 10000))
+        seed = hash64(teacher_seed, flip_key(q))
         flipped = flip_labels(base, q, Rng(seed).spawn("flip"))
         teachers[q] = fit_teacher(
             flipped, TaskSpec(q, base_n, d, k, width, seed), cfg, threshold=threshold

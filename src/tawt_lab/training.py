@@ -67,7 +67,7 @@ from .model import (
     train_step,
 )
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
-from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, round_half_up
+from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, flip_key, round_half_up
 from .weighting import (
     DEFAULT_IDENTITY_HESSIAN_SCALE,
     SimplexWeights,
@@ -196,11 +196,11 @@ class FamilyConfig:
             raise ValueError(f"target_sizes must be nonempty, positive and distinct, got {sizes}")
         if not grid or not all(0.0 <= q <= 1.0 for q in grid):
             raise ValueError(f"flip_grid must be nonempty rates in [0, 1], got {grid}")
-        # Each rate names its source file source_q{q:g}.npz and its summary.csv flip_rate,
-        # and keys its teacher, source draw and distance estimator as round(q * 10000).
-        if not len({f"{q:g}" for q in grid}) == len({round(q * 10000) for q in grid}) == len(grid):
-            raise ValueError(f"flip_grid must hold rates distinct as {{q:g}} and as "
-                             f"round(q * 10000), got {grid}")
+        # Each rate names its source file (source_name) and its summary.csv flip_rate,
+        # both {q:g}, and keys its teacher, source draw and distance estimator (flip_key).
+        if not len({f"{q:g}" for q in grid}) == len({flip_key(q) for q in grid}) == len(grid):
+            raise ValueError(f"flip_grid must hold rates distinct as {{q:g}} and at "
+                             f"four decimals (flip_key), got {grid}")
         if not 0.0 < self.teacher_accuracy_threshold <= 1.0:
             raise ValueError("teacher_accuracy_threshold must lie in (0, 1]")
         if self.teacher_lr < 0:

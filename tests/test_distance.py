@@ -34,7 +34,7 @@ def small_curve(flip_grid, seeds=(0,)):
         head_fit_n=400, oracle_n=1200, rep_epochs=25, head_fit_epochs=40, oracle_epochs=25,
         batch_size=50, hidden=64,
     )
-    return distance_curve(fam, cfg, seeds, master_seed=21)
+    return [est for seed in seeds for est in distance_curve(fam, cfg, seed, master_seed=21)]
 
 
 class TestRiskEstimators:
@@ -159,7 +159,7 @@ class TestDistanceCurve:
     def test_rejects_a_distance_config_its_fits_cannot_use(self, kw, named):
         """A library caller gets the rules the CLI applies, before any fit."""
         with pytest.raises(ValueError, match=named):
-            distance_curve(FamilyConfig(), DistanceConfig(**kw), [0], master_seed=0)
+            distance_curve(FamilyConfig(), DistanceConfig(**kw), 0, master_seed=0)
 
     def test_no_spent_dataset_or_frozen_activation_outlives_its_fit(self):
         """At MB-scale sizes the peak is the live datasets alone: the oracle
@@ -172,10 +172,10 @@ class TestDistanceCurve:
         cfg = DistanceConfig(
             head_fit_n=2_000, oracle_n=10_000, rep_epochs=1, head_fit_epochs=1, oracle_epochs=1,
         )
-        distance_curve(fam, cfg, [0], master_seed=5)  # warm up lazy allocations
+        distance_curve(fam, cfg, 0, master_seed=5)  # warm up lazy allocations
         tracemalloc.start()
         try:
-            distance_curve(fam, cfg, [0], master_seed=5)
+            distance_curve(fam, cfg, 0, master_seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -369,6 +369,24 @@ class TestGenerate:
         path.write_bytes(os.urandom(2 * harness._HASH_CHUNK_BYTES + 123))
         assert harness._sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_each_family_file_is_hashed_once_per_command(self, tmp_path, monkeypatch):
+        """A fresh draw hashes each of its 4 files once, when it writes them;
+        a cached generate and a run hash each once, to check it."""
+        hashed, sha256_file = [], harness._sha256_file
+
+        def spy(path):
+            hashed.append(path.name)
+            return sha256_file(path)
+
+        monkeypatch.setattr(harness, "_sha256_file", spy)
+        cfg = parse_config(tiny_config(tmp_path / "out", seeds=[0]))
+        counts = []
+        for command in (cmd_generate, cmd_generate, cmd_run):  # a fresh draw, then the cache
+            hashed.clear()
+            command(cfg, Path(cfg.out_dir))
+            counts.append(sorted(hashed))
+        assert counts == [sorted(harness._seed_files(cfg.family.flip_grid))] * 3
+
     def test_family_bytes_are_reproducible(self, tmp_path, monkeypatch):
         def family_bytes(out):
             family = out / "family"
@@ -459,6 +477,42 @@ class TestRun:
             "arm", "seed", "target_size", "ratio", "flip_rate",
             "final_target_acc", "final_target_loss", "error", "timestamp",
         ]
+
+    def test_job_with_a_nan_loss_gets_an_error_row_and_no_row_json(self, tmp_path, monkeypatch):
+        """A fresh row passes the check a stored one does: a final loss that
+        is NaN fails the job, and nothing is stored for resume to reuse."""
+        real_tawt = harness.tawt
+
+        def nan_loss(*args, **kw):
+            model, record = real_tawt(*args, **kw)
+            record.epoch_metrics[-1]["target_loss"] = float("nan")
+            return model, record
+
+        monkeypatch.setattr(harness, "tawt", nan_loss)
+        raw = tiny_config(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        result = cmd_run(parse_config(raw), out)
+        assert result["n_failed"] == result["n_jobs"] == 6
+        rows = list(csv.DictReader(open(result["summary"])))
+        assert {row["error"] for row in rows} == {"ValueError: 'nan' is not a finite number"}
+        assert not list((out / "runs").rglob("row.json"))
+
+    def test_error_with_a_comma_reads_back_whole(self, tmp_path, monkeypatch):
+        """summary.csv quotes a field that holds a comma, so the error and
+        the timestamp after it read back as written."""
+
+        def fail(job):
+            raise ValueError("a, b")
+
+        monkeypatch.setattr(harness.Job, "execute", fail)
+        raw = tiny_config(tmp_path / "out")
+        result = cmd_run(parse_config(raw), Path(raw["out_dir"]))
+        rows = list(csv.DictReader(open(result["summary"], newline="")))
+        assert len(rows) == result["n_failed"] == 6
+        for row in rows:
+            assert row["error"] == "ValueError: a, b"
+            assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", row["timestamp"])
+            assert None not in row  # no field spilled past the header
 
     def test_adaptive_eta_zero_matches_fixed_arm(self, tmp_path):
         raw = tiny_config(tmp_path / "out")
@@ -786,6 +840,27 @@ class TestReport:
         assert f"error: {summary}, line {line}: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "report").exists()
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:], ", line 3: "),
+        (lambda rows: rows[:2] + [rows[2][:-1] + ["x"]] + rows[3:], ", line 3: "),
+        (lambda rows: rows[:2] + [rows[2][:-1] + ["nan"]] + rows[3:], ", line 3: "),
+        (lambda rows: rows[:1], ": no weight rows"),
+    ], ids=["short-row", "not-a-number", "nan-weight", "header-only"])
+    def test_hand_edited_weights_is_an_io_error(self, tmp_path, capsys, edit, fault):
+        """A listed job's weights.csv that is ragged, holds a weight that is
+        not a finite number or holds no row exits 3 naming the file (and the
+        line), and writes no trajectory of its arm."""
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        victim = tmp_path / "out" / "runs" / "adaptive" / "seed1" / "n40" / "weights.csv"
+        with open(victim, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(victim, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        assert main(["report", "--config", str(path)]) == EXIT_IO
+        assert f"error: {victim}{fault}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report" / "weights_adaptive.csv").exists()
+
     def test_listed_job_without_weights_is_an_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 0
@@ -849,9 +924,9 @@ class TestDistanceCommand:
         """The seeds distance_curve is called for from here on, in call order."""
         seeds, curve = [], harness.distance_curve
 
-        def spy(fam, cfg, run_seeds, master_seed):
-            seeds.extend(run_seeds)
-            return curve(fam, cfg, run_seeds, master_seed)
+        def spy(fam, cfg, seed, master_seed):
+            seeds.append(seed)
+            return curve(fam, cfg, seed, master_seed)
 
         monkeypatch.setattr(harness, "distance_curve", spy)
         return seeds
@@ -887,7 +962,14 @@ class TestDistanceCommand:
         lambda stored: json.dumps({"job_key": stored["job_key"]}),
         lambda stored: json.dumps({**stored, "row": stored["row"][:1]}),
         lambda stored: json.dumps({**stored, "row": [{"flip_rate": 0.0}]}),
-    ], ids=["not-json", "other-key", "no-row", "short-row", "bad-estimate"])
+        lambda stored: json.dumps({**stored, "row": [{**stored["row"][0], "seed": 7},
+                                                     *stored["row"][1:]]}),
+        lambda stored: json.dumps({**stored, "row": [{**stored["row"][0], "distance": math.nan},
+                                                     *stored["row"][1:]]}),
+        lambda stored: json.dumps({**stored, "row": [{**stored["row"][0], "distance": "0.5"},
+                                                     *stored["row"][1:]]}),
+    ], ids=["not-json", "other-key", "no-row", "short-row", "bad-estimate", "other-seed",
+            "nan-distance", "string-distance"])
     def test_bad_stored_seed_is_recomputed(self, tmp_path, monkeypatch, tamper):
         raw = self.quick(tmp_path / "out")
         out = Path(raw["out_dir"])
@@ -918,10 +1000,10 @@ class TestDistanceCommand:
 
         curve = harness.distance_curve
 
-        def crash_one(fam, cfg, seeds, master_seed):
-            if seeds == [1]:
+        def crash_one(fam, cfg, seed, master_seed):
+            if seed == 1:
                 os._exit(1)
-            return curve(fam, cfg, seeds, master_seed)
+            return curve(fam, cfg, seed, master_seed)
 
         monkeypatch.setattr(harness, "distance_curve", crash_one)
         raw = self.quick(tmp_path / "out", seeds=[0, 1, 2])
@@ -935,11 +1017,11 @@ class TestDistanceCommand:
     def test_first_failure_in_seed_order_is_raised_after_every_seed(self, tmp_path, monkeypatch):
         seeds, curve = [], harness.distance_curve
 
-        def fail_odd(fam, cfg, run_seeds, master_seed):
-            seeds.extend(run_seeds)
-            if run_seeds[0] % 2:
-                raise taskgen.FitFailureError(f"seed {run_seeds[0]}")
-            return curve(fam, cfg, run_seeds, master_seed)
+        def fail_odd(fam, cfg, seed, master_seed):
+            seeds.append(seed)
+            if seed % 2:
+                raise taskgen.FitFailureError(f"seed {seed}")
+            return curve(fam, cfg, seed, master_seed)
 
         monkeypatch.setattr(harness, "distance_curve", fail_odd)
         raw = self.quick(tmp_path / "out", seeds=[0, 1, 2, 3])
