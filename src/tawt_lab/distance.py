@@ -22,16 +22,14 @@ value, and nothing here symmetrizes it.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Rng, float_repr17, hash64
+from .numerics import Rng, hash64
 from .taskgen import TARGET_TASK_ID, Dataset, flip_key, sample_task_data, source_name
 from .training import (
-    FamilyConfig, TrainConfig, atomic_write_text, pretrain_then_finetune, train_single_task,
+    FamilyConfig, TrainConfig, pretrain_then_finetune, train_single_task, write_csv,
 )
 from .weighting import SimplexWeights
 
@@ -189,17 +187,9 @@ def distance_curve(
 
 
 def write_distance_csv(estimates, path) -> None:
-    """distance.csv in csv.writer's CRLF dialect, replaced whole (atomic_write_text)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([
-        "flip_rate", "seed", "source_risk_estimate", "oracle_risk_estimate", "distance",
-        "aux_accuracy",
-    ])
-    for est in estimates:
-        writer.writerow([
-            float_repr17(est.flip_rate), est.seed, float_repr17(est.weighted_source_target_risk),
-            float_repr17(est.oracle_target_risk), float_repr17(est.distance),
-            float_repr17(est.aux_accuracy),
-        ])
-    atomic_write_text(path, buf.getvalue())
+    """distance.csv, its lines in csv.writer's CRLF, replaced whole (write_csv)."""
+    header = ["flip_rate", "seed", "source_risk_estimate", "oracle_risk_estimate", "distance",
+              "aux_accuracy"]
+    rows = ([est.flip_rate, est.seed, est.weighted_source_target_risk, est.oracle_target_risk,
+             est.distance, est.aux_accuracy] for est in estimates)
+    write_csv(path, header, rows, lineterminator="\r\n")

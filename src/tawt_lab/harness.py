@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import re
 import sys
@@ -54,7 +53,9 @@ from .taskgen import (
     TARGET_TASK_ID, FitFailureError, flip_key, load_dataset, sample_task_data, save_dataset,
     source_name,
 )
-from .training import FamilyConfig, TrainConfig, atomic_write_text, split_size, tawt
+from .training import (
+    FamilyConfig, TrainConfig, atomic_write_text, split_size, tawt, write_csv, write_trajectory,
+)
 from .weighting import init_weights
 
 SCHEMA_VERSION = 1
@@ -565,12 +566,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, jobs: int = 1) -> dict:
             for job, result in zip(todo, results)]
 
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")  # quotes an error that holds a comma
-    writer.writerow(SUMMARY_COLUMNS)
-    writer.writerows([{**row, "timestamp": timestamp}[col] for col in SUMMARY_COLUMNS]
-                     for row in rows)
-    atomic_write_text(out_dir / "summary.csv", buf.getvalue())
+    write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS,  # quotes an error that holds a comma
+              ([{**row, "timestamp": timestamp}[col] for col in SUMMARY_COLUMNS] for row in rows))
     n_failed = sum(1 for row in rows if row.get("error"))
     return {
         "summary": out_dir / "summary.csv",
@@ -607,7 +604,8 @@ def cmd_report(results_dir: Path) -> dict:
     dropped never count. A listed job's missing or empty file is an IO
     error, and so is a summary row without a column report reads, or a row
     of either file that is ragged or holds a result or weight that is not a
-    finite number, named by its file and line."""
+    finite number, named by its file and line. Every listed file is read and
+    checked before report/ is touched, so a failed report leaves it as it was."""
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
         raise IntegrityError(f"no summary.csv under {results_dir}")
@@ -627,28 +625,18 @@ def cmd_report(results_dir: Path) -> dict:
                 raise IntegrityError(f"{summary_path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise IntegrityError(f"{summary_path}: no successful rows to report")
-    report_dir = results_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
 
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = (row["arm"], row["target_size"], row["flip_rate"], row["ratio"])
         groups.setdefault(key, []).append(row)
-    lines = ["arm,target_size,flip_rate,ratio,n_seeds,mean_acc,stderr_acc,mean_loss,stderr_loss"]
-    for (arm, size, flip, ratio), group in groups.items():
-        accs = [float(r["final_target_acc"]) for r in group]
-        losses = [float(r["final_target_loss"]) for r in group]
-        mean_acc, se_acc = _mean_stderr(accs)
-        mean_loss, se_loss = _mean_stderr(losses)
-        lines.append(
-            f"{arm},{size},{flip},{ratio},{len(accs)},"
-            f"{float_repr17(mean_acc)},{float_repr17(se_acc)},"
-            f"{float_repr17(mean_loss)},{float_repr17(se_loss)}"
-        )
-    curves_path = report_dir / "curves.csv"
-    atomic_write_text(curves_path, "\n".join(lines) + "\n")
+    curves = []
+    for key, group in groups.items():
+        acc = _mean_stderr([float(r["final_target_acc"]) for r in group])
+        loss = _mean_stderr([float(r["final_target_loss"]) for r in group])
+        curves.append([*key, len(group), *acc, *loss])
 
-    trajectory_paths = []
+    trajectories = {}
     for arm in sorted({row["arm"] for row in rows}):
         # Sorted paths, so np.mean adds the trajectories in one fixed order.
         weight_files = sorted(
@@ -678,13 +666,17 @@ def cmd_report(results_dir: Path) -> dict:
             elif steps != file_steps or stacks[-1].shape != stacks[0].shape:
                 raise IntegrityError(
                     f"{path}: weight trajectory steps or sources disagree within arm {arm}")
-        mean_traj = np.mean(stacks, axis=0)
-        lines = ["step," + ",".join(f"w_{i}" for i in range(mean_traj.shape[1]))]
-        for step, row in zip(steps, mean_traj):
-            lines.append(str(step) + "," + ",".join(float_repr17(x) for x in row))
-        path = report_dir / f"weights_{arm}.csv"
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        trajectory_paths.append(path)
+        trajectories[arm] = list(zip(steps, np.mean(stacks, axis=0)))
+
+    # Every input has passed its checks: only now is report/ touched.
+    report_dir = results_dir / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
+    curves_path = report_dir / "curves.csv"
+    write_csv(curves_path, ["arm", "target_size", "flip_rate", "ratio", "n_seeds", "mean_acc",
+                            "stderr_acc", "mean_loss", "stderr_loss"], curves)
+    trajectory_paths = [report_dir / f"weights_{arm}.csv" for arm in trajectories]
+    for path, snapshots in zip(trajectory_paths, trajectories.values()):
+        write_trajectory(path, snapshots)
     return {"curves": curves_path, "trajectories": trajectory_paths}
 
 

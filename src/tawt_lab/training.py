@@ -45,6 +45,8 @@ Two runs with the same config are bitwise identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import time
@@ -242,18 +244,12 @@ class RunRecord:
         return json.dumps(vars(self), indent=2)  # asdict would deep-copy every snapshot
 
     def write_metrics_csv(self, path) -> None:
-        lines = ["epoch,task,loss,target_acc"]
-        for entry in self.epoch_metrics:
-            acc = float_repr17(entry["target_accuracy"])
-            for task, loss in entry["losses"].items():
-                lines.append(f"{entry['epoch']},{task},{float_repr17(loss)},{acc}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = ([entry["epoch"], task, loss, entry["target_accuracy"]]
+                for entry in self.epoch_metrics for task, loss in entry["losses"].items())
+        write_csv(path, ["epoch", "task", "loss", "target_acc"], rows)
 
     def write_weights_csv(self, path) -> None:
-        lines = ["step," + ",".join(f"w_{i}" for i in range(len(self.weight_task_ids)))]
-        for snap in self.weight_steps:
-            lines.append(f"{snap['step']}," + ",".join(float_repr17(x) for x in snap["weights"]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_trajectory(path, [(snap["step"], snap["weights"]) for snap in self.weight_steps])
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -263,6 +259,24 @@ def atomic_write_text(path, text: str) -> None:
     with open(tmp, "w", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_csv(path, header, rows, lineterminator: str = "\n") -> None:
+    """The one CSV writer: header and rows through csv.writer, each float as
+    float_repr17, the file replaced whole (atomic_write_text). Every table
+    ends its lines in LF but distance.csv, which keeps csv.writer's CRLF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows([float_repr17(x) if isinstance(x, float) else x for x in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())
+
+
+def write_trajectory(path, snapshots) -> None:
+    """A weight trajectory as step,w_0..w_T: one row per (step, weights)
+    snapshot; the first snapshot sets the width."""
+    header = ["step"] + [f"w_{i}" for i in range(len(snapshots[0][1]))]
+    write_csv(path, header, ([step, *weights] for step, weights in snapshots))
 
 
 def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:

@@ -2,8 +2,10 @@
 
 Runs cmd_generate + cmd_run on a small config covering the single,
 frozen-rep pretrain, adaptive joint and sample-weighted pretrain arms, and
-compares SHA-256 digests of summary.csv (timestamp column dropped) and of
-the two adaptive weights.csv files with values stored below. A second,
+compares SHA-256 digests of the bytes of summary.csv (timestamp column
+dropped), of the frozen-rep arm's metrics.csv (both phases) and of the two
+adaptive weights.csv files with values stored below, so a line-ending
+change fails too. A second,
 one-arm run pins the identity-Hessian estimator at sample granularity, the
 other alignment path of the per-example kernel, with its own digests. A
 third, one task-level joint arm at hidden 32, pins the exact-Hessian
@@ -23,6 +25,7 @@ import ctypes
 import glob
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,24 +42,26 @@ GOLDEN = {
         "blas_core": "SkylakeX",
     },
     "digests": {
-        "summary.csv": "05a538a8a0475839d01ebf1e65e9e03a34d67011e9b5f822f6d3c5779cf281de",
+        "summary.csv": "f29a2c18f37131362446b654c1c61b8e413464ad3478e7b088e7f886e0464799",
+        "runs/pretrain-frozen/seed0/n30/metrics.csv":
+            "6aa92769b5f30f2325168b1720c91ae9162de76c52775552353cc98321a78d01",
         "runs/joint-adaptive/seed0/n30/weights.csv":
             "86ecbc783b4c8dcb1b2f053f66ec470d3720ea2375fc5be81d5670c29108f994",
         "runs/pretrain-sample/seed0/n30/weights.csv":
             "a00f1b35898f423a30824f1e621a3e23c22b3885aa6270deff4cee36f651df2c",
     },
     "identity_digests": {
-        "summary.csv": "ca66759b7ef1ca9c354a76265b920912e616b08531d0b804eb4f5622daa9746c",
+        "summary.csv": "442461430502650a1296cbdfed9284b186388a6769e71eebb4eb2c31b921527a",
         "runs/pretrain-sample-identity/seed0/n30/weights.csv":
             "e98a52e03ed9525d45ffaca920af4205832a9d8d92b9df9ed6cf6c0994244dd6",
     },
     "exact_digests": {
-        "summary.csv": "79abf9eb8006ce90adca947068407ed2cb2354e9fcbc7550bb3bc9ebf66973fa",
+        "summary.csv": "38af3ef9fc9812c1d7682f75522493eb3e7016d1f8c078b3a48f1e2c1a895467",
         "runs/joint-exact/seed0/n30/weights.csv":
             "7cfb172462821b47c9bc9077ef2c7038a51dafa6fc27bb1caeb222b637359a67",
     },
     "distance_digests": {
-        "distance.csv": "abe703801bb6742cf004ebfaf2793a936bf052ad9ead09aa0f43e5deea0d04b6",
+        "distance.csv": "229bca9156a1551a0903bf5f1c67e42b4c239851bfd45498846a01be97d8a525",
     },
     "report_digests": {
         "report/curves.csv": "cb260f120f955ccabdeb7cd8225664673525e0a95d92986cb75a928e24799b12",
@@ -193,10 +198,10 @@ def run_digests(out_dir: Path, key: str = "digests") -> dict:
         assert result["n_failed"] == 0
     digests = {}
     for relpath in GOLDEN[key]:
-        text = (out_dir / relpath).read_text()
-        if relpath == "summary.csv":
-            text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
-        digests[relpath] = hashlib.sha256(text.encode()).hexdigest()
+        data = (out_dir / relpath).read_bytes()
+        if relpath == "summary.csv":  # the timestamp is the last field of each line
+            data = re.sub(rb",[^,\r\n]*(?=\r?\n)", b"", data)
+        digests[relpath] = hashlib.sha256(data).hexdigest()
     return digests
 
 

@@ -861,6 +861,24 @@ class TestReport:
         assert f"error: {victim}{fault}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report" / "weights_adaptive.csv").exists()
 
+    def test_failed_report_leaves_the_last_report_whole(self, tmp_path, capsys):
+        """report checks every listed file before it touches report/: after
+        the sweep shrinks to seed 0 and single's weights.csv holds a nan,
+        report exits 3 and every report/ file is still the last report's."""
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["report", "--config", str(path)]) == 0
+        report = tmp_path / "out" / "report"
+        before = {p.name: p.read_bytes() for p in report.iterdir()}
+        path = write_config(tmp_path, tiny_config(tmp_path / "out", seeds=[0]))
+        assert main(["run", "--config", str(path)]) == 0
+        victim = tmp_path / "out" / "runs" / "single" / "seed0" / "n40" / "weights.csv"
+        lines = victim.read_text().splitlines()
+        victim.write_text("\n".join(lines[:-1] + [lines[-1].split(",")[0] + ",nan"]) + "\n")
+        assert main(["report", "--config", str(path)]) == EXIT_IO
+        assert f"error: {victim}, line {len(lines)}: " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in report.iterdir()} == before
+
     def test_listed_job_without_weights_is_an_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 0

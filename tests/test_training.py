@@ -30,6 +30,7 @@ from tawt_lab.training import (
     split_target,
     tawt,
     train_single_task,
+    write_csv,
 )
 from tawt_lab.weighting import (
     SimplexWeights,
@@ -731,6 +732,19 @@ class TestRunRecord:
         record.write_weights_csv(weights)
         assert metrics.read_bytes() == b"epoch,task,loss,target_acc\n0,a,0.5,1\n0,b,2,1\n"
         assert weights.read_bytes() == b"step,w_0,w_1\n0,0.25,0.75\n"
+
+        # Every float, a numpy one too, is written so that float() reads it back exactly.
+        exact = [-0.0, 5e-324, 0.1 + 0.2, 1e300, np.float64(1 / 3)]
+        table = tmp_path / "exact.csv"
+        write_csv(table, ["x"], [[x] for x in exact])
+        assert table.read_bytes() == (
+            b"x\n-0\n4.9406564584124654e-324\n0.30000000000000004\n"
+            b"1.0000000000000001e+300\n0.33333333333333331\n"
+        )
+        read = [float(line) for line in table.read_text().splitlines()[1:]]
+        assert [x.hex() for x in read] == [float(x).hex() for x in exact]  # -0.0 keeps its sign
+        write_csv(table, ["step", "x"], [[7, 0.5]], lineterminator="\r\n")
+        assert table.read_bytes() == b"step,x\r\n7,0.5\r\n"
 
         def fail(src, dst):
             raise OSError("disk full")
