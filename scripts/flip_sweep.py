@@ -30,10 +30,10 @@ def main() -> int:
     if args.out:
         run_args += ["--out", args.out]
         report_args = ["report", "--out", args.out]
-    rc = lab(run_args)
-    if rc != 0:
-        return rc
-    lab(report_args)
+    for argv in (run_args, report_args):
+        rc = lab(argv)
+        if rc != 0:  # a failed report leaves no table of this sweep to print
+            return rc
 
     out_dir = Path(args.out) if args.out else Path("results/flip_sweep")
     table = defaultdict(dict)

@@ -29,7 +29,6 @@ from .weighting import (
     cosine_task_gradient,
     identity_hessian_task_gradient,
     init_weights,
-    matching_weights,
     mirror_descent_step,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "cosine_task_gradient",
     "identity_hessian_task_gradient",
     "init_weights",
-    "matching_weights",
     "mirror_descent_step",
     "__version__",
 ]

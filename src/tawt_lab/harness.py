@@ -605,7 +605,8 @@ def cmd_report(results_dir: Path) -> dict:
     error, and so is a summary row without a column report reads, or a row
     of either file that is ragged or holds a result or weight that is not a
     finite number, named by its file and line. Every listed file is read and
-    checked before report/ is touched, so a failed report leaves it as it was."""
+    checked before report/ is touched, so a failed report leaves it as it was;
+    a report that succeeds removes the trajectories of arms it did not write."""
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
         raise IntegrityError(f"no summary.csv under {results_dir}")
@@ -677,6 +678,8 @@ def cmd_report(results_dir: Path) -> dict:
     trajectory_paths = [report_dir / f"weights_{arm}.csv" for arm in trajectories]
     for path, snapshots in zip(trajectory_paths, trajectories.values()):
         write_trajectory(path, snapshots)
+    for stale in set(report_dir.glob("weights_*.csv")) - set(trajectory_paths):
+        stale.unlink()  # an arm the sweep no longer runs
     return {"curves": curves_path, "trajectories": trajectory_paths}
 
 

@@ -182,30 +182,6 @@ def sample_task_data(teacher: SharedModel, n: int, d: int, rng: Rng, task_id: st
     return Dataset(features, labels, k, task_id)
 
 
-def fit_family_teachers(
-    flip_grid, base_n: int, d: int, k: int, width: int, teacher_seed: int, rng: Rng, cfg,
-    threshold: float = 1.0,
-) -> dict[float, SharedModel]:
-    """One teacher per flip rate in flip_grid, plus q = 0, each fit by
-    fit_teacher(cfg, threshold).
-
-    Every teacher is fit on a flip of one base dataset drawn from
-    rng.spawn("base"). The teacher for q is seeded from
-    hash64(teacher_seed, flip_key(q)) alone, so it is the same whatever
-    else the grid holds. Callers draw task data from the teachers under their
-    own stream keys.
-    """
-    base = generate_base_dataset(base_n, d, k, rng.spawn("base"))
-    teachers: dict[float, SharedModel] = {}
-    for q in sorted(set(flip_grid) | {0.0}):
-        seed = hash64(teacher_seed, flip_key(q))
-        flipped = flip_labels(base, q, Rng(seed).spawn("flip"))
-        teachers[q] = fit_teacher(
-            flipped, TaskSpec(q, base_n, d, k, width, seed), cfg, threshold=threshold
-        )
-    return teachers
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     """Uncompressed .npz archive of features (n, d) float64, labels (n,)
     int64 and n_classes, written to path as given: byte for byte np.savez's,

@@ -69,7 +69,10 @@ from .model import (
     train_step,
 )
 from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
-from .taskgen import TARGET_TASK_ID, Dataset, fit_family_teachers, flip_key, round_half_up
+from .taskgen import (
+    TARGET_TASK_ID, Dataset, TaskSpec, fit_teacher, flip_key, flip_labels, generate_base_dataset,
+    round_half_up,
+)
 from .weighting import (
     DEFAULT_IDENTITY_HESSIAN_SCALE,
     SimplexWeights,
@@ -208,16 +211,27 @@ class FamilyConfig:
         if self.teacher_lr < 0:
             raise ValueError("teacher_lr must be nonnegative")
 
-    def fit_teachers(self, teacher_seed: int, rng: Rng) -> dict:
-        """One teacher per flip rate (and q = 0), all fit with this family's recipe."""
+    def fit_teachers(self, teacher_seed: int, rng: Rng) -> dict[float, SharedModel]:
+        """One teacher per flip rate in flip_grid, plus q = 0, each fit by
+        fit_teacher with this family's recipe and accuracy threshold on a
+        flip of one base dataset drawn from rng.spawn("base"). The teacher
+        for q is seeded from hash64(teacher_seed, flip_key(q)) alone, so it
+        is the same whatever else the grid holds. Callers draw task data
+        from the teachers under their own stream keys."""
         recipe = TrainConfig(
             optimizer="adam", lr=self.teacher_lr, batch_size=self.teacher_batch,
             epochs=self.teacher_epochs,
         )
-        return fit_family_teachers(
-            self.flip_grid, self.base_n, self.input_dim, self.n_classes, self.teacher_hidden,
-            teacher_seed, rng, recipe, threshold=self.teacher_accuracy_threshold,
-        )
+        d, k = self.input_dim, self.n_classes
+        base = generate_base_dataset(self.base_n, d, k, rng.spawn("base"))
+        teachers: dict[float, SharedModel] = {}
+        for q in sorted(set(self.flip_grid) | {0.0}):
+            seed = hash64(teacher_seed, flip_key(q))
+            flipped = flip_labels(base, q, Rng(seed).spawn("flip"))
+            spec = TaskSpec(q, self.base_n, d, k, self.teacher_hidden, seed)
+            teachers[q] = fit_teacher(flipped, spec, recipe,
+                                      threshold=self.teacher_accuracy_threshold)
+        return teachers
 
 
 @dataclass

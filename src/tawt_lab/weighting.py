@@ -4,8 +4,7 @@ Holds the immutable simplex representation, the two initialization schemes
 (uniform, proportional-to-sample-size), the per-task weight gradients of
 the cosine and identity-Hessian estimators, the conjugate-gradient solve
 s = H^{-1} g0 that turns the identity-Hessian inner product into the exact
-one, the multiplicative mirror-descent step, and the closed-form two-task
-matching construction for bracketing risk profiles.
+one, and the multiplicative mirror-descent step.
 
 The weight gradient g_t is negative when source task t's training signal
 aligns with the target's, so a mirror-descent step grows that weight.
@@ -34,10 +33,6 @@ CG_MAX_ITER_PER_DIM = 10
 
 class DegenerateWeightsError(ArithmeticError):
     """A multiplicative update underflowed every positive weight to zero."""
-
-
-class BracketingViolationError(ValueError):
-    """No pair of source risks brackets the target risk."""
 
 
 class SingularSystemError(ArithmeticError):
@@ -192,33 +187,3 @@ def mirror_descent_step(w: SimplexWeights, g: np.ndarray, eta: float) -> Simplex
             "all weights vanished under the multiplicative update"
         )
     return SimplexWeights(scaled / total)
-
-
-def matching_weights(source_risks, target_risk: float) -> SimplexWeights:
-    """Two-task weights making the weighted source risk equal the target risk.
-
-    Requires a bracketing pair: one source risk at or below the target's and
-    one at or above. Picks the nearest such pair (ties to the lowest index)
-    and solves the two-point interpolation exactly; the returned weights
-    satisfy sum_t w_t * risk_t == target_risk to within a few ulps.
-    """
-    risks = np.asarray(source_risks, dtype=np.float64)
-    if risks.ndim != 1 or risks.size == 0:
-        raise DimensionError("source_risks must be a nonempty vector")
-    target_risk = float(target_risk)
-    below = np.flatnonzero(risks <= target_risk)
-    above = np.flatnonzero(risks >= target_risk)
-    if below.size == 0 or above.size == 0:
-        raise BracketingViolationError(
-            f"no source risks bracket the target risk {target_risk}"
-        )
-    lo = below[np.argmax(risks[below])]
-    hi = above[np.argmin(risks[above])]
-    w = np.zeros(risks.size)
-    if risks[lo] == risks[hi]:
-        w[lo] = 1.0
-    else:
-        span = risks[hi] - risks[lo]
-        w[lo] = (risks[hi] - target_risk) / span
-        w[hi] = (target_risk - risks[lo]) / span
-    return SimplexWeights(w)

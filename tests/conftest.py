@@ -8,9 +8,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tawt_lab import TrainConfig
+from tawt_lab import FamilyConfig, TrainConfig
 from tawt_lab.numerics import Rng, hash64
-from tawt_lab.taskgen import Dataset, fit_family_teachers, sample_task_data
+from tawt_lab.taskgen import Dataset, sample_task_data
 
 settings.register_profile(
     "lab", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -18,6 +18,16 @@ settings.register_profile(
 settings.load_profile("lab")
 
 TEACHER_CFG = TrainConfig(epochs=400, batch_size=40, lr=3e-3)
+
+
+def teacher_family(flip_grid, base_n, d, k, width) -> FamilyConfig:
+    """A family whose teachers are fit with TEACHER_CFG's recipe (Adam, lr,
+    batch size and epochs)."""
+    return FamilyConfig(
+        base_n=base_n, input_dim=d, n_classes=k, teacher_hidden=width,
+        teacher_epochs=TEACHER_CFG.epochs, teacher_lr=TEACHER_CFG.lr,
+        teacher_batch=TEACHER_CFG.batch_size, flip_grid=list(flip_grid),
+    )
 
 
 def random_dataset(n, d, k, seed, task_id="target"):
@@ -34,7 +44,7 @@ def tiny_family():
     """
     fseed = hash64(314, 0)
     rng = Rng(fseed)
-    teachers = fit_family_teachers([0.0, 1.0], 80, 10, 4, 128, fseed, rng, TEACHER_CFG)
+    teachers = teacher_family([0.0, 1.0], 80, 10, 4, 128).fit_teachers(fseed, rng)
     return {
         "target": sample_task_data(teachers[0.0], 60, 10, rng.spawn("t"), "target"),
         "eval": sample_task_data(teachers[0.0], 400, 10, rng.spawn("e"), "target"),

@@ -11,7 +11,9 @@ central differences of that gradient, one column per parameter. The FD
 Hessian is only right where no pre-activation lies within the step of
 zero: a step that crosses a ReLU kink measures a jump, not a curvature.
 savez_dataset is save_dataset as np.savez wrote it, whose bytes the
-copy-free writer must match.
+copy-free writer must match. matching_weights is the closed-form two-task
+matching construction for bracketing risk profiles, whose identity
+criterion 3 checks; nothing in the lab runs it.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,8 @@ import numpy as np
 from tawt_lab.model import (
     EmptyBatchError, Head, RepHessian, SharedModel, backward_arrays, hidden_batch,
 )
-from tawt_lab.numerics import LOG_EPS, NumericError, softmax_rows
+from tawt_lab.numerics import DimensionError, LOG_EPS, NumericError, softmax_rows
+from tawt_lab.weighting import SimplexWeights
 
 
 def finite_diff_gradient(f, params, h=1e-5) -> np.ndarray:
@@ -136,3 +139,37 @@ def savez_dataset(dataset, path) -> None:
             fh, features=dataset.features, labels=dataset.labels,
             n_classes=np.int64(dataset.n_classes),
         )
+
+
+class BracketingViolationError(ValueError):
+    """No pair of source risks brackets the target risk."""
+
+
+def matching_weights(source_risks, target_risk: float) -> SimplexWeights:
+    """Two-task weights making the weighted source risk equal the target risk.
+
+    Requires a bracketing pair: one source risk at or below the target's and
+    one at or above. Picks the nearest such pair (ties to the lowest index)
+    and solves the two-point interpolation exactly; the returned weights
+    satisfy sum_t w_t * risk_t == target_risk to within a few ulps.
+    """
+    risks = np.asarray(source_risks, dtype=np.float64)
+    if risks.ndim != 1 or risks.size == 0:
+        raise DimensionError("source_risks must be a nonempty vector")
+    target_risk = float(target_risk)
+    below = np.flatnonzero(risks <= target_risk)
+    above = np.flatnonzero(risks >= target_risk)
+    if below.size == 0 or above.size == 0:
+        raise BracketingViolationError(
+            f"no source risks bracket the target risk {target_risk}"
+        )
+    lo = below[np.argmax(risks[below])]
+    hi = above[np.argmin(risks[above])]
+    w = np.zeros(risks.size)
+    if risks[lo] == risks[hi]:
+        w[lo] = 1.0
+    else:
+        span = risks[hi] - risks[lo]
+        w[lo] = (risks[hi] - target_risk) / span
+        w[hi] = (target_risk - risks[lo]) / span
+    return SimplexWeights(w)

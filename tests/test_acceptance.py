@@ -26,15 +26,15 @@ from tawt_lab.numerics import Rng, hash64
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import TrainConfig, _Streams, _inverse_hessian_product, _weighted_epoch
 from tawt_lab.weighting import (
-    BracketingViolationError,
     SimplexWeights,
     cosine_task_gradient,
     hessian_cg_solve,
-    matching_weights,
     mirror_descent_step,
 )
 
-from oracles import backward, copy_model, finite_diff_gradient
+from oracles import (
+    BracketingViolationError, backward, copy_model, finite_diff_gradient, matching_weights,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "scripts" / "configs"

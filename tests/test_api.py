@@ -1,5 +1,6 @@
 """The names the package exports, and the names the benchmark calls, exist,
-and the benchmark's kernels run.
+every exported name has a caller outside tests/, and the benchmark's
+kernels run.
 
 perfbench/ wraps and calls tawt_lab functions by name from outside src/, so
 deleting or reshaping one in the library would otherwise show only when the
@@ -17,7 +18,8 @@ from pathlib import Path
 import tawt_lab
 from tawt_lab.training import RunRecord
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _missing(pairs) -> list[str]:
@@ -29,6 +31,34 @@ def _missing(pairs) -> list[str]:
 
 def test_every_exported_name_resolves():
     assert [name for name in tawt_lab.__all__ if not hasattr(tawt_lab, name)] == []
+
+
+def _uses(path) -> set[str]:
+    """Every name a file reads, imports, reads as an attribute or spells as
+    a string (perfbench/spans.py wraps functions by name): a def, a class
+    or an assignment binds its name and is not a use of it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    """An export that only tests/ calls is library surface the lab does not
+    run: keep it in tests/oracles.py instead. The package's __init__.py,
+    which re-exports every name, is no caller."""
+    callers = [path for path in (ROOT / "src" / "tawt_lab").glob("*.py")
+               if path.name != "__init__.py"]
+    callers += [*(ROOT / "scripts").rglob("*.py"), *PERFBENCH.rglob("*.py")]
+    used = set().union(*map(_uses, callers))
+    assert [name for name in tawt_lab.__all__ if name not in used] == []
 
 
 def test_every_traced_span_exists():

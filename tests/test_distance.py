@@ -75,14 +75,15 @@ class TestRiskEstimators:
         higher. The bound below freezes that measured level.
         """
         from tawt_lab.numerics import Rng, hash64
-        from tawt_lab.taskgen import fit_family_teachers, sample_task_data
+        from tawt_lab.taskgen import sample_task_data
 
-        teacher_cfg = TrainConfig(epochs=400, batch_size=100, lr=3e-3)
+        family = FamilyConfig(base_n=200, input_dim=20, n_classes=10, teacher_hidden=256,
+                              teacher_epochs=400, teacher_batch=100, teacher_lr=3e-3)
         accs = []
         for seed in range(3):
             fseed = hash64(909, seed)
             rng = Rng(fseed)
-            teachers = fit_family_teachers([0.0], 200, 20, 10, 256, fseed, rng, teacher_cfg)
+            teachers = family.fit_teachers(fseed, rng)
             train = sample_task_data(teachers[0.0], 10000, 20, rng.spawn("t"), "target")
             ev = sample_task_data(teachers[0.0], 2000, 20, rng.spawn("e"), "target")
             cfg = TrainConfig(

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tawt_lab import harness, taskgen
+from tawt_lab import harness, taskgen, training
 from tawt_lab.harness import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -845,11 +846,14 @@ class TestReport:
         (lambda rows: rows[:2] + [rows[2][:-1] + ["x"]] + rows[3:], ", line 3: "),
         (lambda rows: rows[:2] + [rows[2][:-1] + ["nan"]] + rows[3:], ", line 3: "),
         (lambda rows: rows[:1], ": no weight rows"),
-    ], ids=["short-row", "not-a-number", "nan-weight", "header-only"])
+        (lambda rows: rows[:1] + rows[2:],
+         ": weight trajectory steps or sources disagree within arm adaptive"),
+    ], ids=["short-row", "not-a-number", "nan-weight", "header-only", "missing-row"])
     def test_hand_edited_weights_is_an_io_error(self, tmp_path, capsys, edit, fault):
         """A listed job's weights.csv that is ragged, holds a weight that is
-        not a finite number or holds no row exits 3 naming the file (and the
-        line), and writes no trajectory of its arm."""
+        not a finite number, holds no row or lacks a well-formed row seed 0's
+        file holds exits 3 naming the file (and the line), and writes no
+        trajectory of its arm."""
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["run", "--config", str(path)]) == 0
         victim = tmp_path / "out" / "runs" / "adaptive" / "seed1" / "n40" / "weights.csv"
@@ -878,6 +882,33 @@ class TestReport:
         assert main(["report", "--config", str(path)]) == EXIT_IO
         assert f"error: {victim}, line {len(lines)}: " in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in report.iterdir()} == before
+
+    def test_report_drops_the_trajectory_of_a_dropped_arm(self, tmp_path):
+        """After a config edit drops the fixed arm, the next report removes
+        weights_fixed.csv: report/ holds only what this report wrote."""
+        raw = tiny_config(tmp_path / "out", seeds=[0])
+        out = Path(raw["out_dir"])
+        cmd_run(parse_config(raw), out)
+        cmd_report(out)
+        assert (out / "report" / "weights_fixed.csv").exists()
+        raw["arms"] = [arm for arm in raw["arms"] if arm["name"] != "fixed"]
+        cmd_run(parse_config(raw), out)
+        report = cmd_report(out)
+        written = {report["curves"].name} | {p.name for p in report["trajectories"]}
+        assert written == {"curves.csv", "weights_adaptive.csv", "weights_single.csv"}
+        assert {p.name for p in (out / "report").iterdir()} == written
+
+    def test_report_with_no_successful_job_is_an_io_error(self, tmp_path, capsys, monkeypatch):
+        def fail(job):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(harness.Job, "execute", fail)
+        path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == EXIT_JOBS
+        assert main(["report", "--config", str(path)]) == EXIT_IO
+        summary = tmp_path / "out" / "summary.csv"
+        assert f"error: {summary}: no successful rows to report" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report").exists()
 
     def test_listed_job_without_weights_is_an_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -918,7 +949,7 @@ class TestDistanceCommand:
             threshold = kw.get("threshold", getattr(cfg, "teacher_accuracy_threshold", 1.0))
             raise FirstFit((cfg.optimizer, cfg.lr, cfg.batch_size, cfg.epochs, threshold))
 
-        monkeypatch.setattr(taskgen, "fit_teacher", spy)
+        monkeypatch.setattr(training, "fit_teacher", spy)
         recipes = []
         for command in (cmd_generate, cmd_distance):
             with pytest.raises(FirstFit) as caught:
@@ -1248,6 +1279,25 @@ def test_usage_errors_exit_as_config_errors(tmp_path, args, code):
     assert proc.returncode == code, proc.stderr
     assert "usage: tawt-lab" in (proc.stdout if code == EXIT_OK else proc.stderr)
     assert not (tmp_path / "out").exists()
+
+
+def test_flip_sweep_script_stops_at_a_failed_report(tmp_path, monkeypatch, capsys):
+    """scripts/flip_sweep.py returns report's exit code and prints no table
+    when report fails, instead of the table of an older curves.csv."""
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "curves.csv").write_text("arm,target_size,mean_acc\nsingle,100,0.5\n")
+    calls = []
+
+    def lab(argv):
+        calls.append(argv[0])
+        return EXIT_OK if argv[0] == "run" else EXIT_IO
+
+    monkeypatch.setattr(harness, "main", lab)
+    monkeypatch.setattr(sys, "argv", ["flip_sweep.py", "--out", str(tmp_path)])
+    script = runpy.run_path(str(ROOT / "scripts" / "flip_sweep.py"))
+    assert script["main"]() == EXIT_IO
+    assert calls == ["run", "report"]
+    assert capsys.readouterr().out == ""
 
 
 def test_readme_cli_section_matches_parser():

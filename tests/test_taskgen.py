@@ -14,7 +14,6 @@ from tawt_lab.taskgen import (
     Dataset,
     FitFailureError,
     TaskSpec,
-    fit_family_teachers,
     fit_teacher,
     flip_labels,
     generate_base_dataset,
@@ -27,7 +26,7 @@ from tawt_lab.taskgen import (
     teacher_accuracy,
 )
 
-from conftest import TEACHER_CFG
+from conftest import TEACHER_CFG, teacher_family
 from oracles import savez_dataset
 
 
@@ -225,7 +224,7 @@ class TestTaskDissimilarityTrend:
         for seed in range(5):
             fseed = hash64(600, seed)
             rng = Rng(fseed)
-            teachers = fit_family_teachers(grid, 80, 10, 4, 128, fseed, rng, TEACHER_CFG)
+            teachers = teacher_family(grid, 80, 10, 4, 128).fit_teachers(fseed, rng)
             probe = rng.uniform(-0.5, 0.5, size=(600, 10))
             ref = predictions(teachers[0.0], TEACHER_TASK_ID, probe)
             for q in grid[1:]:
@@ -247,20 +246,20 @@ class TestFitFamilyTeachers:
     def test_counts(self):
         """One teacher per distinct flip rate, plus the q = 0 target teacher."""
         grid = [1.0, 0.2, 0.5, 0.2]
-        teachers = fit_family_teachers(grid, 80, 10, 4, 128, 31, Rng(32), TEACHER_CFG)
+        teachers = teacher_family(grid, 80, 10, 4, 128).fit_teachers(31, Rng(32))
         assert list(teachers) == [0.0, 0.2, 0.5, 1.0]
         for teacher in teachers.values():
             assert teacher.input_dim == 10 and teacher.hidden_dim == 128
             assert teacher.head(TEACHER_TASK_ID).n_classes == 4
 
     def test_bitwise_deterministic(self):
-        a = fit_family_teachers([0.0, 1.0], 60, 10, 4, 96, 33, Rng(34), TEACHER_CFG)
-        b = fit_family_teachers([0.0, 1.0], 60, 10, 4, 96, 33, Rng(34), TEACHER_CFG)
+        a = teacher_family([0.0, 1.0], 60, 10, 4, 96).fit_teachers(33, Rng(34))
+        b = teacher_family([0.0, 1.0], 60, 10, 4, 96).fit_teachers(33, Rng(34))
         assert all(same_teacher(a[q], b[q]) for q in (0.0, 1.0))
 
     def test_teacher_does_not_depend_on_the_rest_of_the_grid(self):
-        alone = fit_family_teachers([0.5], 60, 10, 4, 96, 35, Rng(36), TEACHER_CFG)
-        full = fit_family_teachers([0.0, 0.5, 1.0], 60, 10, 4, 96, 35, Rng(36), TEACHER_CFG)
+        alone = teacher_family([0.5], 60, 10, 4, 96).fit_teachers(35, Rng(36))
+        full = teacher_family([0.0, 0.5, 1.0], 60, 10, 4, 96).fit_teachers(35, Rng(36))
         assert same_teacher(alone[0.5], full[0.5])
         assert same_teacher(alone[0.0], full[0.0])
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import tracemalloc
@@ -720,6 +721,23 @@ class TestRunRecord:
         _, record = train_single_task(tiny_family["target"], cfg)
         assert len(record.epoch_metrics) == 1
         assert record.epoch_metrics[0]["epoch"] == 4
+
+    def test_metrics_every_two_keeps_every_second_epoch_and_each_final(self, tiny_family,
+                                                                         tmp_path):
+        """At k = 2 an epoch is recorded when its 1-based number, counted on
+        across both pretrain phases, is even, and each phase's last epoch is
+        recorded too: epochs 1, 3 and 4 of the rep phase, 5 and 7 of the
+        fine-tune."""
+        cfg = base_cfg(paradigm="pretrain", epochs=5, finetune_epochs=3, metrics_every=2)
+        _, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg)
+        assert [(m["epoch"], m["phase"]) for m in record.epoch_metrics] == [
+            (1, "rep"), (3, "rep"), (4, "rep"), (5, "finetune"), (7, "finetune"),
+        ]
+        path = tmp_path / "metrics.csv"
+        record.write_metrics_csv(path)
+        with open(path, newline="") as fh:
+            epochs = [int(row["epoch"]) for row in csv.DictReader(fh)]
+        assert sorted(set(epochs)) == [1, 3, 4, 5, 7]
 
     def test_csv_files_are_replaced_whole(self, tmp_path, monkeypatch):
         record = RunRecord(config={}, weight_task_ids=["a", "b"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tawt_lab.model import RepHessian, init_model
 from tawt_lab.numerics import DimensionError
 from tawt_lab.weighting import (
-    BracketingViolationError,
     DegenerateWeightsError,
     SimplexWeights,
     SingularSystemError,
@@ -16,12 +15,11 @@ from tawt_lab.weighting import (
     hessian_cg_solve,
     identity_hessian_task_gradient,
     init_weights,
-    matching_weights,
     mirror_descent_step,
 )
 
 from conftest import random_dataset
-from oracles import backward
+from oracles import BracketingViolationError, backward, matching_weights
 
 weight_lists = st.lists(st.floats(0.01, 10.0), min_size=2, max_size=6)
 gradient_lists = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=6)
