@@ -5,6 +5,9 @@ Two sources of 2000 examples each: a fresh draw from the target's own label
 function (flip 0.0) and a flip-1.0 distractor. Joint training with adaptive
 weights should end with more weight on the copy than on the distractor and
 at least match the fixed-weight baseline's target accuracy. ~1 minute.
+It reports the jobs summary.csv lists as successful, each from its own
+runs/<arm>/seed<k>/n<size>/weights.csv; a failed job is counted apart, and
+a directory a dropped seed left behind is not read.
 
     python scripts/weight_identification.py [--out DIR]
 """
@@ -32,27 +35,29 @@ def main() -> int:
         return rc
 
     out_dir = Path(args.out) if args.out else Path("results/weight_identification")
-    acc = {}
     with open(out_dir / "summary.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            acc.setdefault(row["arm"], []).append(float(row["final_target_acc"]))
+        rows = list(csv.DictReader(fh))
+    done = [row for row in rows if not row["error"]]  # a failed job's row has no result
+    acc = {}
+    for row in done:
+        acc.setdefault(row["arm"], []).append(float(row["final_target_acc"]))
 
-    print("\nfinal weights per seed (adaptive joint arm; w_0 is the target)")
+    print("\nfinal weights per job (adaptive joint arm; w_0 is the target)")
+    adaptive = [row for row in done if row["arm"] == "joint-adaptive"]
     wins = 0
-    for seed_dir in sorted((out_dir / "runs" / "joint-adaptive").glob("seed*")):
-        last = (seed_dir / "n100" / "weights.csv").read_text().splitlines()[-1].split(",")
+    for row in adaptive:
+        job = f"seed{row['seed']}/n{row['target_size']}"
+        weights = out_dir / "runs" / row["arm"] / job / "weights.csv"
+        last = weights.read_text().splitlines()[-1].split(",")
         target_w, copy_w, distractor_w = (float(x) for x in last[1:4])
         wins += copy_w > distractor_w
-        print(
-            f"  {seed_dir.name}: target={target_w:.4f} copy={copy_w:.3e} "
-            f"distractor={distractor_w:.3e}"
-        )
-    n = len(acc["joint-adaptive"])
-    print(f"copy outweighs distractor in {wins}/{n} seeds")
+        print(f"  {job}: target={target_w:.4f} copy={copy_w:.3e} distractor={distractor_w:.3e}")
+    print(f"copy outweighs distractor in {wins}/{len(adaptive)} jobs")
+    if len(done) < len(rows):
+        print(f"{len(rows) - len(done)} failed jobs left out; summary.csv holds their errors")
     for arm, values in sorted(acc.items()):
         print(f"mean accuracy {arm}: {sum(values)/len(values):.4f}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

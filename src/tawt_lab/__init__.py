@@ -27,7 +27,6 @@ from .training import (
 from .weighting import (
     SimplexWeights,
     cosine_task_gradient,
-    identity_hessian_task_gradient,
     init_weights,
     mirror_descent_step,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "train_single_task",
     "SimplexWeights",
     "cosine_task_gradient",
-    "identity_hessian_task_gradient",
     "init_weights",
     "mirror_descent_step",
     "__version__",

@@ -25,8 +25,10 @@ task.
 All four entry points are thin wrappers over one driver, _train, which
 reads everything from the TrainConfig and runs one phase loop
 (_train_weighted_phase), one epoch function (_weighted_epoch) and one
-estimator dispatch (_estimate_task_gradients) for every paradigm and both
-weight granularities. single is the joint objective with no sources;
+estimator (_estimate_task_gradients) for every paradigm and both weight
+granularities: each round becomes the products <s, g_i> and <g_i, g_i>
+over tasks or source examples, and one formula per estimator turns them
+into the weight gradient. single is the joint objective with no sources;
 fixed-weight runs are the adaptive loop with the weight step switched off.
 tawt runs any arm its config describes; train_single_task,
 pretrain_then_finetune and joint_train pin their own paradigm with the
@@ -68,7 +70,7 @@ from .model import (
     task_loss,
     train_step,
 )
-from .numerics import LOG_EPS, Rng, float_repr17, hash64, softmax_rows
+from .numerics import LOG_EPS, Rng, cosine_from_products, float_repr17, hash64, softmax_rows
 from .taskgen import (
     TARGET_TASK_ID, Dataset, TaskSpec, fit_teacher, flip_key, flip_labels, generate_base_dataset,
     round_half_up,
@@ -76,10 +78,7 @@ from .taskgen import (
 from .weighting import (
     DEFAULT_IDENTITY_HESSIAN_SCALE,
     SimplexWeights,
-    cosine_example_gradients,
-    cosine_task_gradient,
     hessian_cg_solve,
-    identity_hessian_task_gradient,
     init_weights,
     mirror_descent_step,
 )
@@ -415,12 +414,19 @@ def _head_only_epoch(model, task_id, data, cfg, opt, rng):
 def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np.ndarray:
     """Weight gradient per objective task (or per source example) from alignment.
 
-    One target subset is drawn per call and reused against every task; the
-    target's own entry (joint paradigms) compares that subset with itself.
-    Tasks held at weight zero get a zero gradient without consuming draws.
-    At sample granularity the single source's examples are each compared
-    with the target subset instead. exact_hessian is the identity-Hessian
-    inner product taken against s = H_w^{-1} g0 in place of scale * g0.
+    One target subset gradient g0 is drawn per call and every estimator
+    compares s with each g_i, s = g0, or s = H_w^{-1} g0 for exact_hessian.
+    The round reduces to dots[i] = <s, g_i> and sq_norms[i] = <g_i, g_i>,
+    and one formula gives g: -c * cos(s, g_i) for cosine, -scale * <s, g_i>
+    otherwise (scale identity_hessian_scale, or 1 for exact_hessian).
+
+    At task granularity g_i is task i's subset gradient; the target's own
+    entry (joint paradigms) compares g0 with itself, and a task held at
+    weight zero gets +0.0 without consuming draws. At sample granularity
+    g_i is each example of the single source, read block by block from
+    model.example_rep_grads: (rows, 1, p) @ (p,) is a stacked matmul whose
+    C loop makes one BLAS ddot per row, the same call as the task loop's
+    s @ g_i, so the weights match a per-example loop bit for bit.
     """
     g0 = rep_gradient_flat(
         model, TARGET_TASK_ID, target_data, cfg.subset_size, streams.get("subset", "__target__")
@@ -428,28 +434,35 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
     s = g0
     if cfg.gradient_estimator == "exact_hessian":
         s = _inverse_hessian_product(model, entries, w, g0)
+    held = []  # positions of tasks held at weight zero
     if cfg.weight_granularity == "sample":
-        return _per_sample_gradients(model, entries[0][1], s, cfg)
-    g = np.zeros(len(entries))
-    for pos, (task_id, data) in enumerate(entries):
-        if w[pos] == 0.0 or data.n == 0:
-            continue
-        if task_id == TARGET_TASK_ID:
-            gt = g0
-        else:
-            gt = rep_gradient_flat(
-                model, task_id, data, cfg.subset_size, streams.get("subset", task_id)
-            )
-        if cfg.gradient_estimator == "cosine":
-            g[pos] = cosine_task_gradient(s, gt, cfg.c)
-        else:
-            g[pos] = identity_hessian_task_gradient(s, gt, _inner_product_scale(cfg))
+        source = entries[0][1]
+        dots, sq_norms = np.empty(source.n), np.empty(source.n)
+        for rows, G in example_rep_grads(model, source.task_id, source.features, source.labels):
+            np.matmul(G[:, None, :], s, out=dots[rows, None])
+            np.matmul(G[:, None, :], G[:, :, None], out=sq_norms[rows, None, None])
+    else:
+        dots, sq_norms = np.zeros(len(entries)), np.zeros(len(entries))
+        for pos, (task_id, data) in enumerate(entries):
+            if w[pos] == 0.0 or data.n == 0:
+                held.append(pos)
+                continue
+            if task_id == TARGET_TASK_ID:
+                gt = g0
+            else:
+                gt = rep_gradient_flat(
+                    model, task_id, data, cfg.subset_size, streams.get("subset", task_id)
+                )
+            dots[pos], sq_norms[pos] = s @ gt, gt @ gt
+    # np.linalg.norm of a vector is sqrt(x.dot(x)), so |s| and each sqrt(sq_norms)
+    # are the norms numerics.cosine_similarity would take.
+    if cfg.gradient_estimator == "cosine":
+        g = -cfg.c * cosine_from_products(dots, np.linalg.norm(s), np.sqrt(sq_norms))
+    else:
+        scale = 1.0 if cfg.gradient_estimator == "exact_hessian" else cfg.identity_hessian_scale
+        g = -scale * dots
+    g[held] = 0.0  # -c * 0 is -0.0; a held task's gradient stays +0.0
     return g
-
-
-def _inner_product_scale(cfg) -> float:
-    """1 for exact_hessian, whose g0 is already s = H_w^{-1} g0."""
-    return 1.0 if cfg.gradient_estimator == "exact_hessian" else cfg.identity_hessian_scale
 
 
 def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
@@ -467,28 +480,6 @@ def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
         ]
     H = RepHessian(model, parts)
     return hessian_cg_solve(H.matvec, g0, H.trace(), ridge)
-
-
-def _per_sample_gradients(model, source, g0, cfg) -> np.ndarray:
-    """Weight gradient per source example against the target subset gradient.
-
-    Every estimator reads the per-example gradient blocks of
-    model.example_rep_grads once, in row order: the identity and exact
-    Hessians take <g0, g_i> (g0 already s = H_w^{-1} g0 for the exact one),
-    and the cosine also |g_i|. Each is a stacked matmul over the block,
-    (rows, 1, p) @ (p,), whose C loop makes one BLAS ddot per row, the same
-    call as the task-level estimators make, so the weights match a
-    per-example loop bit for bit.
-    """
-    cosine = cfg.gradient_estimator == "cosine"
-    dots, sq_norms = np.empty(source.n), np.empty(source.n)
-    for rows, G in example_rep_grads(model, source.task_id, source.features, source.labels):
-        np.matmul(G[:, None, :], g0, out=dots[rows, None])
-        if cosine:
-            np.matmul(G[:, None, :], G[:, :, None], out=sq_norms[rows, None, None])
-    if cosine:
-        return cosine_example_gradients(dots, np.linalg.norm(g0), np.sqrt(sq_norms), cfg.c)
-    return -_inner_product_scale(cfg) * dots
 
 
 def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):

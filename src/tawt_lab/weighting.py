@@ -1,10 +1,13 @@
 """Simplex weight vectors and everything that moves them.
 
 Holds the immutable simplex representation, the two initialization schemes
-(uniform, proportional-to-sample-size), the per-task weight gradients of
-the cosine and identity-Hessian estimators, the conjugate-gradient solve
-s = H^{-1} g0 that turns the identity-Hessian inner product into the exact
-one, and the multiplicative mirror-descent step.
+(uniform, proportional-to-sample-size), the cosine weight gradient of one
+pair of gradients (cosine_task_gradient, a reference: training's
+estimator takes the same cosine for a whole round at once), the
+conjugate-gradient solve s = H^{-1} g0 that turns the identity-Hessian
+inner product into the exact one, and the multiplicative mirror-descent
+step. training._estimate_task_gradients is the one place that turns
+alignment into weight gradients, for every estimator and granularity.
 
 The weight gradient g_t is negative when source task t's training signal
 aligns with the target's, so a mirror-descent step grows that weight.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, cosine_from_products, cosine_similarity
+from .numerics import DimensionError, cosine_similarity
 
 DEFAULT_IDENTITY_HESSIAN_SCALE = 5.0
 SIMPLEX_TOL = 1e-9
@@ -87,28 +90,6 @@ def cosine_task_gradient(g0: np.ndarray, gt: np.ndarray, c: float) -> float:
     if c <= 0:
         raise ValueError(f"scale c must be positive, got {c}")
     return -c * cosine_similarity(g0, gt)
-
-
-def cosine_example_gradients(dots, norm0, norms, c: float) -> np.ndarray:
-    """cosine_task_gradient of g0 against many g_i, from <g0, g_i>, |g0| and |g_i|.
-
-    Both take the cosine from numerics.cosine_from_products (clipped to
-    [-1, 1]; 0 when either gradient vanishes, so the result is -0.0).
-    """
-    if c <= 0:
-        raise ValueError(f"scale c must be positive, got {c}")
-    return -c * cosine_from_products(dots, norm0, norms)
-
-
-def identity_hessian_task_gradient(
-    g0: np.ndarray, gt: np.ndarray, const_scale: float = DEFAULT_IDENTITY_HESSIAN_SCALE
-) -> float:
-    """-const * <g0, gt>: inverse Hessian replaced by const * identity."""
-    g0 = np.asarray(g0, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if g0.shape != gt.shape:
-        raise DimensionError(f"length mismatch: {g0.shape} vs {gt.shape}")
-    return float(-const_scale * (g0 @ gt))
 
 
 def hessian_cg_solve(

@@ -14,6 +14,9 @@ savez_dataset is save_dataset as np.savez wrote it, whose bytes the
 copy-free writer must match. matching_weights is the closed-form two-task
 matching construction for bracketing risk profiles, whose identity
 criterion 3 checks; nothing in the lab runs it.
+identity_hessian_task_gradient is the identity-Hessian weight gradient of
+one pair of gradients, the scalar reference that the estimator's
+-scale * <s, g_t> must equal bit for bit.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from tawt_lab.model import (
     EmptyBatchError, Head, RepHessian, SharedModel, backward_arrays, hidden_batch,
 )
 from tawt_lab.numerics import DimensionError, LOG_EPS, NumericError, softmax_rows
-from tawt_lab.weighting import SimplexWeights
+from tawt_lab.weighting import DEFAULT_IDENTITY_HESSIAN_SCALE, SimplexWeights
 
 
 def finite_diff_gradient(f, params, h=1e-5) -> np.ndarray:
@@ -173,3 +176,14 @@ def matching_weights(source_risks, target_risk: float) -> SimplexWeights:
         w[lo] = (risks[hi] - target_risk) / span
         w[hi] = (target_risk - risks[lo]) / span
     return SimplexWeights(w)
+
+
+def identity_hessian_task_gradient(
+    g0: np.ndarray, gt: np.ndarray, const_scale: float = DEFAULT_IDENTITY_HESSIAN_SCALE
+) -> float:
+    """-const * <g0, gt>: inverse Hessian replaced by const * identity."""
+    g0 = np.asarray(g0, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if g0.shape != gt.shape:
+        raise DimensionError(f"length mismatch: {g0.shape} vs {gt.shape}")
+    return float(-const_scale * (g0 @ gt))

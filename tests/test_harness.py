@@ -1300,6 +1300,38 @@ def test_flip_sweep_script_stops_at_a_failed_report(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out == ""
 
 
+def test_weight_identification_script_reads_the_jobs_summary_lists(tmp_path, monkeypatch, capsys):
+    """scripts/weight_identification.py reports the successful jobs summary.csv
+    lists, each from its own runs/<arm>/seed<k>/n<size>/weights.csv: a stray
+    seed directory is not read, a job at another target size is, and an error
+    row is counted apart instead of parsed as a result."""
+    header = ",".join(harness.SUMMARY_COLUMNS)
+    rows = [
+        "joint-fixed,0,100,20,0+1,0.5,1.5,,t",
+        "joint-adaptive,0,100,20,0+1,0.75,1.25,,t",
+        "joint-adaptive,1,100,,0+1,,,ValueError: boom,t",
+        "joint-adaptive,2,40,50,0+1,0.25,1.75,,t",
+    ]
+    (tmp_path / "summary.csv").write_text("\n".join([header, *rows]) + "\n")
+    finals = {"seed0/n100": "0.5,0.4,0.1", "seed2/n40": "0.5,0.1,0.4", "seed7/n100": "0.5,0.4,0.1"}
+    for job, weights in finals.items():
+        job_dir = tmp_path / "runs" / "joint-adaptive" / job
+        job_dir.mkdir(parents=True)
+        (job_dir / "weights.csv").write_text(f"step,w_0,w_1,w_2\n0,0.4,0.3,0.3\n60,{weights}\n")
+    monkeypatch.setattr(harness, "main", lambda argv: EXIT_OK)
+    monkeypatch.setattr(sys, "argv", ["weight_identification.py", "--out", str(tmp_path)])
+    script = runpy.run_path(str(ROOT / "scripts" / "weight_identification.py"))
+    assert script["main"]() == EXIT_OK
+    out = capsys.readouterr().out
+    assert "seed7" not in out
+    assert "seed0/n100: target=0.5000 copy=4.000e-01 distractor=1.000e-01" in out
+    assert "seed2/n40: target=0.5000 copy=1.000e-01 distractor=4.000e-01" in out
+    assert "copy outweighs distractor in 1/2 jobs" in out
+    assert "1 failed jobs left out" in out
+    assert "mean accuracy joint-adaptive: 0.5000" in out
+    assert "mean accuracy joint-fixed: 0.5000" in out
+
+
 def test_readme_cli_section_matches_parser():
     """Every --flag README's CLI section names exists on some subcommand and
     every subcommand flag is named there; its flag table gives each flag

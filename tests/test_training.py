@@ -2,7 +2,7 @@ import csv
 import json
 import os
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,12 +18,13 @@ from tawt_lab.model import (
     rep_gradient_flat,
     task_loss,
 )
-from tawt_lab.numerics import Rng
+from tawt_lab.numerics import Rng, hash64
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import (
     RunRecord,
     TrainConfig,
-    _per_sample_gradients,
+    _estimate_task_gradients,
+    _Streams,
     default_initial_weights,
     evaluate,
     joint_train,
@@ -36,11 +37,11 @@ from tawt_lab.training import (
 from tawt_lab.weighting import (
     SimplexWeights,
     cosine_task_gradient,
-    identity_hessian_task_gradient,
     init_weights,
 )
 
 from conftest import random_dataset
+from oracles import identity_hessian_task_gradient
 
 
 def base_cfg(**kw):
@@ -599,7 +600,9 @@ def _ref_example_grads(model, source):
 def _estimator_setup(hidden, n, seed):
     """A model with negative biases, a source of n rows whose row 3 (if any) is
     all zero (every unit dead, so its gradient vanishes) and whose rows 0, 7,
-    14, ... start with -0.0 features, and a target subset gradient."""
+    14, ... start with -0.0 features, the target subset gradient g0, and
+    estimate(cfg): one sample-granularity _estimate_task_gradients round on
+    fresh copies of the streams that drew g0."""
     model = init_model(20, hidden, {"src": 10, "target": 10}, seed=seed)
     model.b1[:] = -Rng(seed + 1).uniform(0.01, 0.1, size=hidden)
     raw = random_dataset(n, 20, 10, seed=seed + 2, task_id="src")
@@ -608,8 +611,17 @@ def _estimator_setup(hidden, n, seed):
     features[::7, :5] = -0.0
     source = Dataset(features, raw.labels, 10, "src")
     target = random_dataset(100, 20, 10, seed=seed + 3)
-    g0 = rep_gradient_flat(model, "target", target, 64, Rng(seed + 4))
-    return model, source, g0
+    g0 = rep_gradient_flat(
+        model, "target", target, 64, _Streams(seed + 4).get("subset", "__target__")
+    )
+    w = SimplexWeights(np.ones(n))
+
+    def estimate(cfg):
+        cfg = replace(cfg, weight_granularity="sample", subset_size=64)
+        streams = _Streams(seed + 4)
+        return _estimate_task_gradients(model, [("src", source)], w, target, cfg, streams)
+
+    return model, source, g0, estimate
 
 
 def _block_rows(hidden):
@@ -625,7 +637,7 @@ class TestPerExampleEstimator:
         block = _block_rows(256)
         assert block > 1
         for n in (1, block - 1, block, 2 * block + 37):
-            model, source, g0 = _estimator_setup(256, n, seed=21 + n)
+            model, source, g0, estimate = _estimator_setup(256, n, seed=21 + n)
             ref_rows = _ref_example_grads(model, source)
             blocks = [(rows, G.copy()) for rows, G in example_rep_grads(
                 model, "src", source.features, source.labels)]
@@ -641,26 +653,27 @@ class TestPerExampleEstimator:
                 assert not ref_rows[3].any()
 
             cos_cfg = TrainConfig(c=2.0)
-            got = _per_sample_gradients(model, source, g0, cos_cfg)
+            got = estimate(cos_cfg)
             ref = np.array([cosine_task_gradient(g0, gi, 2.0) for gi in ref_rows])
             assert got.tobytes() == ref.tobytes(), f"n {n}"
             if n > 3:
                 assert got[3] == 0.0 and np.signbit(got[3])  # zero-norm rule: -c * 0
 
             id_cfg = TrainConfig(gradient_estimator="identity_hessian")
-            got = _per_sample_gradients(model, source, g0, id_cfg)
+            got = estimate(id_cfg)
             ref = np.array([identity_hessian_task_gradient(g0, gi, 5.0) for gi in ref_rows])
             assert got.tobytes() == ref.tobytes(), f"n {n}"
 
-    def test_exact_hessian_rhs_matches_per_example_loop(self):
-        # exact_hessian takes -<s, g_i>, s = H_w^{-1} g0 as handed in by the
-        # estimator, through the identity-Hessian product at scale 1
+    def test_exact_hessian_rhs_matches_per_example_loop(self, monkeypatch):
+        # exact_hessian takes -<s, g_i>, s = H_w^{-1} g0 as the solve returns
+        # it (stubbed here), through the identity-Hessian product at scale 1
         for hidden in (8, 256):
             n = _block_rows(hidden) + 5
-            model, source, g0 = _estimator_setup(hidden, n, seed=31)
+            model, source, g0, estimate = _estimator_setup(hidden, n, seed=31)
             s = Rng(32).uniform(-1.0, 1.0, size=g0.size)
+            monkeypatch.setattr(training, "_inverse_hessian_product", lambda *args: s)
             cfg = TrainConfig(gradient_estimator="exact_hessian")
-            got = _per_sample_gradients(model, source, s, cfg)
+            got = estimate(cfg)
             ref = np.array([
                 identity_hessian_task_gradient(s, gi, 1.0)
                 for gi in _ref_example_grads(model, source)
@@ -670,16 +683,63 @@ class TestPerExampleEstimator:
     def test_workspace_stays_flat(self):
         # one (block, rep_param_count) gradient block of EXAMPLE_BLOCK_BYTES
         # plus (block, hidden) activations, whatever the row count
-        model, source, g0 = _estimator_setup(256, 2000, seed=41)
+        model, source, g0, estimate = _estimator_setup(256, 2000, seed=41)
         cfg = TrainConfig()
-        _per_sample_gradients(model, source, g0, cfg)  # warm up lazy allocations
+        estimate(cfg)  # warm up lazy allocations
         tracemalloc.start()
         try:
-            _per_sample_gradients(model, source, g0, cfg)
+            estimate(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6, f"_per_sample_gradients peaked at {peak / 1e6:.2f} MB"
+        assert peak < 1.5e6, f"a sample-granularity round peaked at {peak / 1e6:.2f} MB"
+
+
+class TestTaskEstimator:
+    """_estimate_task_gradients at task granularity against the scalar weight
+    gradient of each (s, g_t) pair, compared byte for byte. The joint
+    objective holds the target at index 0 and task "b" at weight zero."""
+
+    SEED = 61
+
+    def _setup(self):
+        model = init_model(20, 16, {"target": 10, "a": 10, "b": 10, "c": 10}, seed=62)
+        target = random_dataset(100, 20, 10, seed=63)
+        sources = [random_dataset(80, 20, 10, seed=64 + i, task_id=t) for i, t in enumerate("abc")]
+        entries = [("target", target)] + [(s.task_id, s) for s in sources]
+        w = SimplexWeights(np.array([0.4, 0.3, 0.0, 0.3]))
+        streams = _Streams(self.SEED)
+        grads = {"target": rep_gradient_flat(
+            model, "target", target, 16, streams.get("subset", "__target__"))}
+        for source in sources:
+            if source.task_id != "b":
+                grads[source.task_id] = rep_gradient_flat(
+                    model, source.task_id, source, 16, streams.get("subset", source.task_id))
+        return model, entries, w, target, grads
+
+    @pytest.mark.parametrize("estimator", ["cosine", "identity_hessian", "exact_hessian"])
+    def test_matches_scalar_references(self, estimator, monkeypatch):
+        model, entries, w, target, grads = self._setup()
+        s = grads["target"]
+        if estimator == "cosine":
+            pair = lambda gt: cosine_task_gradient(s, gt, 2.5)
+        elif estimator == "identity_hessian":
+            pair = lambda gt: identity_hessian_task_gradient(s, gt, 3.0)
+        else:
+            s = Rng(66).uniform(-1.0, 1.0, size=s.size)
+            monkeypatch.setattr(training, "_inverse_hessian_product", lambda *args: s)
+            pair = lambda gt: -(s @ gt)
+        cfg = TrainConfig(
+            gradient_estimator=estimator, c=2.5, identity_hessian_scale=3.0, subset_size=16
+        )
+        streams = _Streams(self.SEED)
+        got = _estimate_task_gradients(model, entries, w, target, cfg, streams)
+        ref = np.array([0.0 if task_id == "b" else pair(grads[task_id]) for task_id, _ in entries])
+        assert got.tobytes() == ref.tobytes()
+        assert got[2] == 0.0 and not np.signbit(got[2])  # held at zero: +0.0
+        # the held task drew nothing from its subset stream
+        untouched = Rng(hash64(self.SEED, "subset", "b"))
+        assert streams.get("subset", "b").integers(0, 2**62) == untouched.integers(0, 2**62)
 
 
 class TestRunRecord:

@@ -13,13 +13,14 @@ from tawt_lab.weighting import (
     SingularSystemError,
     cosine_task_gradient,
     hessian_cg_solve,
-    identity_hessian_task_gradient,
     init_weights,
     mirror_descent_step,
 )
 
 from conftest import random_dataset
-from oracles import BracketingViolationError, backward, matching_weights
+from oracles import (
+    BracketingViolationError, backward, identity_hessian_task_gradient, matching_weights,
+)
 
 weight_lists = st.lists(st.floats(0.01, 10.0), min_size=2, max_size=6)
 gradient_lists = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=6)
