@@ -28,9 +28,7 @@ import numpy as np
 
 from .numerics import Rng, hash64
 from .taskgen import TARGET_TASK_ID, Dataset, flip_key, sample_task_data, source_name
-from .training import (
-    FamilyConfig, TrainConfig, pretrain_then_finetune, train_single_task, write_csv,
-)
+from .training import FamilyConfig, TrainConfig, tawt, write_csv
 from .weighting import SimplexWeights
 
 
@@ -72,21 +70,8 @@ class DistanceConfig:
         self.estimator_train_config(0).validate(1)
         self.oracle_train_config(0).validate(0)
 
-    def estimator_train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            paradigm="pretrain",
-            optimizer=self.optimizer,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            hidden=self.hidden,
-            epochs=self.rep_epochs,
-            finetune_epochs=self.head_fit_epochs,
-            finetune_rep="frozen",
-            metrics_every=0,
-            seed=seed,
-        )
-
     def oracle_train_config(self, seed: int) -> TrainConfig:
+        """The recipe both fits share, as the oracle's full fit on the target."""
         return TrainConfig(
             paradigm="single",
             optimizer=self.optimizer,
@@ -96,6 +81,15 @@ class DistanceConfig:
             epochs=self.oracle_epochs,
             metrics_every=0,
             seed=seed,
+        )
+
+    def estimator_train_config(self, seed: int) -> TrainConfig:
+        return replace(
+            self.oracle_train_config(seed),
+            paradigm="pretrain",
+            epochs=self.rep_epochs,
+            finetune_epochs=self.head_fit_epochs,
+            finetune_rep="frozen",
         )
 
 
@@ -108,8 +102,8 @@ def estimate_weighted_source_target_risk(
     the target head on target_train, and returns (mean loss, accuracy) on
     target_eval. target_train and target_eval must be disjoint draws.
     """
-    cfg = replace(cfg, finetune_rep="frozen")
-    _, record = pretrain_then_finetune(sources, target_train, weights, cfg, eval_data=target_eval)
+    cfg = replace(cfg, paradigm="pretrain", weighted=False, finetune_rep="frozen")
+    _, record = tawt(sources, target_train, cfg, eval_data=target_eval, initial_weights=weights)
     final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
     return final["target_loss"], final["target_accuracy"]
 
@@ -121,7 +115,8 @@ def estimate_oracle_target_risk(
 
     Plug-in stand-in for the risk of the best target representation.
     """
-    _, record = train_single_task(target_train_large, cfg, eval_data=target_eval)
+    cfg = replace(cfg, paradigm="single", weighted=False)
+    _, record = tawt([], target_train_large, cfg, eval_data=target_eval)
     final = record.epoch_metrics[-1]
     return final["target_loss"], final["target_accuracy"]
 

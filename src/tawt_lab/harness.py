@@ -209,10 +209,10 @@ def parse_config(raw, where: str = "config") -> ExperimentConfig:
                 split_size(n, train.sample_split)
             except ValueError as exc:
                 raise ConfigError(f"{at}.sample_split: {exc}") from None
-    # The student width defaults to the train block's. weights_mode is still
-    # accepted and checked, but has no effect: each grid point has one source,
-    # whose weight is 1 under any mode. It becomes a config error once no
-    # shipped config sets it (ROADMAP item 1(a)).
+    # The student width defaults to the train block's. weights_mode has no
+    # effect (one source per grid point, weight 1 under any mode) but stays
+    # accepted and checked until the benchmark's config, the last to set it,
+    # drops it (ROADMAP item 1(a)).
     distance = raw.get("distance", {})
     if isinstance(distance, dict):
         distance = {"hidden": cfg.train.get("hidden", TrainConfig.hidden), **distance}
@@ -398,11 +398,14 @@ class Job:
                     target_size=self.target_size, inputs=self.inputs)
 
     def load(self, row) -> dict:
-        """row if it is this job's row: its own labels, and a finite number in
-        each result column; anything else is a ValueError, so the job reruns."""
+        """row if it is this job's row (its own labels, a finite number in each
+        result column) and its three files exist; else a ValueError: it reruns."""
         results = dict.fromkeys(("ratio", "final_target_acc", "final_target_loss"), "")
         if not isinstance(row, dict) or {**row, **results} != self.row():
             raise ValueError(f"not the row of {self.dir}")
+        for name in ("record.json", "metrics.csv", "weights.csv"):
+            if not (self.dir / name).is_file():
+                raise ValueError(f"{self.dir / name} is missing")
         for col in results:
             _finite(row[col])
         return row

@@ -22,21 +22,21 @@ Hessian of the weighted objective, one conjugate-gradient solve per round.
 Weights can live on tasks (default) or on the samples of a single source
 task.
 
-All four entry points are thin wrappers over one driver, _train, which
-reads everything from the TrainConfig and runs one phase loop
-(_train_weighted_phase), one epoch function (_weighted_epoch) and one
-estimator (_estimate_task_gradients) for every paradigm and both weight
-granularities: each round becomes the products <s, g_i> and <g_i, g_i>
-over tasks or source examples, and one formula per estimator turns them
-into the weight gradient. single is the joint objective with no sources;
-fixed-weight runs are the adaptive loop with the weight step switched off.
-tawt runs any arm its config describes; train_single_task,
-pretrain_then_finetune and joint_train pin their own paradigm with the
-weight step off, and their RunRecord.config says so. Sample weights enter
-_weighted_epoch as per-row loss coefficients, task weights as per-batch
-loss scales. Every step on the representation is model.train_step;
-head-only steps (the pretrain head fit and the frozen fine-tune) keep
-their own gradient on the frozen hidden layer.
+tawt is the one driver. It reads everything from the TrainConfig and runs
+one phase loop (_train_weighted_phase), one epoch function (_weighted_epoch)
+and one estimator (_estimate_task_gradients) for every paradigm and both
+weight granularities: each round becomes the products <s, g_i> and
+<g_i, g_i> over tasks or source examples, and one formula per estimator
+turns them into the weight gradient. single is the joint objective with no
+sources; fixed-weight runs are the adaptive loop with the weight step
+switched off. train_single_task, pretrain_then_finetune and joint_train,
+like distance's two fits, are configurations of tawt: each pins its
+paradigm with the weight step off and makes one tawt call, and its
+RunRecord.config says so. Sample weights enter _weighted_epoch as per-row
+loss coefficients, task weights as per-batch loss scales. Every step on
+the representation is model.train_step; head-only steps (the pretrain head
+fit and the frozen fine-tune) keep their own gradient on the frozen hidden
+layer.
 
 Every run derives all of its randomness from cfg.seed through purpose-keyed
 child streams (model init, per-task shuffles, batch interleaving, subset
@@ -390,8 +390,6 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
 def _head_only_epoch(model, task_id, data, cfg, opt, rng):
     """One epoch of minibatch steps on one head over the frozen representation.
     The head's slot is created before hidden_batches' buffer (see OptimizerState.slot)."""
-    if data.n == 0:
-        return
     head = model.head(task_id)
     key = f"head.{task_id}"
     grad = opt.slot(key, head.params).grad
@@ -587,24 +585,36 @@ def _normalize_tasks(sources, target):
     return sources, target
 
 
-def _build_model(sources, target, cfg) -> SharedModel:
-    head_dims = {TARGET_TASK_ID: target.n_classes}
-    for s in sources:
-        head_dims[s.task_id] = s.n_classes
-    return init_model(target.input_dim, cfg.hidden, head_dims, cfg.seed)
+def tawt(
+    sources,
+    target: Dataset,
+    cfg: TrainConfig,
+    eval_data: Dataset | None = None,
+    initial_weights: SimplexWeights | None = None,
+):
+    """The one training driver: any arm that cfg.validate accepts, and cfg
+    alone decides how. An empty target is an EmptyBatchError.
 
+    With cfg.weighted set, each outer round is: (i) SGD epochs on the
+    weight-scaled objective (sources, plus the target at index 0 unless
+    pretraining); (ii) for pretrain, head-only SGD on the target; (iii) each
+    task's weight gradient from subset gradient alignment; (iv) one
+    mirror-descent step. With cfg.weighted off the weight step is skipped,
+    which makes tawt the fixed-weight single, pretrain, joint or
+    normalized_joint run. Pretrain ends with the target fine-tune phase.
+    The full weight trajectory lands in the RunRecord. With sample
+    granularity (pretrain, one source) the weights live on the examples of
+    that source instead. initial_weights replaces default_initial_weights
+    and must have one entry per weight.
 
-def _train(sources, target, cfg, eval_data, w0):
-    """The one driver behind every entry point; cfg alone decides the run.
-
-    The pretrain paradigm puts only the sources in the weighted objective,
-    adds one head-only target step per epoch and ends with the fine-tune
-    phase; every other paradigm puts the target in the objective at index
-    0. cfg.weighted turns on the mirror-descent weight steps. w0 None picks
-    default_initial_weights. cfg.sample_split partitions the target for
-    pretrain, weighted or not, so eta = 0 stays bitwise the fixed-weight run.
+    With cfg.sample_split set (pretrain only), the target data is
+    partitioned once, weighted or not, so eta = 0 stays bitwise the
+    fixed-weight run: part one drives the head-fit and estimation steps,
+    part two the final fine-tune.
     """
     cfg.validate(len(sources))
+    if target.n == 0:
+        raise EmptyBatchError("cannot train on an empty target dataset")
     pretrain, adapt = cfg.paradigm == "pretrain", cfg.weighted
     sources, target = _normalize_tasks(sources, target)
     started = time.perf_counter()
@@ -621,14 +631,19 @@ def _train(sources, target, cfg, eval_data, w0):
         weight_ids = [f"{sources[0].task_id}[{i}]" for i in range(sources[0].n)]
     else:
         weight_ids = [task_id for task_id, _ in entries]
-    if w0 is None:
-        w0 = default_initial_weights(cfg, sources, target)
-    if len(w0) != len(weight_ids):
-        raise ValueError(f"{len(w0)} weights for {len(weight_ids)} objective tasks")
+    if initial_weights is None:
+        initial_weights = default_initial_weights(cfg, sources, target)
+    if len(initial_weights) != len(weight_ids):
+        raise ValueError(f"{len(initial_weights)} weights for {len(weight_ids)} objective tasks")
 
-    model = _build_model(sources, target, cfg)
+    head_dims = {TARGET_TASK_ID: target.n_classes}
+    for s in sources:
+        head_dims[s.task_id] = s.n_classes
+    model = init_model(target.input_dim, cfg.hidden, head_dims, cfg.seed)
     record = RunRecord(config=asdict(cfg), weight_task_ids=weight_ids)
-    _train_weighted_phase(model, entries, w0, cfg, streams, record, fit_target, eval_data)
+    _train_weighted_phase(
+        model, entries, initial_weights, cfg, streams, record, fit_target, eval_data
+    )
     if pretrain:
         _finetune_phase(model, tune_target, cfg, streams, record, eval_data)
     record.wall_clock = time.perf_counter() - started
@@ -636,13 +651,9 @@ def _train(sources, target, cfg, eval_data, w0):
 
 
 def train_single_task(target: Dataset, cfg: TrainConfig, eval_data: Dataset | None = None):
-    """Train representation + one head on the target data alone.
-
-    This is the joint objective with no sources and the target's weight at 1.
-    """
-    if target.n == 0:
-        raise EmptyBatchError("cannot train on an empty target dataset")
-    return _train([], target, replace(cfg, paradigm="single", weighted=False), eval_data, None)
+    """Train representation + one head on the target data alone: the joint
+    objective with no sources and the target's weight at 1."""
+    return tawt([], target, replace(cfg, paradigm="single", weighted=False), eval_data)
 
 
 def pretrain_then_finetune(
@@ -652,17 +663,11 @@ def pretrain_then_finetune(
     cfg: TrainConfig,
     eval_data: Dataset | None = None,
 ):
-    """Fixed-weight source training, then a target fine-tune phase.
-
-    Phase 1 minimizes the weighted source objective over the representation
-    and source heads, with one head-only target step per round. Phase 2
-    trains the target on its own data; cfg.finetune_rep picks whether the
-    representation moves with it or stays frozen. With cfg.sample_split set,
-    the target is partitioned as in tawt: part one for the head-only steps,
-    part two for the fine-tune.
-    """
+    """Fixed-weight source training, then a target fine-tune phase: tawt's
+    pretrain run with the weight step off. cfg.finetune_rep picks whether
+    the representation moves with the fine-tune or stays frozen."""
     cfg = replace(cfg, paradigm="pretrain", weighted=False)
-    return _train(sources, target, cfg, eval_data, weights)
+    return tawt(sources, target, cfg, eval_data, weights)
 
 
 def joint_train(
@@ -672,38 +677,9 @@ def joint_train(
     cfg: TrainConfig,
     eval_data: Dataset | None = None,
 ):
-    """Simultaneous fixed-weight optimization over target + sources.
-
-    The weight vector carries the target at index 0. The normalized_joint
-    paradigm differs from joint only in its default weights, and this
-    function is always given weights, so it runs (and records) joint.
-    """
+    """Simultaneous fixed-weight optimization over target + sources, the
+    target's weight at index 0. The normalized_joint paradigm differs from
+    joint only in its default weights, and this function is always given
+    weights, so it runs (and records) joint."""
     cfg = replace(cfg, paradigm="joint", weighted=False)
-    return _train(sources, target, cfg, eval_data, weights_with_target)
-
-
-def tawt(
-    sources,
-    target: Dataset,
-    cfg: TrainConfig,
-    eval_data: Dataset | None = None,
-    initial_weights: SimplexWeights | None = None,
-):
-    """Train any arm that cfg.validate accepts; cfg alone decides how.
-
-    With cfg.weighted set, each outer round is: (i) SGD epochs on the
-    weight-scaled objective (sources, plus the target unless pretraining);
-    (ii) for pretrain, head-only SGD on the target; (iii) each task's weight
-    gradient from subset gradient alignment; (iv) one mirror-descent step.
-    With cfg.weighted off the weight step is skipped, which makes tawt the
-    fixed-weight single, pretrain, joint or normalized_joint run. The full
-    weight trajectory lands in the RunRecord. With sample granularity
-    (pretrain, one source) the weights live on the examples of that source
-    instead. initial_weights replaces default_initial_weights and must
-    have one entry per weight.
-
-    With cfg.sample_split set (pretrain only), the target data is
-    partitioned once: part one drives the head-fit and estimation steps,
-    part two the final fine-tune.
-    """
-    return _train(sources, target, cfg, eval_data, initial_weights)
+    return tawt(sources, target, cfg, eval_data, weights_with_target)

@@ -61,6 +61,22 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert [name for name in tawt_lab.__all__ if name not in used] == []
 
 
+def test_the_library_trains_only_through_tawt():
+    """No module under src/ calls a fixed-weight wrapper: each is a
+    configuration of tawt that only tests/ and perfbench/ still name, so
+    deleting them later removes their definitions and exports and nothing
+    else in the library."""
+    wrappers = {"train_single_task", "pretrain_then_finetune", "joint_train"}
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "tawt_lab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in wrappers
+    ]
+    assert calls == []
+
+
 def test_every_traced_span_exists():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)

@@ -585,6 +585,21 @@ class TestRun:
         assert victim.read_text() == good
         assert _strip_timestamp(again["summary"]) == _strip_timestamp(before["summary"])
 
+    def test_job_whose_files_are_gone_is_rerun(self, tmp_path):
+        """A row.json is reused only while the job's record.json, metrics.csv
+        and weights.csv are beside it; a job missing one reruns to the same
+        bytes, so report finds every file summary.csv lists."""
+        raw = tiny_config(tmp_path / "out")
+        out = Path(raw["out_dir"])
+        cmd_run(parse_config(raw), out)
+        job_dir = out / "runs" / "fixed" / "seed1" / "n40"
+        before = {name: (job_dir / name).read_bytes() for name in ("metrics.csv", "weights.csv")}
+        for name in before:
+            (job_dir / name).unlink()
+        again = cmd_run(parse_config(raw), out)
+        assert (again["n_jobs"], again["n_skipped"], again["n_failed"]) == (6, 5, 0)
+        assert {name: (job_dir / name).read_bytes() for name in before} == before
+
     def test_tampered_cache_refuses_to_run(self, tmp_path, capsys):
         raw = tiny_config(tmp_path / "out")
         path = write_config(tmp_path, raw)

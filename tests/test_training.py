@@ -11,6 +11,7 @@ import tawt_lab.model as model_module
 import tawt_lab.training as training
 from tawt_lab.model import (
     EXAMPLE_BLOCK_BYTES,
+    EmptyBatchError,
     backward_arrays,
     example_rep_grads,
     init_model,
@@ -181,11 +182,6 @@ class TestSingleTask:
         cfg = base_cfg(paradigm="single", epochs=6, weight_update_period=2)
         _, record = train_single_task(tiny_family["target"], cfg)
         assert len(record.weight_steps) == 6 // 2 + 1
-
-    def test_empty_target_rejected(self):
-        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "target")
-        with pytest.raises(Exception):
-            train_single_task(empty, base_cfg())
 
 
 class TestPretrain:
@@ -373,6 +369,21 @@ class TestTawt:
     def test_requires_multitask_weighted_config(self, tiny_family):
         with pytest.raises(ValueError):
             tawt([tiny_family["copy"]], tiny_family["target"], base_cfg(paradigm="single", weighted=True))
+
+    @pytest.mark.parametrize("entry", [
+        lambda src, tgt, cfg, ev: tawt([src], tgt, replace(cfg, paradigm="pretrain"), ev),
+        lambda src, tgt, cfg, ev: tawt([src], tgt, replace(cfg, paradigm="joint"), ev),
+        lambda src, tgt, cfg, ev: joint_train(
+            [src], tgt, SimplexWeights(np.array([0.5, 0.5])), cfg, ev),
+        lambda src, tgt, cfg, ev: train_single_task(tgt, cfg, ev),
+    ], ids=["tawt-pretrain", "tawt-joint-default-weights", "joint_train", "train_single_task"])
+    def test_empty_target_is_an_empty_batch_error(self, tiny_family, entry):
+        """Every entry point refuses an empty target before it trains, even
+        with eval_data to score: a target head that never took a step would
+        otherwise be reported as the run's result."""
+        empty = Dataset(np.empty((0, 10)), np.empty(0, dtype=np.int64), 4, "target")
+        with pytest.raises(EmptyBatchError, match="empty target"):
+            entry(tiny_family["copy"], empty, base_cfg(epochs=2), tiny_family["eval"])
 
     @pytest.mark.parametrize("paradigm", ["single", "pretrain", "joint", "normalized_joint"])
     def test_fixed_arm_matches_named_entry_point_bitwise(self, tiny_family, paradigm):
