@@ -267,6 +267,19 @@ def _key(**parts) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
+def _stale_file(directory: Path, digests, names) -> Path | None:
+    """The first of names whose file under directory is missing or fails its
+    digest, or None; a ValueError unless digests is a {file: digest} of
+    exactly those names."""
+    if not isinstance(digests, dict) or set(digests) != set(names):
+        raise ValueError("stored files are not the current layout")
+    for name, digest in digests.items():
+        path = directory / name
+        if not path.is_file() or _sha256_file(path) != digest:
+            return path
+    return None
+
+
 class IntegrityError(RuntimeError):
     """A cached dataset no longer matches the hash its seed's row.json holds,
     or summary.csv does not hold the rows report reads."""
@@ -296,14 +309,11 @@ class FamilySeed:
 
     def load(self, row) -> dict:
         """row if it names exactly the layout's files and each passes its hash."""
-        if not isinstance(row, dict) or set(row) != set(_seed_files(self.cfg.family.flip_grid)):
-            raise ValueError("stored files are not the current layout")
-        for name, digest in row.items():
-            path = self.dir / name
-            if not path.is_file() or _sha256_file(path) != digest:
-                raise (IntegrityError if self.strict else ValueError)(
-                    f"cached dataset {path} is missing or does not match its row.json hash; "
-                    "`tawt-lab generate` draws its seed again")
+        path = _stale_file(self.dir, row, _seed_files(self.cfg.family.flip_grid))
+        if path is not None:
+            raise (IntegrityError if self.strict else ValueError)(
+                f"cached dataset {path} is missing or does not match its row.json hash; "
+                "`tawt-lab generate` draws its seed again")
         return row
 
     def execute(self) -> dict[str, str]:
@@ -371,6 +381,11 @@ def _job_dir(out_dir: Path, arm: str, seed: int | str, target_size: int | str) -
     return out_dir / "runs" / arm / f"seed{seed}" / f"n{target_size}"
 
 
+# The job files whose digests its stored row holds. record.json holds the
+# run's wall clock, so a digest of it would differ between reruns.
+_JOB_DIGESTED = ("metrics.csv", "weights.csv")
+
+
 @dataclass(frozen=True)
 class Job:
     """One (arm, seed, target_size) run, built once by cmd_run and handed to a
@@ -398,21 +413,31 @@ class Job:
                     target_size=self.target_size, inputs=self.inputs)
 
     def load(self, row) -> dict:
-        """row if it is this job's row (its own labels, a finite number in each
-        result column) and its three files exist; else a ValueError: it reruns."""
+        """row if _checked accepts it, the job's record.json exists and its
+        metrics.csv and weights.csv pass the digests the row holds; else a
+        ValueError: it reruns."""
+        self._checked(row)
+        if not (self.dir / "record.json").is_file():
+            raise ValueError(f"{self.dir / 'record.json'} is missing")
+        stale = _stale_file(self.dir, row["files"], _JOB_DIGESTED)
+        if stale is not None:
+            raise ValueError(f"{stale} is missing or does not match its row.json hash")
+        return row
+
+    def _checked(self, row) -> dict:
+        """row if it is this job's row: its own labels and a finite number in
+        each result column."""
         results = dict.fromkeys(("ratio", "final_target_acc", "final_target_loss"), "")
-        if not isinstance(row, dict) or {**row, **results} != self.row():
+        if not isinstance(row, dict) or {**row, **results, "files": ""} != self.row(files=""):
             raise ValueError(f"not the row of {self.dir}")
-        for name in ("record.json", "metrics.csv", "weights.csv"):
-            if not (self.dir / name).is_file():
-                raise ValueError(f"{self.dir / name} is missing")
         for col in results:
             _finite(row[col])
         return row
 
     def execute(self) -> dict:
         """Run the job from cached datasets; writes its files and returns its
-        row as load reads it, so a result that is not finite fails the job."""
+        row, hashing each digested file once, as written, and checked as load
+        checks it, so a result that is not finite fails the job."""
         seed_dir = _seed_dir(self.out_dir, self.seed)
         target = load_dataset(seed_dir / "target_train.npz", TARGET_TASK_ID).take(self.target_size)
         eval_data = load_dataset(seed_dir / "target_eval.npz", TARGET_TASK_ID)
@@ -426,10 +451,11 @@ class Job:
         atomic_write_text(self.dir / "record.json", record.to_json())
         record.write_metrics_csv(self.dir / "metrics.csv")
         record.write_weights_csv(self.dir / "weights.csv")
-        return self.load(self.row(
+        return self._checked(self.row(
             ratio=float_repr17(sources[0].n / self.target_size) if sources else "0",
             final_target_acc=float_repr17(final["target_accuracy"]),
             final_target_loss=float_repr17(final["target_loss"]),
+            files={name: _sha256_file(self.dir / name) for name in _JOB_DIGESTED},
         ))
 
     def row(self, **cols) -> dict:

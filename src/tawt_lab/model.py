@@ -245,8 +245,6 @@ def accuracy_and_loss(model: SharedModel, task_id: str, data) -> tuple[float, fl
 
 def task_loss(model: SharedModel, task_id: str, data) -> float:
     """Mean cross-entropy of the model's softmax outputs over a dataset."""
-    if len(data.labels) == 0:
-        raise EmptyBatchError(f"task_loss over an empty dataset for {task_id!r}")
     return accuracy_and_loss(model, task_id, data)[1]
 
 
@@ -336,8 +334,6 @@ def rep_gradient_flat(
     backward_arrays exactly.
     """
     n = len(data.labels)
-    if n == 0:
-        raise EmptyBatchError("rep_gradient_flat over an empty dataset")
     if subset_size < 1:
         raise ValueError(f"subset_size must be >= 1, got {subset_size}")
     if subset_size >= n:

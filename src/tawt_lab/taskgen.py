@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OptimizerState, SharedModel, init_model, predictions, train_step
+from .model import EmptyBatchError, OptimizerState, SharedModel, init_model, predictions, train_step
 from .numerics import DimensionError, Rng, hash64
 
 TEACHER_TASK_ID = "teacher"
@@ -47,6 +46,10 @@ class FitFailureError(RuntimeError):
 
 @dataclass
 class Dataset:
+    """One task's examples: at least one, so every Dataset can be trained
+    on and scored. Zero rows are an EmptyBatchError where a Dataset is made,
+    by construction, take, dataclasses.replace or a loader."""
+
     features: np.ndarray  # (n, d) float64 in [-0.5, 0.5]
     labels: np.ndarray    # (n,) int64 in [0, n_classes)
     n_classes: int
@@ -61,9 +64,10 @@ class Dataset:
             raise DimensionError("labels must pair up with feature rows")
         if self.n_classes <= 0:
             raise ValueError("n_classes must be positive")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.n_classes
-        ):
+        if self.labels.size == 0:
+            raise EmptyBatchError(
+                f"empty {self.task_id} dataset: a Dataset holds at least one example")
+        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
 
     @property
@@ -146,8 +150,6 @@ def fit_teacher(data: Dataset, spec: TaskSpec, cfg, threshold: float = 1.0) -> S
     unmet after cfg.epochs epochs; callers may retry with a wider hidden
     layer or a larger epoch budget.
     """
-    if data.n == 0:
-        raise ValueError("cannot fit a teacher on an empty dataset")
     model = init_model(
         data.input_dim,
         spec.teacher_hidden_width,
@@ -175,8 +177,6 @@ def sample_task_data(teacher: SharedModel, n: int, d: int, rng: Rng, task_id: st
     if teacher.input_dim != d:
         raise DimensionError(f"teacher expects dimension {teacher.input_dim}, got {d}")
     k = teacher.head(TEACHER_TASK_ID).n_classes
-    if n == 0:
-        return Dataset(np.empty((0, d)), np.empty(0, dtype=np.int64), k, task_id)
     features = rng.uniform(-0.5, 0.5, size=(n, d))
     labels = predictions(teacher, TEACHER_TASK_ID, features)
     return Dataset(features, labels, k, task_id)
@@ -232,16 +232,16 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def load_dataset_csv(path, task_id: str | None = None) -> Dataset:
-    """Read a save_dataset_csv file; the row count must match the header's n."""
+    """Read a save_dataset_csv file; the row count must match the header's n,
+    and a header-only file (n = 0) is an EmptyBatchError, as any Dataset
+    without rows is."""
     with open(path, "rb") as fh:  # numpy parses raw bytes faster than decoded text
         n, d, k = (int(x) for x in fh.readline().split(b","))
         try:
-            with warnings.catch_warnings():  # a header-only file is a valid n = 0 set
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    fh, delimiter=",", dtype=[("x", "f8", (d,)), ("y", "i8")],
-                    comments=None, ndmin=1,
-                )
+            table = np.loadtxt(
+                fh, delimiter=",", dtype=[("x", "f8", (d,)), ("y", "i8")],
+                comments=None, ndmin=1,
+            )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if table.shape[0] != n:

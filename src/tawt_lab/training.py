@@ -57,7 +57,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .model import (
-    EmptyBatchError,
     OptimizerState,
     RepHessian,
     SharedModel,
@@ -294,8 +293,6 @@ def write_trajectory(path, snapshots) -> None:
 
 def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
     """Accuracy (argmax, ties to lowest class) and mean loss on a dataset."""
-    if data.n == 0:
-        raise EmptyBatchError("evaluate over an empty dataset")
     return EvalResult(*accuracy_and_loss(model, task_id, data))
 
 
@@ -370,7 +367,7 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
     per_row = len(w) != len(entries)
     steps = []
     for pos, (task_id, data) in enumerate(entries):
-        if data.n == 0 or (not per_row and w[pos] == 0.0):
+        if not per_row and w[pos] == 0.0:
             continue
         order = streams.get("shuffle", task_id).permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
@@ -380,8 +377,6 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
             else:
                 scale = {"loss_scale": w[pos]}
             steps.append((task_id, data, idx, scale))
-    if not steps:
-        return
     for si in streams.get("interleave").permutation(len(steps)):
         task_id, data, idx, scale = steps[si]
         train_step(model, task_id, data.features[idx], data.labels[idx], opt, **scale)
@@ -442,7 +437,7 @@ def _estimate_task_gradients(model, entries, w, target_data, cfg, streams) -> np
     else:
         dots, sq_norms = np.zeros(len(entries)), np.zeros(len(entries))
         for pos, (task_id, data) in enumerate(entries):
-            if w[pos] == 0.0 or data.n == 0:
+            if w[pos] == 0.0:
                 held.append(pos)
                 continue
             if task_id == TARGET_TASK_ID:
@@ -474,7 +469,7 @@ def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
         parts = [
             (task_id, data.features, data.labels, w_t / data.n)
             for (task_id, data), w_t in zip(entries, w.values)
-            if w_t != 0.0 and data.n
+            if w_t != 0.0
         ]
     H = RepHessian(model, parts)
     return hessian_cg_solve(H.matvec, g0, H.trace(), ridge)
@@ -485,10 +480,7 @@ def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):
         return
     if cfg.metrics_every > 1 and not final and (epoch + 1) % cfg.metrics_every != 0:
         return
-    losses = {}
-    for task_id, data in entries:
-        if data.n:
-            losses[task_id] = task_loss(model, task_id, data)
+    losses = {task_id: task_loss(model, task_id, data) for task_id, data in entries}
     ev = evaluate(model, TARGET_TASK_ID, eval_data)
     record.epoch_metrics.append(
         {
@@ -568,13 +560,22 @@ def _finetune_phase(model, data, cfg, streams, record, eval_data):
         )
 
 
-def _normalize_tasks(sources, target):
-    """Key the target as TARGET_TASK_ID and reject colliding source ids."""
+def _normalize_tasks(sources, target, eval_data):
+    """Key the target as TARGET_TASK_ID, reject colliding source ids and
+    check that every source has the target's input dim and eval_data its
+    input dim and classes, before anything trains."""
     for s in sources:
         if s.input_dim != target.input_dim:
             raise ValueError(
                 f"source {s.task_id!r} has input dim {s.input_dim}, target has {target.input_dim}"
             )
+    if eval_data is not None and (
+        (eval_data.input_dim, eval_data.n_classes) != (target.input_dim, target.n_classes)
+    ):
+        raise ValueError(
+            f"eval_data has input dim {eval_data.input_dim} and {eval_data.n_classes} classes, "
+            f"target has {target.input_dim} and {target.n_classes}"
+        )
     ids = [s.task_id for s in sources]
     if len(set(ids)) != len(ids):
         raise ValueError(f"source task ids must be distinct, got {ids}")
@@ -613,10 +614,8 @@ def tawt(
     part two the final fine-tune.
     """
     cfg.validate(len(sources))
-    if target.n == 0:
-        raise EmptyBatchError("cannot train on an empty target dataset")
     pretrain, adapt = cfg.paradigm == "pretrain", cfg.weighted
-    sources, target = _normalize_tasks(sources, target)
+    sources, target = _normalize_tasks(sources, target, eval_data)
     started = time.perf_counter()
     eval_data = eval_data or target
     streams = _Streams(cfg.seed)

@@ -372,7 +372,8 @@ class TestGenerate:
 
     def test_each_family_file_is_hashed_once_per_command(self, tmp_path, monkeypatch):
         """A fresh draw hashes each of its 4 files once, when it writes them;
-        a cached generate and a run hash each once, to check it."""
+        a cached generate and a run hash each once, to check it. A fresh job
+        hashes its metrics.csv and weights.csv once, as it writes them."""
         hashed, sha256_file = [], harness._sha256_file
 
         def spy(path):
@@ -386,7 +387,10 @@ class TestGenerate:
             hashed.clear()
             command(cfg, Path(cfg.out_dir))
             counts.append(sorted(hashed))
-        assert counts == [sorted(harness._seed_files(cfg.family.flip_grid))] * 3
+        family = harness._seed_files(cfg.family.flip_grid)
+        n_jobs = len(cfg.arms) * len(cfg.family.target_sizes)
+        assert counts[:2] == [sorted(family)] * 2
+        assert counts[2] == sorted(family + list(harness._JOB_DIGESTED) * n_jobs)
 
     def test_family_bytes_are_reproducible(self, tmp_path, monkeypatch):
         def family_bytes(out):
@@ -465,6 +469,12 @@ class TestGenerate:
         for relpath in grown_files:
             assert (out / relpath).read_bytes() == (fresh / relpath).read_bytes(), relpath
 
+
+
+def _flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 class TestRun:
@@ -585,17 +595,23 @@ class TestRun:
         assert victim.read_text() == good
         assert _strip_timestamp(again["summary"]) == _strip_timestamp(before["summary"])
 
-    def test_job_whose_files_are_gone_is_rerun(self, tmp_path):
-        """A row.json is reused only while the job's record.json, metrics.csv
-        and weights.csv are beside it; a job missing one reruns to the same
-        bytes, so report finds every file summary.csv lists."""
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.unlink(),
+        lambda path: path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n"),
+        _flip_middle_byte,
+    ], ids=["deleted", "cut-to-header", "byte-flipped"])
+    def test_job_whose_files_are_gone_is_rerun(self, tmp_path, damage):
+        """A row.json is reused only while the job's metrics.csv and
+        weights.csv still match the digests it holds (and its record.json
+        exists); a job with one deleted or damaged reruns to the same bytes,
+        so report reads every file summary.csv lists."""
         raw = tiny_config(tmp_path / "out")
         out = Path(raw["out_dir"])
         cmd_run(parse_config(raw), out)
         job_dir = out / "runs" / "fixed" / "seed1" / "n40"
         before = {name: (job_dir / name).read_bytes() for name in ("metrics.csv", "weights.csv")}
         for name in before:
-            (job_dir / name).unlink()
+            damage(job_dir / name)
         again = cmd_run(parse_config(raw), out)
         assert (again["n_jobs"], again["n_skipped"], again["n_failed"]) == (6, 5, 0)
         assert {name: (job_dir / name).read_bytes() for name in before} == before

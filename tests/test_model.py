@@ -164,9 +164,9 @@ class TestTaskLoss:
         assert task_loss(m, "target", data) == pytest.approx((l1 + l2) / 2, rel=1e-12)
 
     def test_empty_raises(self):
-        data = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "target")
         with pytest.raises(EmptyBatchError):
-            task_loss(tiny_model(), "target", data)
+            task_loss(tiny_model(), "target",
+                      Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "target"))
 
     def test_permutation_invariance(self):
         m = tiny_model(seed=5)

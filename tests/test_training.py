@@ -378,12 +378,28 @@ class TestTawt:
         lambda src, tgt, cfg, ev: train_single_task(tgt, cfg, ev),
     ], ids=["tawt-pretrain", "tawt-joint-default-weights", "joint_train", "train_single_task"])
     def test_empty_target_is_an_empty_batch_error(self, tiny_family, entry):
-        """Every entry point refuses an empty target before it trains, even
-        with eval_data to score: a target head that never took a step would
-        otherwise be reported as the run's result."""
-        empty = Dataset(np.empty((0, 10)), np.empty(0, dtype=np.int64), 4, "target")
+        """No entry point can be handed an empty target, even with eval_data
+        to score: the Dataset is refused where it is made, so a target head
+        that never took a step is never reported as the run's result."""
         with pytest.raises(EmptyBatchError, match="empty target"):
-            entry(tiny_family["copy"], empty, base_cfg(epochs=2), tiny_family["eval"])
+            entry(tiny_family["copy"],
+                  Dataset(np.empty((0, 10)), np.empty(0, dtype=np.int64), 4, "target"),
+                  base_cfg(epochs=2), tiny_family["eval"])
+
+    @pytest.mark.parametrize("dim,classes", [(11, 4), (10, 10)], ids=["input-dim", "classes"])
+    def test_eval_data_unlike_the_target_is_refused_before_training(
+        self, tiny_family, monkeypatch, dim, classes
+    ):
+        """eval_data is scored by the target head, so it needs the target's
+        input dim and classes; a mismatch is named before any step, not met
+        at the first recorded epoch."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("trained before checking eval_data")
+
+        monkeypatch.setattr(training, "train_step", no_step)
+        with pytest.raises(ValueError, match="eval_data has input dim"):
+            tawt([tiny_family["copy"]], tiny_family["target"], base_cfg(paradigm="joint"),
+                 random_dataset(30, dim, classes, seed=3))
 
     @pytest.mark.parametrize("paradigm", ["single", "pretrain", "joint", "normalized_joint"])
     def test_fixed_arm_matches_named_entry_point_bitwise(self, tiny_family, paradigm):
