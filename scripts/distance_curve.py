@@ -25,7 +25,7 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    from tawt_lab.harness import main as lab
+    from tawt_lab.harness import load_config, main as lab
 
     run_args = ["distance", "--config", str(CONFIG), "--jobs", str(args.jobs)]
     if args.out:
@@ -34,7 +34,7 @@ def main() -> int:
     if rc != 0:
         return rc
 
-    out_dir = Path(args.out) if args.out else Path("results/distance_curve")
+    out_dir = Path(args.out or load_config(CONFIG).out_dir)
     by_q = defaultdict(list)
     with open(out_dir / "distance.csv", newline="") as fh:
         for row in csv.DictReader(fh):

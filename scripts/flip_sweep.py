@@ -23,7 +23,7 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    from tawt_lab.harness import main as lab
+    from tawt_lab.harness import load_config, main as lab
 
     run_args = ["run", "--config", str(CONFIG), "--jobs", str(args.jobs)]
     report_args = ["report", "--config", str(CONFIG)]
@@ -35,7 +35,7 @@ def main() -> int:
         if rc != 0:  # a failed report leaves no table of this sweep to print
             return rc
 
-    out_dir = Path(args.out) if args.out else Path("results/flip_sweep")
+    out_dir = Path(args.out or load_config(CONFIG).out_dir)
     table = defaultdict(dict)
     sizes = set()
     with open(out_dir / "report" / "curves.csv", newline="") as fh:

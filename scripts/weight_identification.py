@@ -25,7 +25,7 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    from tawt_lab.harness import main as lab
+    from tawt_lab.harness import load_config, main as lab
 
     run_args = ["run", "--config", str(CONFIG)]
     if args.out:
@@ -34,7 +34,7 @@ def main() -> int:
     if rc != 0:
         return rc
 
-    out_dir = Path(args.out) if args.out else Path("results/weight_identification")
+    out_dir = Path(args.out or load_config(CONFIG).out_dir)
     with open(out_dir / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     done = [row for row in rows if not row["error"]]  # a failed job's row has no result

@@ -9,15 +9,13 @@ representation-based distance between tasks.
 """
 
 from .distance import DistanceConfig, TaskDistanceEstimate, distance_curve
-from .model import Head, OptimizerState, SharedModel, init_model
+from .model import Head, OptimizerState, SharedModel, accuracy_and_loss, init_model
 from .numerics import Rng, hash64
 from .taskgen import Dataset, TaskSpec, generate_base_dataset
 from .training import (
-    EvalResult,
     FamilyConfig,
     RunRecord,
     TrainConfig,
-    evaluate,
     joint_train,
     pretrain_then_finetune,
     split_target,
@@ -40,17 +38,16 @@ __all__ = [
     "Head",
     "OptimizerState",
     "SharedModel",
+    "accuracy_and_loss",
     "init_model",
     "Rng",
     "hash64",
     "Dataset",
     "TaskSpec",
     "generate_base_dataset",
-    "EvalResult",
     "FamilyConfig",
     "RunRecord",
     "TrainConfig",
-    "evaluate",
     "joint_train",
     "pretrain_then_finetune",
     "split_target",

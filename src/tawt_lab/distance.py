@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import accuracy_and_loss
 from .numerics import Rng, hash64
 from .taskgen import TARGET_TASK_ID, Dataset, flip_key, sample_task_data, source_name
 from .training import FamilyConfig, TrainConfig, tawt, write_csv
@@ -79,7 +80,6 @@ class DistanceConfig:
             batch_size=self.batch_size,
             hidden=self.hidden,
             epochs=self.oracle_epochs,
-            metrics_every=0,
             seed=seed,
         )
 
@@ -100,12 +100,13 @@ def estimate_weighted_source_target_risk(
 
     Trains the representation on the weighted sources, freezes it, fits only
     the target head on target_train, and returns (mean loss, accuracy) on
-    target_eval. target_train and target_eval must be disjoint draws.
+    target_eval, scored once on the final model (tawt, given no eval_data,
+    records no metrics). target_train and target_eval must be disjoint draws.
     """
     cfg = replace(cfg, paradigm="pretrain", weighted=False, finetune_rep="frozen")
-    _, record = tawt(sources, target_train, cfg, eval_data=target_eval, initial_weights=weights)
-    final = record.epoch_metrics[-1]  # training always scores its final model on eval_data
-    return final["target_loss"], final["target_accuracy"]
+    model, _ = tawt(sources, target_train, cfg, initial_weights=weights)
+    accuracy, loss = accuracy_and_loss(model, TARGET_TASK_ID, target_eval)
+    return loss, accuracy
 
 
 def estimate_oracle_target_risk(
@@ -113,12 +114,13 @@ def estimate_oracle_target_risk(
 ) -> tuple[float, float]:
     """Held-out loss of a full model trained on abundant target data.
 
-    Plug-in stand-in for the risk of the best target representation.
+    Plug-in stand-in for the risk of the best target representation,
+    scored once on the final model, as the weighted estimate is.
     """
     cfg = replace(cfg, paradigm="single", weighted=False)
-    _, record = tawt([], target_train_large, cfg, eval_data=target_eval)
-    final = record.epoch_metrics[-1]
-    return final["target_loss"], final["target_accuracy"]
+    model, _ = tawt([], target_train_large, cfg)
+    accuracy, loss = accuracy_and_loss(model, TARGET_TASK_ID, target_eval)
+    return loss, accuracy
 
 
 def distance_curve(

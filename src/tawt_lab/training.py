@@ -87,6 +87,13 @@ GRANULARITIES = ("task", "sample")
 ESTIMATORS = ("cosine", "identity_hessian", "exact_hessian")
 
 
+def _refuse_nonfinite(cfg) -> None:
+    """ValueError naming the first float field of a config that is NaN or infinite."""
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class TrainConfig:
     """Every optimizer, approximation, and schedule constant for one run."""
@@ -116,6 +123,7 @@ class TrainConfig:
 
     def validate(self, n_sources: int) -> None:
         """Every rule an arm must satisfy, given its number of source tasks."""
+        _refuse_nonfinite(self)
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
         if self.weight_granularity not in GRANULARITIES:
@@ -189,7 +197,8 @@ class FamilyConfig:
     def validate(self) -> None:
         """Every range rule of a family: positive counts, nonempty lists
         without repeats, flip rates in [0, 1] that each name one source file and
-        one stream key, a teacher threshold in (0, 1] and a teacher lr >= 0."""
+        one stream key, a teacher threshold in (0, 1] and a finite teacher lr >= 0."""
+        _refuse_nonfinite(self)
         for name in ("base_n", "input_dim", "n_classes", "teacher_hidden", "teacher_epochs",
                      "teacher_batch", "source_n", "eval_n"):
             if getattr(self, name) <= 0:
@@ -230,12 +239,6 @@ class FamilyConfig:
             teachers[q] = fit_teacher(flipped, spec, recipe,
                                       threshold=self.teacher_accuracy_threshold)
         return teachers
-
-
-@dataclass
-class EvalResult:
-    accuracy: float
-    mean_loss: float
 
 
 @dataclass
@@ -289,11 +292,6 @@ def write_trajectory(path, snapshots) -> None:
     snapshot; the first snapshot sets the width."""
     header = ["step"] + [f"w_{i}" for i in range(len(snapshots[0][1]))]
     write_csv(path, header, ([step, *weights] for step, weights in snapshots))
-
-
-def evaluate(model: SharedModel, task_id: str, data: Dataset) -> EvalResult:
-    """Accuracy (argmax, ties to lowest class) and mean loss on a dataset."""
-    return EvalResult(*accuracy_and_loss(model, task_id, data))
 
 
 def split_size(n: int, fraction: float) -> int:
@@ -476,21 +474,14 @@ def _inverse_hessian_product(model, entries, w, g0, ridge=None) -> np.ndarray:
 
 
 def _record_epoch(record, model, entries, eval_data, epoch, phase, cfg, final):
-    if cfg.metrics_every == 0 and not final:
-        return
-    if cfg.metrics_every > 1 and not final and (epoch + 1) % cfg.metrics_every != 0:
+    """Score eval_data at the epochs cfg.metrics_every picks; without it, nothing."""
+    due = final or (cfg.metrics_every > 0 and (epoch + 1) % cfg.metrics_every == 0)
+    if eval_data is None or not due:
         return
     losses = {task_id: task_loss(model, task_id, data) for task_id, data in entries}
-    ev = evaluate(model, TARGET_TASK_ID, eval_data)
-    record.epoch_metrics.append(
-        {
-            "epoch": epoch,
-            "phase": phase,
-            "losses": losses,
-            "target_accuracy": ev.accuracy,
-            "target_loss": ev.mean_loss,
-        }
-    )
+    accuracy, loss = accuracy_and_loss(model, TARGET_TASK_ID, eval_data)
+    record.epoch_metrics.append({"epoch": epoch, "phase": phase, "losses": losses,
+                                 "target_accuracy": accuracy, "target_loss": loss})
 
 
 def _apply_floor(w, g, cfg, record, step):
@@ -594,7 +585,9 @@ def tawt(
     initial_weights: SimplexWeights | None = None,
 ):
     """The one training driver: any arm that cfg.validate accepts, and cfg
-    alone decides how. An empty target is an EmptyBatchError.
+    alone decides how. An empty target is an EmptyBatchError. Metrics are
+    scored on eval_data alone, at the epochs cfg.metrics_every picks; without
+    eval_data none are recorded, and RunRecord.epoch_metrics stays empty.
 
     With cfg.weighted set, each outer round is: (i) SGD epochs on the
     weight-scaled objective (sources, plus the target at index 0 unless
@@ -617,7 +610,6 @@ def tawt(
     pretrain, adapt = cfg.paradigm == "pretrain", cfg.weighted
     sources, target = _normalize_tasks(sources, target, eval_data)
     started = time.perf_counter()
-    eval_data = eval_data or target
     streams = _Streams(cfg.seed)
     fit_target, tune_target = target, target
     if cfg.sample_split is not None:
@@ -651,7 +643,8 @@ def tawt(
 
 def train_single_task(target: Dataset, cfg: TrainConfig, eval_data: Dataset | None = None):
     """Train representation + one head on the target data alone: the joint
-    objective with no sources and the target's weight at 1."""
+    objective with no sources and the target's weight at 1. Metrics are
+    scored on eval_data only, as in tawt."""
     return tawt([], target, replace(cfg, paradigm="single", weighted=False), eval_data)
 
 
@@ -664,7 +657,8 @@ def pretrain_then_finetune(
 ):
     """Fixed-weight source training, then a target fine-tune phase: tawt's
     pretrain run with the weight step off. cfg.finetune_rep picks whether
-    the representation moves with the fine-tune or stays frozen."""
+    the representation moves with the fine-tune or stays frozen. Metrics
+    are scored on eval_data only, as in tawt."""
     cfg = replace(cfg, paradigm="pretrain", weighted=False)
     return tawt(sources, target, cfg, eval_data, weights)
 
@@ -679,6 +673,7 @@ def joint_train(
     """Simultaneous fixed-weight optimization over target + sources, the
     target's weight at index 0. The normalized_joint paradigm differs from
     joint only in its default weights, and this function is always given
-    weights, so it runs (and records) joint."""
+    weights, so it runs (and records) joint. Metrics are scored on
+    eval_data only, as in tawt."""
     cfg = replace(cfg, paradigm="joint", weighted=False)
     return tawt(sources, target, cfg, eval_data, weights_with_target)

@@ -150,7 +150,8 @@ def mirror_descent_step(w: SimplexWeights, g: np.ndarray, eta: float) -> Simplex
     """Multiplicative update w_t <- w_t exp(-eta g_t), renormalized.
 
     Computed with max-subtraction on -eta*g for overflow safety. eta == 0
-    returns w itself (exact identity, bit for bit).
+    returns w itself (exact identity, bit for bit); otherwise a NaN or
+    infinite g_t is a ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (len(w),):
@@ -159,6 +160,8 @@ def mirror_descent_step(w: SimplexWeights, g: np.ndarray, eta: float) -> Simplex
         raise ValueError(f"eta must be nonnegative, got {eta}")
     if eta == 0.0:
         return w
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"weight gradient must be finite, got {g.tolist()}")
     u = -eta * g
     u -= u.max()
     scaled = w.values * np.exp(u)

@@ -4,7 +4,7 @@ finite_diff_gradient is the central-difference gradient that audits the
 hand-derived backprop; copy_model gives a model its own parameter buffers;
 unblocked_logits is logits_batch before its row blocks, one (n, hidden)
 activation for all rows, and mean_loss_of_logits the loss of a whole (n, k)
-logit matrix at once, which task_loss and evaluate must equal bitwise;
+logit matrix at once, which task_loss and accuracy_and_loss must equal bitwise;
 backward/GradSnapshot are the allocate-and-return full-data gradient;
 fd_rep_hessian assembles the representation Hessian of a weighted loss by
 central differences of that gradient, one column per parameter. The FD

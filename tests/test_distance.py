@@ -4,6 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tawt_lab.distance as distance_module
+import tawt_lab.model as model_module
+import tawt_lab.training as training_module
 from tawt_lab.distance import (
     DistanceConfig,
     TaskDistanceEstimate,
@@ -148,6 +151,36 @@ class TestDistanceCurve:
     def test_oracle_shared_within_seed(self):
         ests = small_curve([0.0, 1.0])
         assert ests[0].oracle_target_risk == ests[1].oracle_target_risk
+
+    def test_each_final_model_is_scored_once_on_the_eval_draw(self, monkeypatch):
+        """A seed scores eval_n rows per fit, the oracle's and one per flip
+        rate, and nothing more: its fits get no eval_data, so tawt records no
+        epoch and takes no training loss."""
+        scored, losses = [], []
+        score, loss = model_module.accuracy_and_loss, model_module.task_loss
+
+        def counted_score(model, task_id, data):
+            scored.append(data.n)
+            return score(model, task_id, data)
+
+        def counted_loss(*args):
+            losses.append(args)
+            return loss(*args)
+
+        for module in (model_module, training_module, distance_module):
+            if getattr(module, "accuracy_and_loss", None) is score:
+                monkeypatch.setattr(module, "accuracy_and_loss", counted_score)
+            if getattr(module, "task_loss", None) is loss:
+                monkeypatch.setattr(module, "task_loss", counted_loss)
+        fam = FamilyConfig(
+            base_n=80, input_dim=10, n_classes=4, teacher_hidden=128, teacher_batch=50,
+            flip_grid=[0.0, 1.0], source_n=100, eval_n=70,
+        )
+        cfg = DistanceConfig(head_fit_n=60, oracle_n=90, rep_epochs=2, head_fit_epochs=2,
+                             oracle_epochs=2, batch_size=50, hidden=8)
+        distance_curve(fam, cfg, 0, master_seed=21)
+        assert scored == [fam.eval_n] * (len(fam.flip_grid) + 1)
+        assert losses == []
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

@@ -1363,6 +1363,20 @@ def test_weight_identification_script_reads_the_jobs_summary_lists(tmp_path, mon
     assert "mean accuracy joint-fixed: 0.5000" in out
 
 
+def test_distance_script_reads_the_out_dir_its_config_names(tmp_path, monkeypatch, capsys):
+    """Without --out, scripts/distance_curve.py reads distance.csv from the
+    out_dir of its config, the one place that names it."""
+    out = tmp_path / harness.load_config(ROOT / "scripts/configs/distance_curve.json").out_dir
+    out.mkdir(parents=True)
+    (out / "distance.csv").write_text("flip_rate,distance\r\n0.5,0.25\r\n0.5,0.75\r\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "main", lambda argv: EXIT_OK)
+    monkeypatch.setattr(sys, "argv", ["distance_curve.py"])
+    script = runpy.run_path(str(ROOT / "scripts" / "distance_curve.py"))
+    assert script["main"]() == EXIT_OK
+    assert "flip 0.5: +0.5000  (n=2)" in capsys.readouterr().out
+
+
 def test_readme_cli_section_matches_parser():
     """Every --flag README's CLI section names exists on some subcommand and
     every subcommand flag is named there; its flag table gives each flag

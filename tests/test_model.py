@@ -6,10 +6,10 @@ import pytest
 
 from tawt_lab.model import (
     SMALL_GEMM_LIMIT,
-    EmptyBatchError,
     Head,
     OptimizerState,
     SharedModel,
+    accuracy_and_loss,
     apply_update,
     init_model,
     logits_batch,
@@ -22,9 +22,7 @@ from tawt_lab.numerics import (
     LOG_EPS, DimensionError, NumericError, Rng, hash64, softmax_rows,
 )
 from tawt_lab.taskgen import Dataset
-from tawt_lab.training import (
-    EvalResult, TrainConfig, _head_only_epoch, evaluate,
-)
+from tawt_lab.training import TrainConfig, _head_only_epoch
 
 from conftest import random_dataset
 from oracles import (
@@ -88,7 +86,7 @@ def _assert_scores_match_one_shot(m, data):
     assert np.array_equal(predictions(m, "target", data.features), np.argmax(want, axis=1))
     loss = mean_loss_of_logits(want, data.labels)
     assert task_loss(m, "target", data) == loss
-    assert evaluate(m, "target", data) == EvalResult(float(np.mean(hits)), loss)
+    assert accuracy_and_loss(m, "target", data) == (float(np.mean(hits)), loss)
 
 
 def _scoring_peak(score) -> int:
@@ -103,7 +101,7 @@ def _scoring_peak(score) -> int:
 
 class TestBlockedForward:
     """The forward pass runs in row blocks of at least SMALL_GEMM_LIMIT //
-    min(k, hidden) + 1 rows; logits, predictions, losses and evaluate must
+    min(k, hidden) + 1 rows; logits, predictions, losses and accuracy must
     match the one-shot pass byte for byte."""
 
     @pytest.mark.parametrize("n, k", [
@@ -128,11 +126,11 @@ class TestBlockedForward:
 
     # Scoring holds (block, hidden) and (block, k) buffers and (n,) score
     # vectors; one (10,000, 256) activation alone would be 20.5 MB.
-    def test_evaluate_never_builds_the_full_activation(self):
+    def test_accuracy_and_loss_never_builds_the_full_activation(self):
         m = reference_shape_model(20, 256, 10, seed=3)
         data = random_dataset(10_000, 20, 10, seed=4)
-        peak = _scoring_peak(lambda: evaluate(m, "target", data))
-        assert peak < 1e6, f"evaluate peaked at {peak / 1e6:.2f} MB"
+        peak = _scoring_peak(lambda: accuracy_and_loss(m, "target", data))
+        assert peak < 1e6, f"accuracy_and_loss peaked at {peak / 1e6:.2f} MB"
 
     def test_predictions_never_build_the_full_activation(self):
         m = reference_shape_model(20, 256, 10, seed=3)
@@ -162,11 +160,6 @@ class TestTaskLoss:
         l1 = -math.log(math.exp(0.0) / (math.exp(1.0) + math.exp(0.0)) + 1e-12)
         l2 = -math.log(math.exp(2.0) / (math.exp(2.0) + math.exp(0.0)) + 1e-12)
         assert task_loss(m, "target", data) == pytest.approx((l1 + l2) / 2, rel=1e-12)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyBatchError):
-            task_loss(tiny_model(), "target",
-                      Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "target"))
 
     def test_permutation_invariance(self):
         m = tiny_model(seed=5)

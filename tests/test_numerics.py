@@ -72,7 +72,7 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
-    """mean_loss_of_logits, the reference loss that task_loss and evaluate
+    """mean_loss_of_logits, the reference loss that task_loss and accuracy_and_loss
     equal bitwise (tests/test_model.py::TestBlockedForward)."""
 
     def test_uniform_gives_log_k(self):

@@ -83,22 +83,25 @@ class TestDataset:
             data.take(n)
 
     @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy notes a header-only file
-    @pytest.mark.parametrize("make", [
-        lambda tmp_path: Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "x"),
-        lambda tmp_path: generate_base_dataset(10, 3, 2, Rng(0)).take(0),
-        lambda tmp_path: dataclasses.replace(
+    @pytest.mark.parametrize("make, task_id", [
+        (lambda tmp_path: Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 3, "target"),
+         "target"),
+        (lambda tmp_path: generate_base_dataset(10, 3, 2, Rng(0)).take(0), "base"),
+        (lambda tmp_path: dataclasses.replace(
             generate_base_dataset(10, 3, 2, Rng(0)),
-            features=np.empty((0, 3)), labels=np.empty(0, dtype=np.int64)),
-        lambda tmp_path: sample_task_data(
-            init_model(3, 4, {TEACHER_TASK_ID: 2}, seed=0), 0, 3, Rng(0), "t"),
-        _load_zero_row_npz,
-        _load_header_only_csv,
+            features=np.empty((0, 3)), labels=np.empty(0, dtype=np.int64)), "base"),
+        (lambda tmp_path: sample_task_data(
+            init_model(3, 4, {TEACHER_TASK_ID: 2}, seed=0), 0, 3, Rng(0), "t"), "t"),
+        (_load_zero_row_npz, "empty"),
+        (_load_header_only_csv, "empty"),
     ], ids=["constructor", "take", "replace", "sample_task_data", "load_dataset",
             "load_dataset_csv"])
-    def test_zero_rows_are_refused_where_a_dataset_is_made(self, tmp_path, make):
+    def test_zero_rows_are_refused_where_a_dataset_is_made(self, tmp_path, make, task_id):
         """A Dataset holds at least one example, however it is made, so no
-        function that takes one needs a guard of its own."""
-        with pytest.raises(EmptyBatchError, match="a Dataset holds at least one example"):
+        function that takes one needs a guard of its own; the error names the
+        task, so an empty target reads "empty target dataset"."""
+        with pytest.raises(EmptyBatchError,
+                           match=f"^empty {task_id} dataset: a Dataset holds at least one example"):
             make(tmp_path)
 
 

@@ -9,9 +9,10 @@ import pytest
 
 import tawt_lab.model as model_module
 import tawt_lab.training as training
+from tawt_lab.distance import DistanceConfig
 from tawt_lab.model import (
     EXAMPLE_BLOCK_BYTES,
-    EmptyBatchError,
+    accuracy_and_loss,
     backward_arrays,
     example_rep_grads,
     init_model,
@@ -22,12 +23,12 @@ from tawt_lab.model import (
 from tawt_lab.numerics import Rng, hash64
 from tawt_lab.taskgen import Dataset
 from tawt_lab.training import (
+    FamilyConfig,
     RunRecord,
     TrainConfig,
     _estimate_task_gradients,
     _Streams,
     default_initial_weights,
-    evaluate,
     joint_train,
     pretrain_then_finetune,
     split_target,
@@ -57,6 +58,27 @@ class TestTrainConfig:
         assert cfg.lr == 3e-4 and cfg.batch_size == 100
         assert cfg.subset_size == 64 and cfg.eta == 1.0 and cfg.c == 1.0
         assert cfg.identity_hessian_scale == 5.0
+
+    @pytest.mark.parametrize("validate, name", [
+        (lambda: TrainConfig(paradigm="joint", weighted=True, eta=np.nan).validate(1), "eta"),
+        (lambda: TrainConfig(lr=np.nan).validate(0), "lr"),
+        (lambda: TrainConfig(weight_floor=np.nan).validate(0), "weight_floor"),
+        (lambda: TrainConfig(c=np.inf).validate(0), "c"),
+        (lambda: TrainConfig(identity_hessian_scale=np.inf).validate(0),
+         "identity_hessian_scale"),
+        (lambda: TrainConfig(paradigm="pretrain", sample_split=np.nan).validate(1),
+         "sample_split"),
+        (lambda: FamilyConfig(teacher_lr=np.nan).validate(), "teacher_lr"),
+        (lambda: FamilyConfig(teacher_lr=np.inf).validate(), "teacher_lr"),
+        (lambda: DistanceConfig(lr=np.nan).validate(), "lr"),
+    ], ids=["eta-nan", "lr-nan", "weight_floor-nan", "c-inf", "identity_hessian_scale-inf",
+            "sample_split-nan", "teacher_lr-nan", "teacher_lr-inf", "distance-lr-nan"])
+    def test_nonfinite_float_field_is_refused_by_name(self, validate, name):
+        """A library caller gets the finiteness rule the config files' schema
+        walk applies: a NaN passes every comparison with a bound, and an
+        infinity passes a lower one."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            validate()
 
     def test_period_resolution(self):
         assert TrainConfig().resolved_weight_update_period() == 1
@@ -128,28 +150,28 @@ class TestEvaluate:
         labeled = Dataset(
             data.features, predictions(model, "target", data.features), 4, "target"
         )
-        assert evaluate(model, "target", labeled).accuracy == 1.0
+        assert accuracy_and_loss(model, "target", labeled)[0] == 1.0
 
     def test_random_model_near_chance(self):
         model = init_model(5, 8, {"target": 10}, seed=11)
         data = random_dataset(1000, 5, 10, seed=12)
-        acc = evaluate(model, "target", data).accuracy
+        acc, _ = accuracy_and_loss(model, "target", data)
         sigma = np.sqrt(0.1 * 0.9 / 1000)
         assert abs(acc - 0.1) <= 3 * sigma
 
     def test_bounds(self, tiny_family):
         model = init_model(10, 16, {"target": 4}, seed=13)
-        res = evaluate(model, "target", tiny_family["target"])
-        assert 0.0 <= res.accuracy <= 1.0
-        assert res.mean_loss >= 0.0
+        acc, loss = accuracy_and_loss(model, "target", tiny_family["target"])
+        assert 0.0 <= acc <= 1.0
+        assert loss >= 0.0
 
     def test_one_pass_matches_predictions_and_task_loss_bitwise(self):
         model = init_model(5, 32, {"target": 6}, seed=14)
         data = random_dataset(257, 5, 6, seed=15)
-        res = evaluate(model, "target", data)
+        acc, loss = accuracy_and_loss(model, "target", data)
         preds = predictions(model, "target", data.features)
-        assert res.accuracy == float(np.mean(preds == data.labels))
-        assert res.mean_loss == task_loss(model, "target", data)
+        assert acc == float(np.mean(preds == data.labels))
+        assert loss == task_loss(model, "target", data)
 
 
 class TestSingleTask:
@@ -165,7 +187,7 @@ class TestSingleTask:
         deltas = []
         for seed in range(5):
             cfg = base_cfg(paradigm="single", epochs=10, seed=seed)
-            model, record = train_single_task(target, cfg)
+            model, record = train_single_task(target, cfg, eval_data=target)
             first = record.epoch_metrics[0]["losses"]["target"]
             last = record.epoch_metrics[-1]["losses"]["target"]
             deltas.append(first - last)
@@ -173,8 +195,8 @@ class TestSingleTask:
 
     def test_bitwise_deterministic(self, tiny_family):
         cfg = base_cfg(paradigm="single")
-        m1, r1 = train_single_task(tiny_family["target"], cfg)
-        m2, r2 = train_single_task(tiny_family["target"], cfg)
+        m1, r1 = train_single_task(tiny_family["target"], cfg, eval_data=tiny_family["target"])
+        m2, r2 = train_single_task(tiny_family["target"], cfg, eval_data=tiny_family["target"])
         assert np.array_equal(m1.W1, m2.W1)
         assert r1.epoch_metrics == r2.epoch_metrics
 
@@ -302,13 +324,13 @@ class TestPretrain:
             m_t, _ = pretrain_then_finetune(
                 [copy], target50, SimplexWeights(np.ones(1)), cfg, eval_data=ev
             )
-            transfer.append(evaluate(m_t, "target", ev).accuracy)
+            transfer.append(accuracy_and_loss(m_t, "target", ev)[0])
             scfg = base_cfg(
                 paradigm="single", epochs=40, batch_size=50, hidden=64, seed=seed,
                 metrics_every=0,
             )
             m_s, _ = train_single_task(target50, scfg, eval_data=ev)
-            single.append(evaluate(m_s, "target", ev).accuracy)
+            single.append(accuracy_and_loss(m_s, "target", ev)[0])
         assert np.mean(transfer) >= np.mean(single)
 
 
@@ -355,13 +377,13 @@ class TestJoint:
             )
             w = default_initial_weights(cfg, [copy], target)
             m_j, _ = joint_train([copy], target, w, cfg, eval_data=ev)
-            joint_accs.append(evaluate(m_j, "target", ev).accuracy)
+            joint_accs.append(accuracy_and_loss(m_j, "target", ev)[0])
             scfg = base_cfg(
                 paradigm="single", epochs=150, batch_size=50, hidden=64, seed=seed,
                 metrics_every=0,
             )
             m_s, _ = train_single_task(target, scfg, eval_data=ev)
-            single_accs.append(evaluate(m_s, "target", ev).accuracy)
+            single_accs.append(accuracy_and_loss(m_s, "target", ev)[0])
         assert np.mean(joint_accs) > np.mean(single_accs)
 
 
@@ -369,22 +391,6 @@ class TestTawt:
     def test_requires_multitask_weighted_config(self, tiny_family):
         with pytest.raises(ValueError):
             tawt([tiny_family["copy"]], tiny_family["target"], base_cfg(paradigm="single", weighted=True))
-
-    @pytest.mark.parametrize("entry", [
-        lambda src, tgt, cfg, ev: tawt([src], tgt, replace(cfg, paradigm="pretrain"), ev),
-        lambda src, tgt, cfg, ev: tawt([src], tgt, replace(cfg, paradigm="joint"), ev),
-        lambda src, tgt, cfg, ev: joint_train(
-            [src], tgt, SimplexWeights(np.array([0.5, 0.5])), cfg, ev),
-        lambda src, tgt, cfg, ev: train_single_task(tgt, cfg, ev),
-    ], ids=["tawt-pretrain", "tawt-joint-default-weights", "joint_train", "train_single_task"])
-    def test_empty_target_is_an_empty_batch_error(self, tiny_family, entry):
-        """No entry point can be handed an empty target, even with eval_data
-        to score: the Dataset is refused where it is made, so a target head
-        that never took a step is never reported as the run's result."""
-        with pytest.raises(EmptyBatchError, match="empty target"):
-            entry(tiny_family["copy"],
-                  Dataset(np.empty((0, 10)), np.empty(0, dtype=np.int64), 4, "target"),
-                  base_cfg(epochs=2), tiny_family["eval"])
 
     @pytest.mark.parametrize("dim,classes", [(11, 4), (10, 10)], ids=["input-dim", "classes"])
     def test_eval_data_unlike_the_target_is_refused_before_training(
@@ -411,16 +417,16 @@ class TestTawt:
         )
         sources = [] if paradigm == "single" else [copy, distractor]
         cfg = base_cfg(paradigm=paradigm, epochs=3, finetune_epochs=2)
-        m_tawt, r_tawt = tawt(sources, target, cfg)
+        m_tawt, r_tawt = tawt(sources, target, cfg, target)
         if paradigm == "single":
-            m_named, r_named = train_single_task(target, cfg)
+            m_named, r_named = train_single_task(target, cfg, target)
         elif paradigm == "pretrain":
             w = init_weights("proportional", [copy.n, distractor.n])
-            m_named, r_named = pretrain_then_finetune(sources, target, w, cfg)
+            m_named, r_named = pretrain_then_finetune(sources, target, w, cfg, target)
         else:
             mode = "uniform" if paradigm == "normalized_joint" else "proportional"
             w = init_weights(mode, [target.n, copy.n, distractor.n])
-            m_named, r_named = joint_train(sources, target, w, cfg)
+            m_named, r_named = joint_train(sources, target, w, cfg, target)
         assert np.array_equal(m_tawt.rep_params, m_named.rep_params)
         assert r_tawt.weight_steps == r_named.weight_steps
         assert r_tawt.epoch_metrics == r_named.epoch_metrics
@@ -791,7 +797,7 @@ class TestRunRecord:
 
     def test_csv_layouts(self, tiny_family, tmp_path):
         cfg = base_cfg(paradigm="single", epochs=3)
-        _, record = train_single_task(tiny_family["target"], cfg)
+        _, record = train_single_task(tiny_family["target"], cfg, eval_data=tiny_family["target"])
         mpath = tmp_path / "metrics.csv"
         wpath = tmp_path / "weights.csv"
         record.write_metrics_csv(mpath)
@@ -805,7 +811,7 @@ class TestRunRecord:
 
     def test_metrics_every_zero_keeps_final_only(self, tiny_family):
         cfg = base_cfg(paradigm="single", epochs=5, metrics_every=0)
-        _, record = train_single_task(tiny_family["target"], cfg)
+        _, record = train_single_task(tiny_family["target"], cfg, eval_data=tiny_family["target"])
         assert len(record.epoch_metrics) == 1
         assert record.epoch_metrics[0]["epoch"] == 4
 
@@ -816,7 +822,8 @@ class TestRunRecord:
         recorded too: epochs 1, 3 and 4 of the rep phase, 5 and 7 of the
         fine-tune."""
         cfg = base_cfg(paradigm="pretrain", epochs=5, finetune_epochs=3, metrics_every=2)
-        _, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg)
+        _, record = tawt([tiny_family["copy"]], tiny_family["target"], cfg,
+                         eval_data=tiny_family["target"])
         assert [(m["epoch"], m["phase"]) for m in record.epoch_metrics] == [
             (1, "rep"), (3, "rep"), (4, "rep"), (5, "finetune"), (7, "finetune"),
         ]

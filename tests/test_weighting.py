@@ -138,6 +138,14 @@ class TestMirrorDescent:
         with pytest.raises(DimensionError):
             mirror_descent_step(SimplexWeights(np.ones(2)), np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "+inf"])
+    def test_nonfinite_gradient_is_refused(self, bad):
+        """A NaN would vanish every weight, -inf would meet inf - inf in the
+        max-subtraction, and +inf would zero its weight in silence."""
+        w = SimplexWeights(np.array([0.25, 0.75]))
+        with pytest.raises(ValueError, match="weight gradient must be finite"):
+            mirror_descent_step(w, np.array([0.5, bad]), eta=1.0)
+
     @given(weight_lists, gradient_lists, st.floats(0.0, 5.0))
     def test_simplex_preserved(self, raw_w, raw_g, eta):
         n = min(len(raw_w), len(raw_g))
