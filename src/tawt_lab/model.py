@@ -12,9 +12,12 @@ buffer laid out as W2 then b2. W1, b1, W2 and b2 are read-only views into
 those buffers, so they can be written in place (m.W1[:] = 0.0) but never
 rebound. Two optimizers (SGD and bias-corrected Adam) update named
 parameter arrays in place, so groups can be updated independently and
-sparsely. train_step, the minibatch step of every loop that trains the
-representation, is one backward pass into preallocated gradient and
-activation buffers plus one fused update of the representation group and
+sparsely. backward_arrays has one code path: it writes the gradient of
+sum_i coeff_i * CE_i (coeff one number or one per row, by default the
+batch mean 1/n) into two flat buffers and a _Workspace of activations,
+the caller's or fresh ones. train_step, the minibatch step of every loop
+that trains the representation, is that pass into buffers kept by the
+optimizer state plus one fused update of the representation group and
 one of the head group. example_rep_grads gives the representation
 gradient of every example's own loss in blocks of rows, bitwise those of
 one-row backward passes, for the sample-granularity estimators, and
@@ -268,59 +271,55 @@ def backward_arrays(
     task_id: str,
     X: np.ndarray,
     Y: np.ndarray,
-    loss_scale: float = 1.0,
-    row_weights: np.ndarray | None = None,
+    coeff=None,
     out: tuple | None = None,
 ):
-    """Gradients (dW1, db1, dW2, db2) of the batch loss.
+    """Gradients (dW1, db1, dW2, db2) of the batch loss sum_i coeff_i * CE_i.
 
-    The loss is loss_scale * mean_i CE_i by default, or sum_i row_weights[i] * CE_i
-    when per-row coefficients are given (sample-weighted training).
+    coeff is one number for every row or one per row, as RepHessian's parts
+    take it; None is the batch mean, 1/n on every row.
 
-    out, used by train_step, is (rep grad buffer, head grad buffer, workspace):
-    the gradients are written into the two flat buffers (laid out like
-    rep_params and the head's params) and returned as views of them, and the
-    activations reuse the workspace. Without it every array is fresh.
+    The gradients are views of two flat buffers laid out like rep_params and
+    the head's params, and the activations live in a _Workspace. out, as
+    train_step passes it, is (rep grad buffer, head grad buffer, workspace);
+    without it the three are allocated here, the same way.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y)
     n = X.shape[0]
     if n == 0:
         raise EmptyBatchError("backward over an empty batch")
+    if coeff is None:
+        coeff = 1.0 / n
+    elif np.ndim(coeff) and np.shape(coeff) != (n,):
+        raise DimensionError(f"coeff must be one number or {n}, one per row, got {np.shape(coeff)}")
     head = model.head(task_id)
-    W1, W2 = model.W1, head.W2
-    if out is None:
-        dW1 = db1 = dW2 = db2 = HA = mask = Z = None
-        rows = np.arange(n)
-    else:
-        rep_grad, head_grad, work = out
-        dW1, db1 = _views(rep_grad, W1.shape, model.b1.shape)
-        dW2, db2 = _views(head_grad, W2.shape, head.b2.shape)
-        HA, mask, Z, rows = work.HA, work.mask, work.Z, work.rows
+    W2 = head.W2
+    rep_grad, head_grad, work = out or (
+        np.empty(model.rep_param_count()), np.empty(head.params.size),
+        _Workspace(n, model.hidden_dim, head.n_classes),
+    )
+    dW1, db1 = _views(rep_grad, model.W1.shape, model.b1.shape)
+    dW2, db2 = _views(head_grad, W2.shape, head.b2.shape)
+    rows = work.rows
 
-    HA = hidden_batch(model, X, out=HA)
-    Z = np.matmul(HA, W2.T, out=Z)
+    HA = hidden_batch(model, X, out=work.HA)
+    Z = np.matmul(HA, W2.T, out=work.Z)
     Z += head.b2
     P = softmax_rows(Z)
     picked = P[rows, Y]
-    if row_weights is None:
-        coeff = loss_scale / n
-    else:
-        coeff = np.asarray(row_weights, dtype=np.float64)
-        if coeff.shape != (n,):
-            raise DimensionError("row_weights must have one entry per example")
     # d/dz of -ln(p_y + eps) = (p_y / (p_y + eps)) * (p - onehot_y)
     r = coeff * picked / (picked + LOG_EPS)
     dZ = P
     dZ *= r[:, None]
     dZ[rows, Y] -= r
-    dW2 = np.matmul(dZ.T, HA, out=dW2)
-    db2 = np.sum(dZ, axis=0, out=db2)
-    mask = np.greater(HA, 0.0, out=mask)  # H > 0 exactly where A > 0
+    np.matmul(dZ.T, HA, out=dW2)
+    np.sum(dZ, axis=0, out=db2)
+    mask = np.greater(HA, 0.0, out=work.mask)  # H > 0 exactly where A > 0
     dA = np.matmul(dZ, W2, out=HA)
     dA *= mask
-    dW1 = np.matmul(dA.T, X, out=dW1)
-    db1 = np.sum(dA, axis=0, out=db1)
+    np.matmul(dA.T, X, out=dW1)
+    np.sum(dA, axis=0, out=db1)
     return dW1, db1, dW2, db2
 
 
@@ -372,16 +371,14 @@ def example_rep_grads(model: SharedModel, task_id: str, X: np.ndarray, Y: np.nda
     head = model.head(task_id)
     h, d = model.W1.shape
     block = min(n, max(EXAMPLE_BLOCK_BYTES // (8 * model.rep_param_count()), 1))
-    HA = np.empty((block, h))  # A, then relu(A), then dA, as in backward_arrays
-    mask = np.empty(HA.shape, dtype=bool)
-    Z = np.empty((block, head.n_classes))
+    work = _Workspace(block, h, head.n_classes)
     G = np.empty((block, model.rep_param_count()))
     GW1 = G[:, : h * d].reshape(block, h, d)
     A2, X2 = np.zeros((block, h, 2)), np.zeros((block, 2, d))  # [dA, 0] and [x; 0]
     for start in range(0, n, block):
         Xb, Yb = X[start : start + block], Y[start : start + block]
         m = len(Yb)
-        A, Zb, Mb, rows = HA[:m], Z[:m], mask[:m], np.arange(m)
+        A, Zb, Mb, rows = work.HA[:m], work.Z[:m], work.mask[:m], work.rows[:m]
         np.matmul(Xb[:, None, :], model.W1.T, out=A[:, None, :])
         A += model.b1
         np.maximum(A, 0.0, out=A)
@@ -587,23 +584,19 @@ def train_step(
     X: np.ndarray,
     Y: np.ndarray,
     opt: OptimizerState,
-    loss_scale: float = 1.0,
-    row_weights: np.ndarray | None = None,
+    coeff=None,
 ) -> None:
     """One minibatch step on the representation and one head, in place.
 
-    backward_arrays on the batch into opt's gradient buffers and workspace,
-    then one apply_update over the two flat groups, slots "rep" and
-    "head.<task_id>".
+    backward_arrays on the batch, with coeff on each row's cross-entropy
+    (None: the batch mean), into opt's gradient buffers and workspace, then
+    one apply_update over the two flat groups, slots "rep" and "head.<task_id>".
     """
     head = model.head(task_id)
     head_key = f"head.{task_id}"
     rep_grad = opt.slot("rep", model.rep_params).grad
     head_grad = opt.slot(head_key, head.params).grad
     work = opt.workspace(len(Y), model.hidden_dim, head.n_classes)
-    backward_arrays(
-        model, task_id, X, Y, loss_scale=loss_scale, row_weights=row_weights,
-        out=(rep_grad, head_grad, work),
-    )
+    backward_arrays(model, task_id, X, Y, coeff, out=(rep_grad, head_grad, work))
     apply_update([model.rep_params, head.params], [rep_grad, head_grad], opt, ["rep", head_key])
 

@@ -32,11 +32,11 @@ sources; fixed-weight runs are the adaptive loop with the weight step
 switched off. train_single_task, pretrain_then_finetune and joint_train,
 like distance's two fits, are configurations of tawt: each pins its
 paradigm with the weight step off and makes one tawt call, and its
-RunRecord.config says so. Sample weights enter _weighted_epoch as per-row
-loss coefficients, task weights as per-batch loss scales. Every step on
-the representation is model.train_step; head-only steps (the pretrain head
-fit and the frozen fine-tune) keep their own gradient on the frozen hidden
-layer.
+RunRecord.config says so. Weights enter _weighted_epoch as the loss
+coefficient of each row, one number per batch for task weights and one per
+row for sample weights. Every step on the representation is
+model.train_step; head-only steps (the pretrain head fit and the frozen
+fine-tune) keep their own gradient on the frozen hidden layer.
 
 Every run derives all of its randomness from cfg.seed through purpose-keyed
 child streams (model init, per-task shuffles, batch interleaving, subset
@@ -356,9 +356,12 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
     stream, split into batches, and the resulting steps are interleaved in a
     random order. With one weight per task, a task with weight exactly zero
     contributes no steps at all, so its loss terms vanish from the run
-    entirely. With one weight per example of a single task (sample
-    granularity), each batch B contributes (n/|B|) * sum_{i in B} w_i * loss_i,
-    so uniform weights reproduce the plain mean-batch objective exactly.
+    entirely. Each step's rows carry one loss coefficient: w_t / |B| on a
+    batch B of task t; at sample granularity (one weight per example of a
+    single task) w_i * (n/|B|) on row i. Uniform weights fl(1/n) give the
+    plain mean-batch objective bitwise only where fl(1/n) * fl(n/|B|) ==
+    fl(1/|B|) for every batch size of the epoch (40 rows at batch 10 do;
+    34 do not, and the runs then differ at rounding size).
     """
     # Per-row weights (sample granularity) cover the rows of a single entry;
     # a one-row entry gets the coefficient 1 under either reading.
@@ -370,19 +373,19 @@ def _weighted_epoch(model, entries, w, cfg, opt, streams):
         order = streams.get("shuffle", task_id).permutation(data.n)
         for start in range(0, data.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if per_row:
-                scale = {"row_weights": w.values[idx] * (data.n / idx.size)}
-            else:
-                scale = {"loss_scale": w[pos]}
-            steps.append((task_id, data, idx, scale))
+            coeff = w.values[idx] * (data.n / idx.size) if per_row else w[pos] / idx.size
+            steps.append((task_id, data, idx, coeff))
     for si in streams.get("interleave").permutation(len(steps)):
-        task_id, data, idx, scale = steps[si]
-        train_step(model, task_id, data.features[idx], data.labels[idx], opt, **scale)
+        task_id, data, idx, coeff = steps[si]
+        train_step(model, task_id, data.features[idx], data.labels[idx], opt, coeff)
 
 
 def _head_only_epoch(model, task_id, data, cfg, opt, rng):
     """One epoch of minibatch steps on one head over the frozen representation.
-    The head's slot is created before hidden_batches' buffer (see OptimizerState.slot)."""
+    The head's slot is created before hidden_batches' buffer (see OptimizerState.slot).
+    Its residual, (p_y / (p_y + eps)) / |B|, rounds apart from backward_arrays'
+    (coeff * p_y) / (p_y + eps) in 28.9% of rows (10^6 uniform p_y, |B| 100):
+    sharing one formula would move the golden digests of the head-only runs."""
     head = model.head(task_id)
     key = f"head.{task_id}"
     grad = opt.slot(key, head.params).grad

@@ -93,8 +93,7 @@ def weighted_rep_grad(model, parts) -> np.ndarray:
     """Rep gradient of sum over RepHessian-style parts of sum_i coeff_i * CE_i."""
     total = np.zeros(model.rep_param_count())
     for task_id, X, Y, coeff in parts:
-        row_weights = np.broadcast_to(np.asarray(coeff, dtype=np.float64), (len(Y),))
-        dW1, db1, _, _ = backward_arrays(model, task_id, X, Y, row_weights=row_weights)
+        dW1, db1, _, _ = backward_arrays(model, task_id, X, Y, coeff)
         total += np.concatenate([dW1.ravel(), db1])
     return total
 

@@ -11,6 +11,7 @@ from tawt_lab.model import (
     SharedModel,
     accuracy_and_loss,
     apply_update,
+    backward_arrays,
     init_model,
     logits_batch,
     predictions,
@@ -246,6 +247,40 @@ class TestBackward:
         np.testing.assert_allclose(a.rep_grad, b.rep_grad, atol=1e-12)
         np.testing.assert_allclose(a.head_grad, b.head_grad, atol=1e-12)
 
+    @pytest.mark.parametrize("form", ["mean", "scalar", "per-row"])
+    def test_one_path_with_and_without_out_bitwise(self, form):
+        """At the benchmark's step shape, the allocating call and the call into
+        caller buffers give the same bits, those of the reference pass."""
+        batch, d, hidden, k = 100, 20, 256, 10
+        m = init_model(d, hidden, {"t": k}, seed=5)
+        data = random_dataset(batch, d, k, seed=6, task_id="t")
+        X, Y = data.features, data.labels
+        weights = Rng(7).uniform(0.0, 2.0, size=batch)
+        coeff, kw = {
+            "mean": (None, {}),
+            "scalar": (0.3 / batch, {"loss_scale": 0.3}),
+            "per-row": (weights, {"row_weights": weights}),
+        }[form]
+        fresh = backward_arrays(m, "t", X, Y, coeff)
+        rep_grad = np.full(m.rep_param_count(), np.nan)  # stale contents are overwritten
+        head_grad = np.full(m.heads["t"].params.size, np.nan)
+        work = OptimizerState().workspace(batch, hidden, k)
+        into = backward_arrays(m, "t", X, Y, coeff, out=(rep_grad, head_grad, work))
+        head = m.heads["t"]
+        ref = _ref_backward(m.W1, m.b1, head.W2, head.b2, X, Y, **kw)
+        for a, b, c in zip(fresh, into, ref):
+            assert a.shape == b.shape == c.shape
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert all(np.shares_memory(g, rep_grad) for g in into[:2])
+        assert all(np.shares_memory(g, head_grad) for g in into[2:])
+
+    def test_coeff_of_wrong_length_is_refused(self):
+        m = tiny_model()
+        data = random_dataset(5, 3, 3, seed=8)
+        for coeff in (np.ones(4), np.ones((5, 1))):
+            with pytest.raises(DimensionError, match="coeff"):
+                backward_arrays(m, "target", data.features, data.labels, coeff)
+
 
 class TestRepGradientFlat:
     def test_full_subset_equals_backward_exactly(self):
@@ -430,13 +465,14 @@ class TestTrainStep:
                 X, Y = data[tid].features[idx], data[tid].labels[idx]
                 kw = ({"row_weights": rng.uniform(0.0, 2.0, size=rows)} if scale is None
                       else {"loss_scale": scale})
+                coeff = kw["row_weights"] if scale is None else scale / rows
                 grads = _ref_backward(ref["W1"], ref["b1"], *ref[tid], X, Y, **kw)
                 ref["W1"], ref["b1"], W2, b2 = _ref_update(
                     [ref["W1"], ref["b1"], *ref[tid]], grads,
                     ["rep.W1", "rep.b1", f"head.{tid}.W2", f"head.{tid}.b2"], state, kind, lr,
                 )
                 ref[tid] = (W2, b2)
-                train_step(m, tid, X, Y, opt, **kw)
+                train_step(m, tid, X, Y, opt, coeff)
             assert np.array_equal(m.W1, ref["W1"]) and np.array_equal(m.b1, ref["b1"])
             for tid, h in m.heads.items():
                 assert np.array_equal(h.W2, ref[tid][0]) and np.array_equal(h.b2, ref[tid][1])

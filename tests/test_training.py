@@ -605,6 +605,42 @@ class TestSampleGranularity:
         first = np.asarray(record.weight_steps[0]["weights"])
         np.testing.assert_allclose(first, 1.0 / source.n)
 
+    @staticmethod
+    def _eta_zero_pair(source, target, batch):
+        """(fixed-weight pretrain model, eta = 0 sample-granularity twin)."""
+        kw = dict(paradigm="pretrain", hidden=16, batch_size=batch, epochs=5, finetune_epochs=2)
+        cfg_fixed = base_cfg(**kw)
+        w0 = default_initial_weights(cfg_fixed, [source], target)
+        m_fixed, _ = pretrain_then_finetune([source], target, w0, cfg_fixed)
+        cfg_adapt = base_cfg(weighted=True, weight_granularity="sample", eta=0.0, **kw)
+        m_adapt, _ = tawt([source], target, cfg_adapt)
+        return m_fixed, m_adapt
+
+    @staticmethod
+    def _coeff_identity_holds(n, batch):
+        """fl(1/n) * fl(n/|B|) == fl(1/|B|) for every batch size |B| of an epoch."""
+        sizes = {min(batch, n - start) for start in range(0, n, batch)}
+        return all((1.0 / n) * (n / size) == 1.0 / size for size in sizes)
+
+    def test_eta_zero_is_fixed_weight_bitwise_where_coefficients_agree(self, tiny_family):
+        source = tiny_family["copy"].take(40)
+        assert self._coeff_identity_holds(40, 10)
+        m_fixed, m_adapt = self._eta_zero_pair(source, tiny_family["target"], 10)
+        assert np.array_equal(m_fixed.W1, m_adapt.W1)
+        assert np.array_equal(m_fixed.b1, m_adapt.b1)
+        for tid in m_fixed.heads:
+            assert np.array_equal(m_fixed.heads[tid].params, m_adapt.heads[tid].params)
+
+    def test_eta_zero_is_within_rounding_where_coefficients_differ(self, tiny_family):
+        # 34 rows at batch 10: fl(1/34) * fl(34/10) is one ulp off fl(1/10), so
+        # the two runs step on coefficients a last bit apart. The gap stays at
+        # rounding size, far below any effect of the weights themselves.
+        source = tiny_family["copy"].take(34)
+        assert not self._coeff_identity_holds(34, 10)
+        m_fixed, m_adapt = self._eta_zero_pair(source, tiny_family["target"], 10)
+        gap = float(np.max(np.abs(m_fixed.W1 - m_adapt.W1)))
+        assert 0.0 < gap <= 1e-13
+
 
     def test_initial_weights_are_per_example(self, tiny_family):
         source = tiny_family["copy"]
